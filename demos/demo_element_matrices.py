@@ -34,7 +34,7 @@ def main():
     print(f"element: m={elem.m}, {elem.node_count} nodes, "
           f"{elem.dof_count} dofs, D={MATERIAL.rigidity:.6f}")
 
-    K = element_stiffness(elem)
+    K = element_stiffness(elem).toarray()
     print("\n1. stiffness spectrum")
     print(f"  symmetry error |K - K^T|_max = {np.abs(K - K.T).max():.2e}")
     w = np.linalg.eigvalsh(K)

@@ -75,16 +75,16 @@ def node_rotation(frame: LocalFrame) -> np.ndarray:
 
 
 def transformation_matrix(frame: LocalFrame, node_count: int) -> sp.csr_matrix:
-    """Block-diagonal global-to-local transformation for all element dofs."""
+    """Block-diagonal global-to-local transformation for all element dofs.
+
+    Built directly as CSR with each 3x3 block stored whole: ``sp.kron``
+    costs more than the rotation itself for the oracle's one-cell elements.
+    """
     lam = node_rotation(frame)
-    return sp.kron(sp.identity(node_count, format="csr"), lam, format="csr")
-
-
-def to_global(K_local: np.ndarray, f_local: np.ndarray, T: sp.spmatrix):
-    """Transform element stiffness and load to global nodal components."""
-    K = T.T @ (T.T @ K_local.T).T
-    f = T.T @ f_local
-    return K, f
+    n = 3 * node_count
+    cols = np.repeat(np.arange(0, n, 3), 9) + np.tile([0, 1, 2], n)
+    return sp.csr_matrix((np.tile(lam.ravel(), node_count), cols,
+                          np.arange(0, 3 * n + 1, 3)), shape=(n, n))
 
 
 @dataclass
@@ -122,9 +122,6 @@ class GlobalSystem:
     @property
     def n_free(self) -> int:
         return self.C.shape[1] if self.C is not None else self.n_dofs
-
-    def fixed_w_nodes(self) -> list[int]:
-        return [c.node for c in self.constraints if c.component == "w"]
 
 
 def _merge_nodes(coords: np.ndarray, tol: float) -> np.ndarray:
@@ -204,18 +201,20 @@ def assemble(model: Model) -> GlobalSystem:
         offset += n
 
     n_dofs = 3 * len(node_coords)
+    gdofs = [(3 * ids[:, None] + np.arange(3)).ravel() for ids in element_nodes]
     rows, cols, data = [], [], []
     rhs = np.zeros(n_dofs)
-    for e, elem in enumerate(model.elements):
-        K_loc = element_stiffness(elem, model.quadrature_degree)
-        f_loc = element_load_uniform(elem, model.uniform_q, model.quadrature_degree)
+    for elem, gdof in zip(model.elements, gdofs):
         T = transformation_matrix(elem.frame, elem.node_count)
-        K_g, f_g = to_global(K_loc, f_loc, T)
-        gdof = np.repeat(element_nodes[e] * 3, 3) + np.tile([0, 1, 2], elem.node_count)
-        rows.append(np.repeat(gdof, len(gdof)))
-        cols.append(np.tile(gdof, len(gdof)))
-        data.append(np.asarray(K_g).ravel())
-        rhs[gdof] += f_g
+        K_loc = element_stiffness(elem, model.quadrature_degree)
+        # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
+        # differently, and the large-m solves amplify that
+        K_g = (T.T @ (K_loc @ T)).tocoo()
+        rows.append(gdof[K_g.row])
+        cols.append(gdof[K_g.col])
+        data.append(K_g.data)
+        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q,
+                                                model.quadrature_degree)
 
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
@@ -223,9 +222,7 @@ def assemble(model: Model) -> GlobalSystem:
         elem = model.elements[e]
         F_loc = element_load_point(elem, P, elem.frame.to_local(p))
         T = transformation_matrix(elem.frame, elem.node_count)
-        F_g = T.T @ F_loc
-        gdof = np.repeat(element_nodes[e] * 3, 3) + np.tile([0, 1, 2], elem.node_count)
-        rhs[gdof] += F_g
+        rhs[gdofs[e]] += T.T @ F_loc
 
     K = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),

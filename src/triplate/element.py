@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import OutsideElement, QuadratureFailure
 from .geometry import (
@@ -22,7 +23,7 @@ from .geometry import (
     subtriangle_partition,
 )
 from .quadrature import triangle_rule
-from .shapefn import basis_eval, subtriangle_basis
+from .shapefn import subtriangle_basis
 
 _LOCATE_TOL = 1e-12
 
@@ -105,22 +106,11 @@ class MRElement:
         return slice(3 * k, 3 * k + 3)
 
 
-def _b_block(triple) -> np.ndarray:
-    """3x3 curvature block of one node's basis triple at one point."""
-    B = np.empty((3, 3))
-    for col, f in enumerate(triple.functions()):
-        B[0, col] = -f.hess[0]
-        B[1, col] = -f.hess[1]
-        B[2, col] = -2.0 * f.hess[2]
-    return B
-
-
-def curvature_B(elem: MRElement, idx: tuple[int, int], p) -> np.ndarray:
-    """Curvature interpolation block of node idx at local point p (3x3)."""
-    return _b_block(basis_eval(elem.frame, elem.m, idx, p))
-
-
 def _cell_quadrature(elem: MRElement, tri: SubTriangle, degree: int):
+    if degree < 2:
+        # the stiffness integrand is quadratic; lower rules are not exact
+        raise QuadratureFailure(
+            f"element integrals need quadrature degree >= 2, got {degree}")
     bary, w = triangle_rule(degree)
     pts = bary @ tri.vertices
     if tri.area <= 0.0:
@@ -153,57 +143,65 @@ def _cell_values(elem: MRElement, tri: SubTriangle, pts: np.ndarray) -> np.ndarr
     return N
 
 
-def _scatter_indices(elem: MRElement, tri: SubTriangle) -> np.ndarray:
-    out = np.empty(9, dtype=int)
-    for c, idx in enumerate(tri.corner_nodes):
-        k = node_ordinal(elem.m, idx)
-        out[3 * c: 3 * c + 3] = (3 * k, 3 * k + 1, 3 * k + 2)
-    return out
+def _cell_dofs(m: int, cells: list[SubTriangle]) -> np.ndarray:
+    """(n_cells, 9) element dofs of each cell's nine local dofs."""
+    k = np.array([[node_ordinal(m, idx) for idx in tri.corner_nodes]
+                  for tri in cells])
+    return (3 * k[:, :, None] + np.arange(3)).reshape(len(cells), 9)
 
 
-def element_stiffness(elem: MRElement, degree: int | None = None) -> np.ndarray:
-    """Element bending stiffness (3n x 3n), integrated cell by cell.
+def _per_cell(elem: MRElement, degree: int, integral) -> np.ndarray:
+    """integral(tri, pts, weights) of every cell, stacked in partition order.
+
+    Cells of equal orientation are translates of each other, so the
+    integral is computed once per orientation, on its first cell.
+    """
+    cells = elem.partition()
+    by_orientation = {}
+    for tri in cells:
+        if tri.orientation not in by_orientation:
+            by_orientation[tri.orientation] = integral(
+                tri, *_cell_quadrature(elem, tri, degree))
+    return np.array([by_orientation[tri.orientation] for tri in cells])
+
+
+def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
+    """Element bending stiffness (3n x 3n CSR), assembled from its cells.
 
     The integrand per cell is quadratic (second derivatives of cubics),
-    so the default degree-5 rule is exact.
+    so the default degree-5 rule is exact.  Each entry is summed over its
+    cells in partition order.
     """
     degree = elem.quadrature_degree if degree is None else degree
     D = bending_rigidity(elem.material)
+
+    def cell_stiffness(tri, pts, wq):
+        B = _cell_B(elem, tri, pts)
+        kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
+        return 0.5 * (kc + kc.T)
+
+    kc = _per_cell(elem, degree, cell_stiffness)
+    dofs = _cell_dofs(elem.m, elem.partition())
     n = elem.dof_count
-    K = np.zeros((n, n))
-    # Cells of equal orientation are translates of each other, so the cell
-    # matrix is computed once per orientation and scattered.
-    cell_k: dict[str, np.ndarray] = {}
-    for tri in elem.partition():
-        kc = cell_k.get(tri.orientation)
-        if kc is None:
-            pts, wq = _cell_quadrature(elem, tri, degree)
-            B = _cell_B(elem, tri, pts)
-            kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
-            kc = 0.5 * (kc + kc.T)
-            cell_k[tri.orientation] = kc
-        dofs = _scatter_indices(elem, tri)
-        K[np.ix_(dofs, dofs)] += kc
-    return 0.5 * (K + K.T)
+    key = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+    uniq, slot = np.unique(key, return_inverse=True)
+    row, col = np.divmod(uniq, n)
+    # bincount adds in input order; the cell matrices are exactly
+    # symmetric, so K is too
+    return sp.csr_matrix((np.bincount(slot, weights=kc.ravel()), col,
+                          np.searchsorted(row, np.arange(n + 1))), shape=(n, n))
 
 
 def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
     """Consistent load vector for a uniform transverse pressure q."""
     degree = elem.quadrature_degree if degree is None else degree
     n = elem.dof_count
-    f = np.zeros(n)
     if q == 0.0:
-        return f
-    cell_f: dict[str, np.ndarray] = {}
-    for tri in elem.partition():
-        fc = cell_f.get(tri.orientation)
-        if fc is None:
-            pts, wq = _cell_quadrature(elem, tri, degree)
-            N = _cell_values(elem, tri, pts)
-            fc = q * (wq @ N)
-            cell_f[tri.orientation] = fc
-        f[_scatter_indices(elem, tri)] += fc
-    return f
+        return np.zeros(n)
+    fc = _per_cell(elem, degree,
+                   lambda tri, pts, wq: q * (wq @ _cell_values(elem, tri, pts)))
+    dofs = _cell_dofs(elem.m, elem.partition())
+    return np.bincount(dofs.ravel(), weights=fc.ravel(), minlength=n)
 
 
 def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
@@ -232,5 +230,5 @@ def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(p_local, dtype=float))
     N = _cell_values(elem, tri, pts)[0]
     f = np.zeros(elem.dof_count)
-    f[_scatter_indices(elem, tri)] = P * N
+    f[_cell_dofs(elem.m, [tri])[0]] = P * N
     return f

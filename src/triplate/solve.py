@@ -95,13 +95,8 @@ def _containing_elements(system: GlobalSystem, p: np.ndarray) -> list[int]:
 def _element_local_dofs(sol: Solution, e: int) -> np.ndarray:
     """Element dof vector in frame-local components, cell-scatter order."""
     system = sol.system
-    elem = system.model.elements[e]
-    lam = node_rotation(elem.frame)
-    ids = system.element_nodes[e]
-    a = np.empty(3 * elem.node_count)
-    for k, n in enumerate(ids):
-        a[3 * k: 3 * k + 3] = lam @ sol.node_dofs(int(n))
-    return a
+    lam = node_rotation(system.model.elements[e].frame)
+    return (sol.dofs.reshape(-1, 3)[system.element_nodes[e]] @ lam.T).ravel()
 
 
 def field_eval(sol: Solution, p) -> tuple[float, float, float]:

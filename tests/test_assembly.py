@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from triplate import (BCKind, BoundaryCondition, EmptyEdge, MRElement, Model,
                       NodeMismatch, apply_boundary_conditions, assemble,
-                      reactions, solve_system)
+                      bending_rigidity, node_ordinal, reactions, solve_system)
+from triplate.assembly import node_rotation
+from triplate.element import _cell_B, _cell_quadrature
 
 SQUARE_EDGES = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
                 ((1, 1), (0, 1)), ((0, 1), (0, 0))]
@@ -22,6 +25,60 @@ def square_model(m, unit_material, kind=BCKind.SIMPLY_SUPPORTED, q=1.0,
     bcs = [BoundaryCondition(edge=np.array(e, dtype=float), kind=kind,
                              hard=hard) for e in edges]
     return Model(elements=elements, uniform_q=q, bcs=bcs)
+
+
+def rotated_square_model(m, unit_material, angle, shift):
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+
+    def mov(p):
+        return R @ np.asarray(p, dtype=float) + shift
+
+    elements = [
+        MRElement.from_vertices(mov([0, 0]), mov([1, 0]), mov([1, 1]),
+                                m, unit_material),
+        MRElement.from_vertices(mov([0, 0]), mov([1, 1]), mov([0, 1]),
+                                m, unit_material),
+    ]
+    bcs = [BoundaryCondition(edge=np.array([mov(e[0]), mov(e[1])]),
+                             kind=BCKind.SIMPLY_SUPPORTED)
+           for e in SQUARE_EDGES]
+    return Model(elements=elements, uniform_q=1.0, bcs=bcs), mov
+
+
+def dense_path_stiffness(model):
+    """Global K built the dense way: each element matrix accumulated cell by
+    cell in partition order, rotated as T^T (T^T K^T)^T with a kron-built T,
+    then scattered as full (3n)^2 blocks."""
+    rows, cols, data = [], [], []
+    system = assemble(model)
+    for elem, ids in zip(model.elements, system.element_nodes):
+        degree = model.quadrature_degree
+        D = bending_rigidity(elem.material)
+        n = elem.dof_count
+        K = np.zeros((n, n))
+        cell_k = {}
+        for tri in elem.partition():
+            if tri.orientation not in cell_k:
+                pts, wq = _cell_quadrature(elem, tri, degree)
+                B = _cell_B(elem, tri, pts)
+                kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
+                cell_k[tri.orientation] = 0.5 * (kc + kc.T)
+            dofs = [3 * node_ordinal(elem.m, idx) + c
+                    for idx in tri.corner_nodes for c in range(3)]
+            K[np.ix_(dofs, dofs)] += cell_k[tri.orientation]
+        K = 0.5 * (K + K.T)
+        T = sp.kron(sp.identity(elem.node_count, format="csr"),
+                    node_rotation(elem.frame), format="csr")
+        K_g = T.T @ (T.T @ K.T).T
+        gdof = np.repeat(ids * 3, 3) + np.tile([0, 1, 2], elem.node_count)
+        rows.append(np.repeat(gdof, n))
+        cols.append(np.tile(gdof, n))
+        data.append(np.asarray(K_g).ravel())
+    shape = (system.n_dofs, system.n_dofs)
+    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=shape).tocsr()
 
 
 class TestSplicing:
@@ -62,6 +119,21 @@ class TestSplicing:
     def test_global_stiffness_symmetric(self, unit_material):
         K = assemble(square_model(3, unit_material)).K
         assert abs(K - K.T).max() < 1e-12 * abs(K).max()
+
+    def test_stores_only_cell_couplings(self, unit_material):
+        m = 8
+        K = assemble(square_model(m, unit_material)).K
+        assert K.nnz <= 81 * m * m * 2
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_dense_path_bit_for_bit(self, m, unit_material):
+        model, _ = rotated_square_model(m, unit_material, 0.3,
+                                        np.array([0.7, -0.2]))
+        assert all(math.sin(el.frame.rotation) != 0.0
+                   for el in model.elements)
+        K = assemble(model).K
+        assert np.array_equal(K.toarray(),
+                              dense_path_stiffness(model).toarray())
 
 
 class TestConstraints:
@@ -108,24 +180,6 @@ class TestConstraints:
 
 
 class TestObjectivity:
-    def rotated_model(self, m, unit_material, angle, shift):
-        c, s = math.cos(angle), math.sin(angle)
-        R = np.array([[c, -s], [s, c]])
-
-        def mov(p):
-            return R @ np.asarray(p, dtype=float) + shift
-
-        elements = [
-            MRElement.from_vertices(mov([0, 0]), mov([1, 0]), mov([1, 1]),
-                                    m, unit_material),
-            MRElement.from_vertices(mov([0, 0]), mov([1, 1]), mov([0, 1]),
-                                    m, unit_material),
-        ]
-        bcs = [BoundaryCondition(edge=np.array([mov(e[0]), mov(e[1])]),
-                                 kind=BCKind.SIMPLY_SUPPORTED)
-               for e in SQUARE_EDGES]
-        return Model(elements=elements, uniform_q=1.0, bcs=bcs), mov
-
     def test_model_rotation_invariance(self, unit_material):
         from triplate import field_eval
 
@@ -133,8 +187,8 @@ class TestObjectivity:
         sol0 = solve_system(apply_boundary_conditions(assemble(base)))
         w0 = field_eval(sol0, (0.5, 0.5))[0]
         for angle in (0.3, -1.1):
-            model, mov = self.rotated_model(2, unit_material, angle,
-                                            np.array([0.7, -0.2]))
+            model, mov = rotated_square_model(2, unit_material, angle,
+                                              np.array([0.7, -0.2]))
             sol = solve_system(apply_boundary_conditions(assemble(model)))
             w = field_eval(sol, mov((0.5, 0.5)))[0]
             assert w == pytest.approx(w0, rel=1e-10)

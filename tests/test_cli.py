@@ -86,6 +86,15 @@ class TestSolve:
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_degree_one_quadrature_exits_2(self, config_path, capsys):
+        cfg = config_path(SQUARE_CONFIG)
+        assert cli.main(["solve", cfg, "--quadrature-degree", "1"]) == 2
+        assert "error: element integrals need quadrature degree >= 2" \
+            in capsys.readouterr().err
+        bad = dict(SQUARE_CONFIG, solver={"quadrature_degree": 1})
+        assert cli.main(["solve", config_path(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unconstrained_load_exits_2(self, config_path, capsys):
         cfg = dict(SQUARE_CONFIG, bcs=[])
         assert cli.main(["solve", config_path(cfg)]) == 2

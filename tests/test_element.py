@@ -4,7 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from triplate import (CollinearVertices, MRElement, PlateMaterial,
-                      bending_rigidity, element_load_point,
+                      QuadratureFailure, bending_rigidity, element_load_point,
                       element_load_uniform, element_stiffness, grid_indices,
                       node_ordinal, node_position)
 
@@ -33,7 +33,7 @@ class TestStiffness:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_symmetric_psd_with_three_rigid_modes(self, m, element_factory):
         elem = element_factory(m=m)
-        K = element_stiffness(elem)
+        K = element_stiffness(elem).toarray()
         assert_allclose(K, K.T, atol=1e-12 * np.abs(K).max())
         lam = np.linalg.eigvalsh(K)
         scale = lam[-1]
@@ -43,7 +43,7 @@ class TestStiffness:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rigid_modes_annihilated(self, m, element_factory, rng):
         elem = element_factory(m=m)
-        K = element_stiffness(elem)
+        K = element_stiffness(elem).toarray()
         c0, c1, c2 = rng.uniform(-1.0, 1.0, 3)
         d = local_field_dofs(elem, lambda x, y: c0 + c1 * x + c2 * y,
                              lambda x, y: (c1, c2))
@@ -60,7 +60,7 @@ class TestStiffness:
         # (kx, ky, 2*(kxy/2)...) per (-w_xx, -w_yy, -2 w_xy)
         kx, ky, kxy = kappa
         elem = element_factory(m=2)
-        K = element_stiffness(elem)
+        K = element_stiffness(elem).toarray()
         d = local_field_dofs(
             elem,
             lambda x, y: -0.5 * (kx * x * x + ky * y * y + kxy * x * y),
@@ -73,13 +73,21 @@ class TestStiffness:
 
     def test_quadrature_degree_invariance(self, element_factory):
         elem = element_factory(m=2)
-        K5 = element_stiffness(elem, degree=5)
-        K9 = element_stiffness(elem, degree=9)
+        K5 = element_stiffness(elem, degree=5).toarray()
+        K9 = element_stiffness(elem, degree=9).toarray()
         assert_allclose(K5, K9, atol=1e-12 * np.abs(K5).max())
+
+    def test_degree_one_rule_rejected(self, element_factory):
+        # the curvature integrand is quadratic: a degree-1 rule is inexact
+        elem = element_factory(m=2)
+        with pytest.raises(QuadratureFailure, match="degree >= 2"):
+            element_stiffness(elem, degree=1)
+        with pytest.raises(QuadratureFailure, match="degree >= 2"):
+            element_load_uniform(elem, 1.0, degree=1)
 
     def test_coupling_only_between_cell_mates(self, element_factory):
         elem = element_factory(m=3)
-        K = element_stiffness(elem)
+        K = element_stiffness(elem).toarray()
 
         def block(i, j):
             return K[elem.dof_slice(i), elem.dof_slice(j)]

@@ -25,8 +25,6 @@ from .geometry import (
 from .quadrature import triangle_rule
 from .shapefn import subtriangle_basis
 
-_LOCATE_TOL = 1e-12
-
 
 @dataclass
 class PlateMaterial:
@@ -210,7 +208,6 @@ def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
     With all_containing=False returns the first match in partition order.
     """
     p = np.asarray(p_local, dtype=float)
-    tol = _LOCATE_TOL * elem.frame.a
     found = []
     for tri in elem.partition():
         L = barycentric(tri.vertices, p)

@@ -44,6 +44,8 @@ _DOMAIN_TABLE = {
     HexDomain.D6: (((1, 0), (0, 0), (1, -1)), 2),
 }
 
+_DOMAIN_UV = {dom: np.array(coeffs) for dom, (coeffs, _) in _DOMAIN_TABLE.items()}
+
 _DOMAIN_ORDER = (
     HexDomain.D1,
     HexDomain.D2,
@@ -114,9 +116,12 @@ class LocalFrame:
 
     def domain_triangle(self, domain: HexDomain) -> np.ndarray:
         """Local vertices (3, 2) of one hexagon sub-domain, vertex order 1..3."""
-        coeffs, _ = _DOMAIN_TABLE[domain]
-        u, v = self.u, self.v
-        return np.array([cu * u + cv * v for cu, cv in coeffs])
+        return self.domain_triangles([domain])[0]
+
+    def domain_triangles(self, domains) -> np.ndarray:
+        """Local vertices (len(domains), 3, 2) of several hexagon sub-domains."""
+        uv = np.array([_DOMAIN_UV[d] for d in domains])
+        return uv[..., :1] * self.u + uv[..., 1:] * self.v
 
     def domain_center_vertex(self, domain: HexDomain) -> int:
         """Local vertex index (1-based) occupied by the node at the origin."""
@@ -235,20 +240,26 @@ def subtriangle_partition(frame: LocalFrame, m: int) -> list[SubTriangle]:
     return tris
 
 
+# cyclic successor j and predecessor k of each vertex i
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def barycentric_coeffs(vertices: np.ndarray):
     """Affine coefficients of the barycentric coordinates of a triangle.
 
     Returns (a0, bb, cc, twoA) with L_i(x, y) = (a0_i + bb_i x + cc_i y)/twoA,
     using the cyclic convention bb_i = y_j - y_k, cc_i = x_k - x_j.
+    vertices may carry leading batch axes, (..., 3, 2).
     """
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    j = [1, 2, 0]
-    k = [2, 0, 1]
-    bb = y[j] - y[k]
-    cc = x[k] - x[j]
-    a0 = x[j] * y[k] - x[k] * y[j]
-    twoA = float(a0.sum())
+    x = vertices[..., 0]
+    y = vertices[..., 1]
+    xj, xk = x.take(_NEXT, axis=-1), x.take(_PREV, axis=-1)
+    yj, yk = y.take(_NEXT, axis=-1), y.take(_PREV, axis=-1)
+    bb = yj - yk
+    cc = xk - xj
+    a0 = xj * yk - xk * yj
+    twoA = a0.sum(axis=-1)
     return a0, bb, cc, twoA
 
 

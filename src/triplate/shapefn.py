@@ -45,9 +45,6 @@ class ShapeEval:
     def zeros(shape) -> "ShapeEval":
         return ShapeEval(np.zeros(shape), np.zeros(shape + (2,)), np.zeros(shape + (3,)))
 
-    def scaled(self, val_f: float, grad_f: float, hess_f: float) -> "ShapeEval":
-        return ShapeEval(self.value * val_f, self.grad * grad_f, self.hess * hess_f)
-
 
 @dataclass
 class BasisTriple:
@@ -61,118 +58,137 @@ class BasisTriple:
         return self.w, self.thx, self.thy
 
 
-def _safe_pow(col: np.ndarray, p: int) -> np.ndarray:
-    if p < 0:
-        return np.zeros_like(col)
-    if p == 0:
-        return np.ones_like(col)
-    return col**p
+def _exponent_table() -> np.ndarray:
+    """Exponents of (L1, L2, L3) in every term, indexed [i0, family, term, var].
 
-
-def _eval_terms(terms, L: np.ndarray):
-    """Evaluate sum of c * L1^e1 L2^e2 L3^e3 with first/second L-derivatives.
-
-    L: (n, 3).  Returns value (n,), dL (n, 3), d2L (n, 3, 3).
+    i0 is the local vertex (0-based) of the node; the families are N, Nx,
+    Ny.  Nx and Ny have three terms and are padded to five; the padded
+    terms get coefficient 0 and contribute +-0 to each sum.
     """
-    n = L.shape[0]
-    val = np.zeros(n)
-    dL = np.zeros((n, 3))
-    d2L = np.zeros((n, 3, 3))
-    for coef, exps in terms:
-        if coef == 0.0:
-            continue
-        cols = [_safe_pow(L[:, a], exps[a]) for a in range(3)]
-        val += coef * cols[0] * cols[1] * cols[2]
-        for a in range(3):
-            ea = exps[a]
-            if ea == 0:
-                continue
-            da = ea * _safe_pow(L[:, a], ea - 1)
-            rest = np.ones(n)
-            for o in range(3):
-                if o != a:
-                    rest = rest * cols[o]
-            dL[:, a] += coef * da * rest
-            # second derivatives
-            if ea >= 2:
-                d2L[:, a, a] += coef * ea * (ea - 1) * _safe_pow(L[:, a], ea - 2) * rest
-            for bvar in range(a + 1, 3):
-                eb = exps[bvar]
-                if eb == 0:
-                    continue
-                db = eb * _safe_pow(L[:, bvar], eb - 1)
-                rest2 = np.ones(n)
-                for o in range(3):
-                    if o != a and o != bvar:
-                        rest2 = rest2 * cols[o]
-                mixed = coef * da * db * rest2
-                d2L[:, a, bvar] += mixed
-                d2L[:, bvar, a] += mixed
-    return val, dL, d2L
+    table = np.zeros((3, 3, 5, 3), dtype=np.intp)
+    for i0 in range(3):
+        j0, k0 = (i0 + 1) % 3, (i0 + 2) % 3
+        n_terms = table[i0, 0]
+        n_terms[0, i0] = 1
+        n_terms[1, [i0, j0]] = 2, 1
+        n_terms[2, [i0, k0]] = 2, 1
+        n_terms[3, [i0, j0]] = 1, 2
+        n_terms[4, [i0, k0]] = 1, 2
+        for rot_terms in table[i0, 1:]:
+            rot_terms[0, [i0, j0]] = 2, 1
+            rot_terms[1, [i0, k0]] = 2, 1
+            rot_terms[2] = 1
+    return table
 
 
-def _exp(i: int, p: int, j: int = -1, q: int = 0):
-    e = [0, 0, 0]
-    e[i] = p
-    if j >= 0:
-        e[j] = q
-    return tuple(e)
+_EXPONENTS = _exponent_table()
+
+# Every term contributes ten products, one per output channel:
+#   0     value                 ((coef * L0^e0) * L1^e1) * L2^e2
+#   1-3   d2/dLa dLb, ab = 01, 02, 12
+#                               ((coef * ea La^(ea-1)) * eb Lb^(eb-1)) * Lo^eo
+#   4-6   d/dLa                 (coef * ea La^(ea-1)) * (Lo1^eo1 * Lo2^eo2)
+#   7-9   d2/dLa2               (coef * ea (ea-1) La^(ea-2)) * (Lo1^eo1 * Lo2^eo2)
+# o is the remaining variable, o1 < o2 the two others.  Channels 0-3 take
+# the form ((coef * x) * y) * z, channels 4-9 (coef * x) * (y * z); the
+# factor kind (0 power, 1 first, 2 second derivative) and variable of
+# x, y and z per channel:
+_FACTOR_KIND = np.array([[0, 1, 1, 1, 1, 1, 1, 2, 2, 2],
+                         [0, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]])
+_FACTOR_VAR = np.array([[0, 0, 0, 1, 0, 1, 2, 0, 1, 2],
+                        [1, 1, 2, 2, 1, 0, 0, 1, 0, 0],
+                        [2, 2, 1, 0, 2, 2, 1, 2, 2, 1]])
+# Each domain's factor table holds the rows 0, 1, 2, L, L*L, 2L per
+# variable.  For e = 0, 1, 2 the power L^e reads rows 1, 3, 4, the first
+# derivative e L^(e-1) rows 0, 1, 5 and the second e (e-1) L^(e-2) rows
+# 0, 0, 2, so a zero exponent gives ones and a negative one zeros.
+_FACTOR_ROW = np.array([[1, 3, 4], [0, 1, 5], [0, 0, 2]])
+# [x/y/z, i0, family, term, channel] -> position row * 3 + variable of
+# that factor in one domain's (6, 3) table
+_FACTOR_INDEX = np.moveaxis(
+    _FACTOR_ROW[_FACTOR_KIND, _EXPONENTS[..., _FACTOR_VAR]] * 3 + _FACTOR_VAR, 3, 0)
+# channel of each entry of the symmetric 3x3 second-derivative matrix
+_HESS_CHANNELS = [7, 1, 2, 1, 8, 3, 2, 3, 9]
 
 
-def _family_terms(i0: int, bb: np.ndarray, cc: np.ndarray):
-    """Monomial terms of (N, Nx, Ny) for the node at local vertex i0 (0-based)."""
-    j0 = (i0 + 1) % 3
-    k0 = (i0 + 2) % 3
-    terms_n = [
-        (1.0, _exp(i0, 1)),
-        (1.0, _exp(i0, 2, j0, 1)),
-        (1.0, _exp(i0, 2, k0, 1)),
-        (-1.0, _exp(i0, 1, j0, 2)),
-        (-1.0, _exp(i0, 1, k0, 2)),
-    ]
-    terms_nx = [
-        (-bb[k0], _exp(i0, 2, j0, 1)),
-        (bb[j0], _exp(i0, 2, k0, 1)),
-        (0.5 * (bb[j0] - bb[k0]), (1, 1, 1)),
-    ]
-    terms_ny = [
-        (-cc[k0], _exp(i0, 2, j0, 1)),
-        (cc[j0], _exp(i0, 2, k0, 1)),
-        (0.5 * (cc[j0] - cc[k0]), (1, 1, 1)),
-    ]
-    return terms_n, terms_nx, terms_ny
+def _coefficients(i0: np.ndarray, bb: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """Term coefficients (c, 3, 5) of each domain's (N, Nx, Ny) families."""
+    c = len(i0)
+    rows = np.arange(c)
+    g = np.stack([bb, cc], axis=1)
+    gj = g[rows, :, (i0 + 1) % 3]
+    gk = g[rows, :, (i0 + 2) % 3]
+    coef = np.zeros((c, 3, 5))
+    coef[:, 0] = [1.0, 1.0, 1.0, -1.0, -1.0]
+    coef[:, 1:, 0] = -gk
+    coef[:, 1:, 1] = gj
+    coef[:, 1:, 2] = 0.5 * (gj - gk)
+    return coef
 
 
-def _to_xy(dL: np.ndarray, d2L: np.ndarray, bb: np.ndarray, cc: np.ndarray,
-           twoA: float):
-    """Push L-space derivatives through the affine map to x, y derivatives."""
-    gx = dL @ (bb / twoA)
-    gy = dL @ (cc / twoA)
-    grad = np.stack([gx, gy], axis=-1)
-    wb = bb / twoA
-    wc = cc / twoA
-    hxx = np.einsum("nab,a,b->n", d2L, wb, wb)
-    hyy = np.einsum("nab,a,b->n", d2L, wc, wc)
-    hxy = np.einsum("nab,a,b->n", d2L, wb, wc)
-    hess = np.stack([hxx, hyy, hxy], axis=-1)
-    return grad, hess
+def _eval_domains(domains, frame: LocalFrame, points: np.ndarray,
+                  check: bool = False):
+    """Evaluate the nodal families of several domains in one pass.
+
+    points: (c, n, 2), node-relative coordinates for each domain.  Returns
+    value (c, 3, n), grad (c, 3, n, 2) and hess (c, 3, n, 3) of the
+    (N, Nx, Ny) families.  Each product keeps its factor order and the
+    terms are summed one at a time in term order from +0, so the result
+    is rounded exactly as a term-by-term monomial evaluation rounds it.
+    """
+    a0, bb, cc, twoA = barycentric_coeffs(frame.domain_triangles(domains))
+    L = (a0[:, None] + points[..., :1] * bb[:, None]
+         + points[..., 1:] * cc[:, None]) / twoA[:, None, None]
+    if check:
+        outside = np.any(L < -_CONTAIN_TOL, axis=(1, 2))
+        if outside.any():
+            name = domains[int(np.argmax(outside))].name
+            raise OutsideDomain(f"point outside sub-domain {name}")
+    c, n = L.shape[:2]
+    i0 = np.array([frame.domain_center_vertex(d) - 1 for d in domains])
+
+    Lt = L.transpose(0, 2, 1)
+    table = np.empty((c, 6, 3, n))
+    table[:, :3] = np.array([0.0, 1.0, 2.0])[:, None, None]
+    table[:, 3] = Lt
+    np.multiply(Lt, Lt, out=table[:, 4])
+    np.multiply(2.0, Lt, out=table[:, 5])
+    rows = _FACTOR_INDEX[:, i0] + 6 * 3 * np.arange(c)[:, None, None, None]
+    x, y, z = table.reshape(-1, n).take(rows, axis=0)
+    coef = _coefficients(i0, bb, cc)[..., None, None]
+    terms = np.empty((c, 3, 5, 10, n))
+    np.multiply((coef * x[..., :4, :]) * y[..., :4, :], z[..., :4, :],
+                out=terms[..., :4, :])
+    np.multiply(coef * x[..., 4:, :], y[..., 4:, :] * z[..., 4:, :],
+                out=terms[..., 4:, :])
+    # + 0.0 turns a -0 first term into +0, as a sum started from zeros
+    # does; the accumulator is then never -0, so the +-0 of padded terms
+    # and of factors that vanish change nothing
+    acc = terms[:, :, 0] + 0.0
+    for t in range(1, 5):
+        acc += terms[:, :, t]
+
+    # push L-space derivatives through the affine map; each family keeps
+    # the (n, 3) @ (3, 1) and "nab,a,b->n" contractions, whose rounding
+    # depends on the shape of the operands
+    wb = bb / twoA[:, None]
+    wc = cc / twoA[:, None]
+    dL = np.ascontiguousarray(acc[:, :, 4:7].swapaxes(2, 3))
+    grad = np.concatenate([np.matmul(dL, w[:, None, :, None]) for w in (wb, wc)],
+                          axis=-1)
+    d2L = np.ascontiguousarray(acc[:, :, _HESS_CHANNELS].swapaxes(2, 3))
+    d2L = d2L.reshape(c, 3, n, 3, 3)
+    hess = np.stack([np.einsum("cfnab,ca,cb->cfn", d2L, u, v)
+                     for u, v in ((wb, wb), (wc, wc), (wb, wc))], axis=-1)
+    return acc[:, :, 0], grad, hess
 
 
 def _eval_domain(domain: HexDomain, frame: LocalFrame, points: np.ndarray,
                  check: bool = False):
     """Evaluate the domain's nodal family at points (n, 2) in node-relative coords."""
-    verts = frame.domain_triangle(domain)
-    a0, bb, cc, twoA = barycentric_coeffs(verts)
-    L = (a0 + points[:, :1] * bb + points[:, 1:] * cc) / twoA
-    if check and np.any(L < -_CONTAIN_TOL):
-        raise OutsideDomain(f"point outside sub-domain {domain.name}")
-    i0 = frame.domain_center_vertex(domain) - 1
-    out = []
-    for terms in _family_terms(i0, bb, cc):
-        val, dL, d2L = _eval_terms(terms, L)
-        grad, hess = _to_xy(dL, d2L, bb, cc, twoA)
-        out.append(ShapeEval(val, grad, hess))
-    return tuple(out)
+    value, grad, hess = _eval_domains([domain], frame, points[None], check)
+    return tuple(ShapeEval(value[0, f], grad[0, f], hess[0, f]) for f in range(3))
 
 
 def _as_points(p):
@@ -222,13 +238,20 @@ def full_node_eval(p, frame: LocalFrame):
     return _squeeze(tuple(outs), scalar)
 
 
+def _scale_factors(m: int):
+    """Resolution scaling of (value, grad, hess) for the (N, Nx, Ny) families.
+
+    Rotation functions are additionally divided by m, so the nodal
+    dw/dy, -dw/dx interpretation survives the scaling.
+    """
+    return (np.array([1.0, 1.0 / m, 1.0 / m]), np.array([m, 1.0, 1.0]),
+            np.array([m * m, m, m], dtype=float))
+
+
 def _scale_triple(triple, m: int) -> BasisTriple:
     """Apply resolution scaling to raw node-relative evaluations."""
-    N, Nx, Ny = triple
-    w = N.scaled(1.0, m, m * m)
-    thx = Nx.scaled(1.0 / m, 1.0, m)
-    thy = Ny.scaled(1.0 / m, 1.0, m)
-    return BasisTriple(w, thx, thy)
+    return BasisTriple(*(ShapeEval(f.value * vf, f.grad * gf, f.hess * hf)
+                         for f, vf, gf, hf in zip(triple, *_scale_factors(m))))
 
 
 def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTriple:
@@ -240,15 +263,8 @@ def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTripl
     """
     pts, scalar = _as_points(p)
     q = m * (pts - node_position(frame, m, idx))
-    triple = full_node_eval(q, frame)
-    if scalar:
-        triple = tuple(ShapeEval(np.atleast_1d(f.value), np.atleast_2d(f.grad),
-                                 np.atleast_2d(f.hess)) for f in triple)
-    scaled = _scale_triple(triple, m)
-    if scalar:
-        return BasisTriple(*(ShapeEval(f.value[0], f.grad[0], f.hess[0])
-                             for f in scaled.functions()))
-    return scaled
+    scaled = _scale_triple(full_node_eval(q, frame), m)
+    return BasisTriple(*_squeeze(scaled.functions(), scalar))
 
 
 def subtriangle_basis(frame: LocalFrame, m: int, tri: SubTriangle, p) -> list[BasisTriple]:
@@ -258,16 +274,17 @@ def subtriangle_basis(frame: LocalFrame, m: int, tri: SubTriangle, p) -> list[Ba
     to this cell, so points on cell edges get that cell's polynomial.
     """
     pts, scalar = _as_points(p)
-    out = []
-    for idx, dom in zip(tri.corner_nodes, tri.corner_domains):
-        q = m * (pts - node_position(frame, m, idx))
-        triple = _eval_domain(dom, frame, q, check=True)
-        scaled = _scale_triple(triple, m)
-        if scalar:
-            scaled = BasisTriple(*(ShapeEval(f.value[0], f.grad[0], f.hess[0])
-                                   for f in scaled.functions()))
-        out.append(scaled)
-    return out
+    nodes = np.array([node_position(frame, m, idx) for idx in tri.corner_nodes])
+    q = m * (pts - nodes[:, None])
+    value, grad, hess = _eval_domains(tri.corner_domains, frame, q, check=True)
+    vf, gf, hf = _scale_factors(m)
+    value = value * vf[:, None]
+    grad = grad * gf[:, None, None]
+    hess = hess * hf[:, None, None]
+    at = 0 if scalar else slice(None)
+    return [BasisTriple(*(ShapeEval(value[c, f, at], grad[c, f, at], hess[c, f, at])
+                          for f in range(3)))
+            for c in range(3)]
 
 
 def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],

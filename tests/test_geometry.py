@@ -9,7 +9,8 @@ from triplate import (CollinearVertices, HexDomain, IndexOutOfGrid,
                       barycentric, canonicalize_triangle, grid_indices,
                       grid_size, node_ordinal, node_position,
                       subtriangle_partition)
-from triplate.geometry import classify_points, hexagon_domain_of
+from triplate.geometry import (_DOMAIN_TABLE, barycentric_coeffs,
+                               classify_points, hexagon_domain_of)
 
 from conftest import random_triangle
 
@@ -148,8 +149,38 @@ class TestBarycentric:
             assert L @ vals == pytest.approx(coef[0] + p @ coef[1:],
                                              abs=1e-12)
 
+    def test_stacked_input_rounds_as_one_triangle(self, rng):
+        # the one-triangle formulas, as barycentric_coeffs had them before
+        # it took stacked input
+        def single(verts):
+            x, y = verts[:, 0], verts[:, 1]
+            j, k = [1, 2, 0], [2, 0, 1]
+            a0 = x[j] * y[k] - x[k] * y[j]
+            return a0, y[j] - y[k], x[k] - x[j], float(a0.sum())
+
+        stacked = np.array([random_triangle(rng) for _ in range(12)])
+        got = barycentric_coeffs(stacked)
+        for i, verts in enumerate(stacked):
+            want = single(verts)
+            for g_stack, g_one, w in zip(got[:3], barycentric_coeffs(verts)[:3],
+                                         want[:3]):
+                assert g_stack[i].tobytes() == g_one.tobytes() == w.tobytes()
+            assert got[3][i] == barycentric_coeffs(verts)[3] == want[3]
+
 
 class TestHexagonDomains:
+    def test_domain_triangles_round_as_one_domain(self, rng):
+        doms = [d for d in HexDomain if d != HexDomain.OUTSIDE]
+        for _ in range(10):
+            frame = canonicalize_triangle(*random_triangle(rng))
+            stacked = frame.domain_triangles(doms)
+            for dom, got in zip(doms, stacked):
+                coeffs, _ = _DOMAIN_TABLE[dom]
+                want = np.array([cu * frame.u + cv * frame.v
+                                 for cu, cv in coeffs])
+                assert got.tobytes() == want.tobytes()
+                assert frame.domain_triangle(dom).tobytes() == want.tobytes()
+
     def test_centroids_classify_to_own_domain(self, random_frame_factory):
         frame = random_frame_factory()
         for dom in HexDomain:

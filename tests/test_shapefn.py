@@ -4,17 +4,21 @@ The basis triple of a node carries (w, thx, thy) with the pairing
 thx = dw/dy and thy = -dw/dx.  The tests pin the interpolation conditions
 at the grid nodes, reproduction of linear and quadratic fields, value
 continuity across cell edges, derivative consistency, compact support,
-and the refinement-span diagnostic.
+the refinement-span diagnostic, byte equality of the vectorized kernel
+with the term-by-term monomial evaluator it replaced, and agreement of
+the cell path with the hexagon full-node path.
 """
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from triplate import (HexDomain, OutsideDomain, basis_eval,
-                      canonicalize_triangle, full_node_eval, grid_indices,
-                      nesting_residual, node_ordinal, node_position,
-                      split_shape_eval, subtriangle_basis,
-                      subtriangle_partition)
+                      canonicalize_triangle, classify_points, full_node_eval,
+                      grid_indices, nesting_residual, node_ordinal,
+                      node_position, split_shape_eval, subtriangle_basis,
+                      subtriangle_partition, triangle_rule)
+from triplate.geometry import barycentric_coeffs
+from triplate.shapefn import BasisTriple, ShapeEval
 
 from conftest import random_triangle
 
@@ -221,3 +225,262 @@ class TestRefinementSpan:
         # the diagnostic documents the gap rather than asserting nesting
         r = nesting_residual(FRAME, 2, (1, 0), "w")
         assert 5e-3 < r < 2e-2
+
+
+class TestCellPathMatchesHexagonPath:
+    """subtriangle_basis forces each corner onto the hexagon sub-domain it
+    presents to the cell; basis_eval finds the sub-domain by classifying
+    the point.  Both run the same kernel, so agreement at interior points
+    checks the corner-domain bookkeeping."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_interior_points_of_every_cell(self, m, rng, random_frame_factory):
+        for _ in range(2):
+            frame = random_frame_factory()
+            for tri in subtriangle_partition(frame, m):
+                # barycentric coordinates >= 0.05: clear of the cell edges
+                lam = 0.05 + 0.85 * rng.dirichlet([1.0, 1.0, 1.0], size=6)
+                pts = lam @ tri.vertices
+                cell = subtriangle_basis(frame, m, tri, pts)
+                for idx, triple in zip(tri.corner_nodes, cell):
+                    hexa = basis_eval(frame, m, idx, pts)
+                    for fc, fh in zip(triple.functions(), hexa.functions()):
+                        for a, b in ((fc.value, fh.value), (fc.grad, fh.grad),
+                                     (fc.hess, fh.hess)):
+                            assert_allclose(a, b, rtol=1e-12,
+                                            atol=1e-12 * np.abs(b).max())
+
+
+# The term-by-term monomial evaluator that the vectorized kernel replaced,
+# kept word for word as the reference it must reproduce byte for byte.
+_CONTAIN_TOL = 1e-9
+
+
+def _safe_pow(col: np.ndarray, p: int) -> np.ndarray:
+    if p < 0:
+        return np.zeros_like(col)
+    if p == 0:
+        return np.ones_like(col)
+    return col**p
+
+
+def _eval_terms(terms, L: np.ndarray):
+    """Evaluate sum of c * L1^e1 L2^e2 L3^e3 with first/second L-derivatives.
+
+    L: (n, 3).  Returns value (n,), dL (n, 3), d2L (n, 3, 3).
+    """
+    n = L.shape[0]
+    val = np.zeros(n)
+    dL = np.zeros((n, 3))
+    d2L = np.zeros((n, 3, 3))
+    for coef, exps in terms:
+        if coef == 0.0:
+            continue
+        cols = [_safe_pow(L[:, a], exps[a]) for a in range(3)]
+        val += coef * cols[0] * cols[1] * cols[2]
+        for a in range(3):
+            ea = exps[a]
+            if ea == 0:
+                continue
+            da = ea * _safe_pow(L[:, a], ea - 1)
+            rest = np.ones(n)
+            for o in range(3):
+                if o != a:
+                    rest = rest * cols[o]
+            dL[:, a] += coef * da * rest
+            # second derivatives
+            if ea >= 2:
+                d2L[:, a, a] += coef * ea * (ea - 1) * _safe_pow(L[:, a], ea - 2) * rest
+            for bvar in range(a + 1, 3):
+                eb = exps[bvar]
+                if eb == 0:
+                    continue
+                db = eb * _safe_pow(L[:, bvar], eb - 1)
+                rest2 = np.ones(n)
+                for o in range(3):
+                    if o != a and o != bvar:
+                        rest2 = rest2 * cols[o]
+                mixed = coef * da * db * rest2
+                d2L[:, a, bvar] += mixed
+                d2L[:, bvar, a] += mixed
+    return val, dL, d2L
+
+
+def _exp(i: int, p: int, j: int = -1, q: int = 0):
+    e = [0, 0, 0]
+    e[i] = p
+    if j >= 0:
+        e[j] = q
+    return tuple(e)
+
+
+def _family_terms(i0: int, bb: np.ndarray, cc: np.ndarray):
+    """Monomial terms of (N, Nx, Ny) for the node at local vertex i0 (0-based)."""
+    j0 = (i0 + 1) % 3
+    k0 = (i0 + 2) % 3
+    terms_n = [
+        (1.0, _exp(i0, 1)),
+        (1.0, _exp(i0, 2, j0, 1)),
+        (1.0, _exp(i0, 2, k0, 1)),
+        (-1.0, _exp(i0, 1, j0, 2)),
+        (-1.0, _exp(i0, 1, k0, 2)),
+    ]
+    terms_nx = [
+        (-bb[k0], _exp(i0, 2, j0, 1)),
+        (bb[j0], _exp(i0, 2, k0, 1)),
+        (0.5 * (bb[j0] - bb[k0]), (1, 1, 1)),
+    ]
+    terms_ny = [
+        (-cc[k0], _exp(i0, 2, j0, 1)),
+        (cc[j0], _exp(i0, 2, k0, 1)),
+        (0.5 * (cc[j0] - cc[k0]), (1, 1, 1)),
+    ]
+    return terms_n, terms_nx, terms_ny
+
+
+def _to_xy(dL: np.ndarray, d2L: np.ndarray, bb: np.ndarray, cc: np.ndarray,
+           twoA: float):
+    """Push L-space derivatives through the affine map to x, y derivatives."""
+    gx = dL @ (bb / twoA)
+    gy = dL @ (cc / twoA)
+    grad = np.stack([gx, gy], axis=-1)
+    wb = bb / twoA
+    wc = cc / twoA
+    hxx = np.einsum("nab,a,b->n", d2L, wb, wb)
+    hyy = np.einsum("nab,a,b->n", d2L, wc, wc)
+    hxy = np.einsum("nab,a,b->n", d2L, wb, wc)
+    hess = np.stack([hxx, hyy, hxy], axis=-1)
+    return grad, hess
+
+
+def _eval_domain(domain: HexDomain, frame, points: np.ndarray,
+                 check: bool = False):
+    """Evaluate the domain's nodal family at points (n, 2) in node-relative coords."""
+    verts = frame.domain_triangle(domain)
+    a0, bb, cc, twoA = barycentric_coeffs(verts)
+    L = (a0 + points[:, :1] * bb + points[:, 1:] * cc) / twoA
+    if check and np.any(L < -_CONTAIN_TOL):
+        raise OutsideDomain(f"point outside sub-domain {domain.name}")
+    i0 = frame.domain_center_vertex(domain) - 1
+    out = []
+    for terms in _family_terms(i0, bb, cc):
+        val, dL, d2L = _eval_terms(terms, L)
+        grad, hess = _to_xy(dL, d2L, bb, cc, twoA)
+        out.append(ShapeEval(val, grad, hess))
+    return tuple(out)
+
+
+def _seed_scale_triple(triple, m):
+    N, Nx, Ny = triple
+    return BasisTriple(
+        ShapeEval(N.value * 1.0, N.grad * m, N.hess * (m * m)),
+        *(ShapeEval(f.value * (1.0 / m), f.grad * 1.0, f.hess * m)
+          for f in (Nx, Ny)))
+
+
+def _seed_squeeze(f):
+    return ShapeEval(f.value[0], f.grad[0], f.hess[0])
+
+
+def seed_subtriangle_basis(frame, m, tri, p):
+    p = np.asarray(p, dtype=float)
+    scalar = p.ndim == 1
+    pts = np.atleast_2d(p)
+    out = []
+    for idx, dom in zip(tri.corner_nodes, tri.corner_domains):
+        q = m * (pts - node_position(frame, m, idx))
+        scaled = _seed_scale_triple(_eval_domain(dom, frame, q, check=True), m)
+        if scalar:
+            scaled = BasisTriple(*(_seed_squeeze(f) for f in scaled.functions()))
+        out.append(scaled)
+    return out
+
+
+def seed_full_node_eval(pts, frame):
+    n = len(pts)
+    doms = classify_points(pts, frame)
+    outs = [ShapeEval(np.zeros(n), np.zeros((n, 2)), np.zeros((n, 3)))
+            for _ in range(3)]
+    for dom in HexDomain:
+        mask = doms == dom.value
+        if dom == HexDomain.OUTSIDE or not mask.any():
+            continue
+        for out, f in zip(outs, _eval_domain(dom, frame, pts[mask])):
+            out.value[mask] = f.value
+            out.grad[mask] = f.grad
+            out.hess[mask] = f.hess
+    return tuple(outs)
+
+
+def assert_same_bytes(got, want):
+    """Same type, dtype, shape and bytes for every ShapeEval array."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in ((g.value, w.value), (g.grad, w.grad), (g.hess, w.hess)):
+            assert type(a) is type(b)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def assert_basis_same_bytes(got, want):
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert_same_bytes(g.functions(), w.functions())
+
+
+def cell_point_sets(tri, rng):
+    """Quadrature points of degrees 2-5, the vertices, interior points and
+    one scalar vertex: the point sets the element and the probes pass."""
+    sets = [triangle_rule(deg)[0] @ tri.vertices for deg in (2, 3, 4, 5)]
+    sets.append(tri.vertices.copy())
+    sets.append(rng.dirichlet([1.0, 1.0, 1.0], size=11) @ tri.vertices)
+    sets.append(tri.vertices[int(rng.integers(3))].copy())
+    return sets
+
+
+class TestSeedEvaluatorBytes:
+    """The vectorized kernel rounds exactly as the monomial loop did."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_every_cell(self, m, rng, random_frame_factory):
+        for frame in (FRAME, random_frame_factory()):
+            for tri in subtriangle_partition(frame, m):
+                for pts in cell_point_sets(tri, rng):
+                    assert_basis_same_bytes(
+                        subtriangle_basis(frame, m, tri, pts),
+                        seed_subtriangle_basis(frame, m, tri, pts))
+
+    def test_random_frames(self, rng, random_frame_factory):
+        for _ in range(40):
+            frame = random_frame_factory()
+            m = int(rng.integers(1, 9))
+            cells = subtriangle_partition(frame, m)
+            tri = cells[int(rng.integers(len(cells)))]
+            pts = rng.dirichlet([1.0, 1.0, 1.0],
+                                size=int(rng.integers(1, 40))) @ tri.vertices
+            assert_basis_same_bytes(subtriangle_basis(frame, m, tri, pts),
+                                    seed_subtriangle_basis(frame, m, tri, pts))
+
+    def test_split_and_full_node_eval(self, rng, random_frame_factory):
+        for frame in (FRAME, random_frame_factory(), random_frame_factory()):
+            for dom in HexDomain:
+                if dom == HexDomain.OUTSIDE:
+                    continue
+                verts = frame.domain_triangle(dom)
+                pts = rng.dirichlet([1.0, 1.0, 1.0], size=9) @ verts
+                assert_same_bytes(split_shape_eval(dom, pts, frame),
+                                  _eval_domain(dom, frame, pts, check=True))
+                assert_same_bytes(split_shape_eval(dom, verts[0], frame),
+                                  [_seed_squeeze(f) for f in
+                                   _eval_domain(dom, frame, verts[:1], check=True)])
+            span = 1.3 * max(frame.a, frame.h)
+            pts = rng.uniform(-span, span, (60, 2))
+            assert_same_bytes(full_node_eval(pts, frame),
+                              seed_full_node_eval(pts, frame))
+            m = 3
+            idx = (2, 1)
+            local = rng.dirichlet([1.0, 1.0, 1.0], size=30) @ frame.local_vertices()
+            q = m * (local - node_position(frame, m, idx))
+            assert_same_bytes(
+                basis_eval(frame, m, idx, local).functions(),
+                _seed_scale_triple(seed_full_node_eval(q, frame), m).functions())

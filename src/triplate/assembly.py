@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .element import MRElement, element_load_point, element_load_uniform, element_stiffness
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
-from .geometry import LocalFrame, barycentric
+from .geometry import CONTAIN_TOL, LocalFrame, barycentric
 
 _PAIR_TOL = 1e-10
 
@@ -174,7 +174,7 @@ def _check_edge_conformity(system: GlobalSystem):
 def _owning_element(model: Model, p: np.ndarray) -> int:
     for e, elem in enumerate(model.elements):
         L = barycentric(elem.frame.local_vertices(), elem.frame.to_local(p))
-        if np.all(L >= -1e-9):
+        if np.all(L >= -CONTAIN_TOL):
             return e
     raise OutsideModel(f"point {p} lies outside every element")
 

@@ -6,6 +6,7 @@ moment-curvature law is M = D_b kappa with the isotropic bending matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,7 @@ import scipy.sparse as sp
 
 from .errors import OutsideElement, QuadratureFailure
 from .geometry import (
+    CONTAIN_TOL,
     LocalFrame,
     SubTriangle,
     barycentric,
@@ -205,14 +207,42 @@ def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -
 def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
     """Sub-triangle(s) whose closure contains the local point p.
 
-    With all_containing=False returns the first match in partition order.
+    With all_containing=False returns the first match in partition order,
+    otherwise every match in partition order.
+
+    Inverting `node_position` maps p to grid coordinates (rc, sc), in which
+    the up cell (r, s) and the down cell (r, s) both lie in the unit square
+    [r, r+1] x [s, s+1].  A cell that holds p within the tolerance is
+    therefore at most one grid step from (floor(rc), floor(sc)), so only
+    the up and down cells of the 3 x 3 window around it, clipped to the
+    grid, are candidates: at most 18, whatever m is.  They get the same
+    barycentric closure test as a scan over all m*m cells, in partition
+    order, so the tolerance band, the first match and the order of the
+    matches (which sets moment_eval's averaging order) are the scan's.
     """
     p = np.asarray(p_local, dtype=float)
+    frame, m = elem.frame, elem.m
+    x, y = p.reshape(2).tolist()
+    sc = m * y / frame.h
+    rc = m * x / frame.a + sc * frame.h / frame.b
+    if not (math.isfinite(rc) and math.isfinite(sc)):
+        # NaN, inf or overflow: no cell holds it, and math.floor would raise
+        raise OutsideElement(f"point {p} lies outside the element")
+    r0, s0 = math.floor(rc), math.floor(sc)
+    candidates = []
+    for s in range(max(s0 - 1, 0), min(s0 + 1, m - 1) + 1):
+        # partition order: row s holds its m-s up cells, then its m-s-1
+        # down cells, after the s*(2m-s) cells of the rows below
+        row = s * (2 * m - s)
+        rs = range(max(r0 - 1, s), min(r0 + 1, m - 1) + 1)
+        candidates += [row + (r - s) for r in rs]
+        candidates += [row + (m - s) + (r - s - 1) for r in rs if r > s]
+    cells = elem.partition()
     found = []
-    for tri in elem.partition():
+    for i in candidates:
+        tri = cells[i]
         L = barycentric(tri.vertices, p)
-        # scale-free containment: tolerance on barycentric coordinates
-        if np.all(L >= -1e-9):
+        if np.all(L >= -CONTAIN_TOL):
             if not all_containing:
                 return tri
             found.append(tri)

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import CollinearVertices, IndexOutOfGrid, NoValidLabeling
 
 _REL_TOL = 1e-12
+#: closure test on barycentric coordinates: a point lies in a triangle when
+#: every coordinate is >= -CONTAIN_TOL.  Scale-free, since the coordinates
+#: are relative to the triangle itself.
+CONTAIN_TOL = 1e-9
 
 
 class HexDomain(enum.Enum):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import OutsideDomain
 from .geometry import (
+    CONTAIN_TOL,
     HexDomain,
     LocalFrame,
     SubTriangle,
@@ -26,8 +27,6 @@ from .geometry import (
     node_position,
     subtriangle_partition,
 )
-
-_CONTAIN_TOL = 1e-9
 
 
 @dataclass
@@ -141,7 +140,7 @@ def _eval_domains(domains, frame: LocalFrame, points: np.ndarray,
     L = (a0[:, None] + points[..., :1] * bb[:, None]
          + points[..., 1:] * cc[:, None]) / twoA[:, None, None]
     if check:
-        outside = np.any(L < -_CONTAIN_TOL, axis=(1, 2))
+        outside = np.any(L < -CONTAIN_TOL, axis=(1, 2))
         if outside.any():
             name = domains[int(np.argmax(outside))].name
             raise OutsideDomain(f"point outside sub-domain {name}")

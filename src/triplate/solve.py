@@ -8,9 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem, apply_boundary_conditions, node_rotation
-from .element import bending_rigidity, locate_subtriangle, _cell_B
+from .element import bending_rigidity, locate_subtriangle, _cell_B, _cell_dofs
 from .errors import NotConverged, OutsideModel, SingularSystem
-from .geometry import barycentric, node_ordinal
+from .geometry import CONTAIN_TOL, barycentric
 from .shapefn import subtriangle_basis
 
 _RESIDUAL_BOUND = 1e-10
@@ -87,7 +87,7 @@ def _containing_elements(system: GlobalSystem, p: np.ndarray) -> list[int]:
     out = []
     for e, elem in enumerate(system.model.elements):
         L = barycentric(elem.frame.local_vertices(), elem.frame.to_local(p))
-        if np.all(L >= -1e-9):
+        if np.all(L >= -CONTAIN_TOL):
             out.append(e)
     return out
 
@@ -116,14 +116,13 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     p_loc = elem.frame.to_local(p)
     tri = locate_subtriangle(elem, p_loc)
     triples = subtriangle_basis(elem.frame, elem.m, tri, p_loc)
+    a_cell = a[_cell_dofs(elem.m, [tri])[0]]
     w = 0.0
     grad = np.zeros(2)
     for c, triple in enumerate(triples):
-        k = node_ordinal(elem.m, tri.corner_nodes[c])
-        coeffs = a[3 * k: 3 * k + 3]
         for comp, f in enumerate(triple.functions()):
-            w += coeffs[comp] * float(f.value)
-            grad += coeffs[comp] * np.asarray(f.grad, dtype=float)
+            w += a_cell[3 * c + comp] * float(f.value)
+            grad += a_cell[3 * c + comp] * np.asarray(f.grad, dtype=float)
     th_loc = np.array([grad[1], -grad[0]])
     R = elem.frame.rotation_matrix()
     th_glob = R @ th_loc
@@ -148,15 +147,12 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
         a = _element_local_dofs(sol, e)
         p_loc = elem.frame.to_local(p)
         tris = locate_subtriangle(elem, p_loc, all_containing=True)
+        R = elem.frame.rotation_matrix()
         per_elem = []
-        for tri in tris:
+        for tri, dofs in zip(tris, _cell_dofs(elem.m, tris)):
             B = _cell_B(elem, tri, np.atleast_2d(p_loc))[0]
-            a_cell = np.concatenate([
-                a[3 * node_ordinal(elem.m, idx): 3 * node_ordinal(elem.m, idx) + 3]
-                for idx in tri.corner_nodes])
-            kappa = B @ a_cell
+            kappa = B @ a[dofs]
             m_loc = D @ kappa
-            R = elem.frame.rotation_matrix()
             Mmat = np.array([[m_loc[0], m_loc[2]], [m_loc[2], m_loc[1]]])
             Mg = R @ Mmat @ R.T
             per_elem.append(np.array([Mg[0, 0], Mg[1, 1], Mg[0, 1]]))

@@ -125,21 +125,20 @@ class GlobalSystem:
 
 
 def _merge_nodes(coords: np.ndarray, tol: float) -> np.ndarray:
-    """Union-find merge of coincident points; returns representative ids."""
-    tree = cKDTree(coords)
-    parent = np.arange(len(coords))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in sorted(tree.query_pairs(tol)):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    return np.array([find(i) for i in range(len(coords))])
+    """Merge points within tol, transitively; returns each point's
+    representative, the lowest index in its cluster."""
+    i, j = cKDTree(coords).query_pairs(tol, output_type="ndarray").T
+    rep = np.arange(len(coords))
+    while True:
+        # lower both points of every pair to their smaller label until every
+        # cluster carries its lowest index
+        low = np.minimum(rep[i], rep[j])
+        lowered = rep.copy()
+        np.minimum.at(lowered, i, low)
+        np.minimum.at(lowered, j, low)
+        if np.array_equal(lowered, rep):
+            return rep
+        rep = lowered
 
 
 def _segment_distance(points: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

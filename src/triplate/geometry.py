@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,6 +164,52 @@ def canonicalize_triangle(v1, v2, v3) -> LocalFrame:
             return LocalFrame(a=a, h=h, b=b, origin=p1.copy(),
                               rotation=math.atan2(t[1], t[0]))
     raise NoValidLabeling("no cyclic labeling gives a valid canonical frame")
+
+
+# (p1, p2, p3) of the three cyclic labelings of a triangle
+_CYCLIC_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+class CanonicalFrames(NamedTuple):
+    """Canonical frames of stacked triangles, one entry per triangle."""
+
+    vertices: np.ndarray   # (n, 3, 2) global vertices in local order
+    a: np.ndarray
+    h: np.ndarray
+    b: np.ndarray
+    rotation: np.ndarray
+
+
+def canonicalize_triangles(triangles) -> CanonicalFrames:
+    """`canonicalize_triangle` applied to (n, 3, 2) stacked triangles at once.
+
+    The first relabeled vertex of each triangle is its frame's origin.
+    """
+    v = np.asarray(triangles, dtype=float)
+    e1 = v[:, 1] - v[:, 0]
+    e2 = v[:, 2] - v[:, 0]
+    twice_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    longest = np.linalg.norm(v - v[:, [1, 2, 0]], axis=-1).max(axis=1)
+    degenerate = np.abs(twice_area) <= 2e-12 * longest**2
+    if degenerate.any():
+        raise CollinearVertices(
+            f"triangle {int(np.argmax(degenerate))} of the stack is degenerate")
+    v = np.where((twice_area < 0.0)[:, None, None], v[:, [0, 2, 1]], v)
+    labeled = v[:, _CYCLIC_SHIFTS]             # (n, labeling, vertex, 2)
+    d = labeled[:, :, 1] - labeled[:, :, 0]
+    r = labeled[:, :, 2] - labeled[:, :, 0]
+    a = np.linalg.norm(d, axis=-1)
+    t = d / a[..., None]
+    x3 = r[..., 0] * t[..., 0] + r[..., 1] * t[..., 1]
+    h = r[..., 1] * t[..., 0] - r[..., 0] * t[..., 1]
+    valid = (x3 >= -_REL_TOL * a) & (a - x3 > _REL_TOL * a)
+    if not valid.any(axis=1).all():
+        raise NoValidLabeling("no cyclic labeling gives a valid canonical frame")
+    rows, k = np.arange(len(v)), valid.argmax(axis=1)
+    a, h, x3, t = a[rows, k], h[rows, k], x3[rows, k], t[rows, k]
+    # b >= h guards rounding when the apex sits right above v1
+    b = np.maximum(h * a / (a - x3), h)
+    return CanonicalFrames(labeled[rows, k], a, h, b, np.arctan2(t[:, 1], t[:, 0]))
 
 
 def grid_size(m: int) -> int:

@@ -128,24 +128,38 @@ def _coefficients(i0: np.ndarray, bb: np.ndarray, cc: np.ndarray) -> np.ndarray:
 
 def _eval_domains(domains, frame: LocalFrame, points: np.ndarray,
                   check: bool = False):
-    """Evaluate the nodal families of several domains in one pass.
+    """Evaluate the nodal families of several hexagon domains of a frame.
 
-    points: (c, n, 2), node-relative coordinates for each domain.  Returns
-    value (c, 3, n), grad (c, 3, n, 2) and hess (c, 3, n, 3) of the
-    (N, Nx, Ny) families.  Each product keeps its factor order and the
-    terms are summed one at a time in term order from +0, so the result
-    is rounded exactly as a term-by-term monomial evaluation rounds it.
+    points: (c, n, 2), node-relative coordinates for each domain.  With
+    check set, a point outside its domain raises OutsideDomain.
     """
-    a0, bb, cc, twoA = barycentric_coeffs(frame.domain_triangles(domains))
+    i0 = np.array([frame.domain_center_vertex(d) - 1 for d in domains])
+    return _eval_triangles(frame.domain_triangles(domains), i0, points,
+                           [d.name for d in domains] if check else None)
+
+
+def _eval_triangles(triangles: np.ndarray, i0: np.ndarray, points: np.ndarray,
+                    names=None):
+    """Evaluate the nodal families of stacked domain triangles in one pass.
+
+    triangles: (c, 3, 2) vertices of each domain, in the coordinates of
+    its points (c, n, 2); i0: (c,) local vertex (0-based) the node
+    occupies.  Returns value (c, 3, n), grad (c, 3, n, 2) and hess
+    (c, 3, n, 3) of the (N, Nx, Ny) families.  Given one name per domain,
+    a point outside its domain raises OutsideDomain naming it.  Each
+    product keeps its factor order and the terms are summed one at a time
+    in term order from +0, so the result is rounded exactly as a
+    term-by-term monomial evaluation rounds it.
+    """
+    a0, bb, cc, twoA = barycentric_coeffs(triangles)
     L = (a0[:, None] + points[..., :1] * bb[:, None]
          + points[..., 1:] * cc[:, None]) / twoA[:, None, None]
-    if check:
+    if names is not None:
         outside = np.any(L < -CONTAIN_TOL, axis=(1, 2))
         if outside.any():
-            name = domains[int(np.argmax(outside))].name
-            raise OutsideDomain(f"point outside sub-domain {name}")
+            raise OutsideDomain(
+                f"point outside sub-domain {names[int(np.argmax(outside))]}")
     c, n = L.shape[:2]
-    i0 = np.array([frame.domain_center_vertex(d) - 1 for d in domains])
 
     Lt = L.transpose(0, 2, 1)
     table = np.empty((c, 6, 3, n))

@@ -84,6 +84,9 @@ def reactions(sol: Solution) -> np.ndarray:
 
 
 def _containing_elements(system: GlobalSystem, p: np.ndarray) -> list[int]:
+    if not np.all(np.isfinite(p)):
+        # no element holds it, and its local coordinates would be NaN
+        return []
     out = []
     for e, elem in enumerate(system.model.elements):
         L = barycentric(elem.frame.local_vertices(), elem.frame.to_local(p))

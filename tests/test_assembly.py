@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from triplate import (BCKind, BoundaryCondition, EmptyEdge, MRElement, Model,
                       NodeMismatch, apply_boundary_conditions, assemble,
                       bending_rigidity, node_ordinal, reactions, solve_system)
-from triplate.assembly import node_rotation
+from triplate.assembly import _merge_nodes, node_rotation
 from triplate.element import _cell_B, _cell_quadrature
 
 SQUARE_EDGES = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
@@ -134,6 +134,15 @@ class TestSplicing:
         K = assemble(model).K
         assert np.array_equal(K.toarray(),
                               dense_path_stiffness(model).toarray())
+
+
+def test_merge_joins_chains_to_lowest_index():
+    """Points within tol of a neighbour merge transitively, and every
+    cluster is represented by its lowest point index."""
+    coords = np.array([[5.0, 0.0], [1.2, 0.0], [0.0, 0.0], [0.6, 0.0],
+                       [5.5, 0.0], [9.0, 0.0]])
+    assert _merge_nodes(coords, 1.0).tolist() == [0, 1, 1, 1, 0, 5]
+    assert _merge_nodes(coords, 0.1).tolist() == [0, 1, 2, 3, 4, 5]
 
 
 class TestConstraints:

@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from triplate import (CollinearVertices, HexDomain, IndexOutOfGrid,
                       barycentric, canonicalize_triangle, grid_indices,
                       grid_size, node_ordinal, node_position,
                       subtriangle_partition)
 from triplate.geometry import (_DOMAIN_TABLE, barycentric_coeffs,
-                               classify_points, hexagon_domain_of)
+                               canonicalize_triangles, classify_points,
+                               hexagon_domain_of)
 
 from conftest import random_triangle
 
@@ -64,6 +65,40 @@ class TestCanonicalFrame:
     def test_collinear_rejected(self, verts):
         with pytest.raises(CollinearVertices):
             canonicalize_triangle(*verts)
+
+
+def assert_frames_match(triangles):
+    """The stacked canonicalization agrees with canonicalize_triangle."""
+    verts, a, h, b, rotation = canonicalize_triangles(np.asarray(triangles))
+    for i, tri in enumerate(triangles):
+        want = canonicalize_triangle(*tri)
+        scale = max(float(np.abs(tri).max()), want.a)
+        assert_array_equal(verts[i, 0], want.origin)
+        assert_allclose([a[i], h[i]], [want.a, want.h], rtol=1e-14,
+                        atol=1e-15 * scale)
+        # b = h a / (a - x3) amplifies rounding by b / h near a right angle
+        # at v2
+        assert b[i] == pytest.approx(want.b, rel=1e-14 * want.b / want.h)
+        turn = rotation[i] - want.rotation
+        assert abs(np.angle(np.exp(1j * turn))) <= 1e-14   # +-pi are one angle
+        # the relabeled vertices are the frame's, in local node order
+        assert_allclose(verts[i], want.global_vertices(), rtol=0,
+                        atol=1e-14 * scale)
+
+
+class TestStackedCanonicalFrames:
+    def test_random_triangles_both_orientations(self, rng):
+        tris = rng.uniform(-3.0, 3.0, (400, 3, 2))
+        e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        assert (cross < -0.05).any() and (cross > 0.05).any()
+        assert_frames_match(tris[np.abs(cross) > 0.05])
+
+    def test_degenerate_triangle_rejected(self):
+        tris = np.array([[[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 1], [2, 2]]],
+                        dtype=float)
+        with pytest.raises(CollinearVertices):
+            canonicalize_triangles(tris)
 
 
 class TestGrid:

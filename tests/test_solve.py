@@ -1,4 +1,6 @@
 """Direct solve, field evaluation and reporting helpers."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -65,6 +67,19 @@ class TestFieldEval:
             field_eval(sol, (2.0, 2.0))
         with pytest.raises(OutsideModel):
             moment_eval(sol, (-0.5, 0.5))
+
+    @pytest.mark.parametrize("point", [(np.inf, 0.0), (-np.inf, 0.5),
+                                       (0.5, np.inf), (np.nan, 0.5),
+                                       (0.5, np.nan), (np.inf, np.nan)])
+    def test_non_finite_point_rejected_without_warning(self, point,
+                                                        unit_material):
+        sol = solved_square(2, unit_material)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideModel):
+                field_eval(sol, point)
+            with pytest.raises(OutsideModel):
+                moment_eval(sol, point)
 
     def test_superposition(self, unit_material):
         def center_w(loads):

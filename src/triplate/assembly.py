@@ -74,16 +74,16 @@ def node_rotation(frame: LocalFrame) -> np.ndarray:
     ])
 
 
-def transformation_matrix(frame: LocalFrame, node_count: int) -> sp.csr_matrix:
-    """Block-diagonal global-to-local transformation for all element dofs.
+def transformation_matrix(frames, node_counts) -> sp.csr_matrix:
+    """Block-diagonal global-to-local transformation of stacked element dofs.
 
-    Built directly as CSR with each 3x3 block stored whole: ``sp.kron``
-    costs more than the rotation itself for the oracle's one-cell elements.
+    One 3x3 `node_rotation` block per node, for node_counts[e] nodes of
+    each frames[e] in turn, stored whole in CSR.
     """
-    lam = node_rotation(frame)
-    n = 3 * node_count
+    lam = np.array([node_rotation(frame).ravel() for frame in frames])
+    n = 3 * int(np.sum(node_counts))
     cols = np.repeat(np.arange(0, n, 3), 9) + np.tile([0, 1, 2], n)
-    return sp.csr_matrix((np.tile(lam.ravel(), node_count), cols,
+    return sp.csr_matrix((np.repeat(lam, node_counts, axis=0).ravel(), cols,
                           np.arange(0, 3 * n + 1, 3)), shape=(n, n))
 
 
@@ -142,32 +142,49 @@ def _merge_nodes(coords: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _segment_distance(points: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed segment p1-p2."""
+    """Distance from each point to the closed segment p1-p2.
+
+    p1 and p2 are one segment (2,) or one segment per point (n, 2).
+    """
     d = p2 - p1
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return np.linalg.norm(points - p1, axis=1)
-    t = np.clip(((points - p1) @ d) / L2, 0.0, 1.0)
-    proj = p1 + t[:, None] * d
-    return np.linalg.norm(points - proj, axis=1)
+    L2 = np.einsum("...i,...i->...", d, d)
+    along = np.einsum("...i,...i->...", points - p1, d)
+    t = np.clip(np.divide(along, L2, out=np.zeros(np.shape(along)), where=L2 > 0.0),
+                0.0, 1.0)
+    return np.linalg.norm(points - (p1 + t[..., None] * d), axis=-1)
 
 
 def _check_edge_conformity(system: GlobalSystem):
     """Reject hanging nodes: every node on an element side must be one of
-    that element's own side nodes (same grid on both sides of a splice)."""
+    that element's own side nodes (same grid on both sides of a splice).
+
+    A k-d tree lists the nodes within reach of each side's midpoint, and
+    the exact segment distance keeps those on the side, so memory grows
+    with the nodes near the sides, not with sides x nodes.  The first
+    failing (element, side) is reported, with its foreign nodes in order.
+    """
     coords = system.node_coords
     tol = system.merge_tol
-    for e, elem in enumerate(system.model.elements):
-        own = set(system.element_nodes[e].tolist())
-        corners = elem.frame.global_vertices()
-        for i in range(3):
-            p1, p2 = corners[i], corners[(i + 1) % 3]
-            on_side = np.nonzero(_segment_distance(coords, p1, p2) <= tol)[0]
-            foreign = [int(n) for n in on_side if int(n) not in own]
-            if foreign:
-                raise NodeMismatch(
-                    f"element {e} side {i}: nodes {foreign} lie on the side "
-                    "but do not match its grid (differing m across a shared edge?)")
+    corners = np.array([elem.frame.global_vertices() for elem in system.model.elements])
+    p1 = corners.reshape(-1, 2)
+    p2 = corners[:, [1, 2, 0]].reshape(-1, 2)
+    reach = 0.5 * np.linalg.norm(p2 - p1, axis=1) * (1.0 + 1e-9) + tol
+    near = cKDTree(coords).query_ball_point(0.5 * (p1 + p2), reach)
+    side = np.repeat(np.arange(len(p1)), [len(ids) for ids in near])
+    node = np.concatenate(near).astype(np.intp)
+    keep = _segment_distance(coords[node], p1[side], p2[side]) <= tol
+    side, node = side[keep], node[keep]
+    # a node belongs to element e when e * n_nodes + node is one of e's keys
+    n_nodes = len(coords)
+    own = np.concatenate([e * n_nodes + ids for e, ids in enumerate(system.element_nodes)])
+    foreign = ~np.isin(side // 3 * n_nodes + node, own)
+    if foreign.any():
+        first = side[foreign].min()
+        e, i = divmod(int(first), 3)
+        nodes = np.sort(node[foreign & (side == first)]).tolist()
+        raise NodeMismatch(
+            f"element {e} side {i}: nodes {nodes} lie on the side "
+            "but do not match its grid (differing m across a shared edge?)")
 
 
 def _owning_element(model: Model, p: np.ndarray) -> int:
@@ -178,8 +195,28 @@ def _owning_element(model: Model, p: np.ndarray) -> int:
     raise OutsideModel(f"point {p} lies outside every element")
 
 
+def _block_diagonal(mats) -> sp.csr_matrix:
+    """CSR matrices stacked on the diagonal, each row's entries in the order
+    its matrix stores them."""
+    nnz = np.cumsum([0] + [K.nnz for K in mats])
+    offsets = np.cumsum([0] + [K.shape[0] for K in mats])
+    indptr = [K.indptr[:-1] + start for K, start in zip(mats, nnz)] + [nnz[-1:]]
+    return sp.csr_matrix(
+        (np.concatenate([K.data for K in mats]),
+         np.concatenate([K.indices + off for K, off in zip(mats, offsets)]),
+         np.concatenate(indptr)), shape=(offsets[-1], offsets[-1]))
+
+
 def assemble(model: Model) -> GlobalSystem:
-    """Merge nodes, transform and accumulate element matrices and loads."""
+    """Merge nodes, transform and accumulate element matrices and loads.
+
+    `element_stiffness` and `element_load_uniform` are called once per
+    element and share the element's cached per-orientation basis.  All
+    element matrices are rotated to global axes by one block-diagonal
+    product T^T K T, and all uniform loads by one T^T f; the result has
+    the bits of rotating each element alone, and every global entry sums
+    its element contributions in element order.
+    """
     if not model.elements:
         raise ValueError("model has no elements")
     all_coords = np.vstack([el.node_positions_global() for el in model.elements])
@@ -192,40 +229,39 @@ def assemble(model: Model) -> GlobalSystem:
     reps = _merge_nodes(all_coords, tol)
     uniq, inverse = np.unique(reps, return_inverse=True)
     node_coords = all_coords[uniq]
-    element_nodes = []
-    offset = 0
-    for el in model.elements:
-        n = el.node_count
-        element_nodes.append(inverse[offset: offset + n].copy())
-        offset += n
-
+    node_counts = [el.node_count for el in model.elements]
+    starts = np.cumsum(node_counts)[:-1]
+    element_nodes = np.split(inverse, starts)
+    gdof = (3 * inverse[:, None] + np.arange(3)).ravel()
     n_dofs = 3 * len(node_coords)
-    gdofs = [(3 * ids[:, None] + np.arange(3)).ravel() for ids in element_nodes]
-    rows, cols, data = [], [], []
-    rhs = np.zeros(n_dofs)
-    for elem, gdof in zip(model.elements, gdofs):
-        T = transformation_matrix(elem.frame, elem.node_count)
-        K_loc = element_stiffness(elem, model.quadrature_degree)
-        # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
-        # differently, and the large-m solves amplify that
-        K_g = (T.T @ (K_loc @ T)).tocoo()
-        rows.append(gdof[K_g.row])
-        cols.append(gdof[K_g.col])
-        data.append(K_g.data)
-        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q,
-                                                model.quadrature_degree)
 
+    T = transformation_matrix([el.frame for el in model.elements], node_counts)
+    K_loc = _block_diagonal([element_stiffness(el, model.quadrature_degree).tocsr()
+                             for el in model.elements])
+    # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
+    # differently, and the large-m solves amplify that.  Each row of the
+    # product lies in one element's block, and scipy sums a row in its own
+    # column order, so every element's entries come out with the bits and
+    # in the order of rotating that element alone.
+    K_g = (T.T @ (K_loc @ T)).tocoo()
+    rows, cols, data = gdof[K_g.row], gdof[K_g.col], K_g.data
+    f_loc = np.concatenate([element_load_uniform(el, model.uniform_q,
+                                                 model.quadrature_degree)
+                            for el in model.elements])
+    rhs = np.bincount(gdof, weights=T.T @ f_loc, minlength=n_dofs)
+    # free the stacked intermediates before the global matrix is built
+    del T, K_loc, K_g, f_loc
+
+    gdofs = np.split(gdof, 3 * starts)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
         e = _owning_element(model, p)
         elem = model.elements[e]
         F_loc = element_load_point(elem, P, elem.frame.to_local(p))
-        T = transformation_matrix(elem.frame, elem.node_count)
+        T = transformation_matrix([elem.frame], [elem.node_count])
         rhs[gdofs[e]] += T.T @ F_loc
 
-    K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dofs, n_dofs)).tocsr()
+    K = sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
 
     system = GlobalSystem(model=model, node_coords=node_coords,
                           element_nodes=element_nodes, K=K, rhs=rhs, merge_tol=tol)

@@ -272,7 +272,8 @@ def run_case(name: str, ms=None, quadrature_degree: int = 5,
                 "status": status,
             })
         if check_equivalence:
-            report = equivalence_check(model)
+            mono = build_equivalent_mono(model)
+            report = equivalence_check(model, mono)
             diff = max(report.max_K_diff, report.max_solution_diff)
             rows.append({
                 "case": name, "m": m, "rl": label,
@@ -280,7 +281,7 @@ def run_case(name: str, ms=None, quadrature_degree: int = 5,
                 "expected": 0.0, "tolerance": EQUIVALENCE_TOL,
                 "status": "ok" if report.ok else "mismatch",
             })
-            mono_nodes = assemble(build_equivalent_mono(model).model).n_nodes
+            mono_nodes = assemble(mono.model).n_nodes
             rows.append({
                 "case": name, "m": m, "rl": label,
                 "quantity": "node_count_vs_conventional",

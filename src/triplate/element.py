@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,9 +20,12 @@ from .geometry import (
     SubTriangle,
     barycentric,
     grid_indices,
+    grid_ordinal,
     grid_size,
     node_ordinal,
-    node_position,
+    node_positions,
+    partition_cell,
+    partition_corners,
     subtriangle_partition,
 )
 from .quadrature import triangle_rule
@@ -66,6 +70,9 @@ class MRElement:
     material: PlateMaterial
     quadrature_degree: int = 5
     _parts: list[SubTriangle] = field(default=None, repr=False)
+    #: (weights, N, B) of each (orientation, degree), see `_orientation_basis`
+    _basis: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -91,7 +98,7 @@ class MRElement:
         return grid_indices(self.m)
 
     def node_positions_local(self) -> np.ndarray:
-        return np.array([node_position(self.frame, self.m, idx) for idx in self.nodes()])
+        return node_positions(self.frame, self.m)
 
     def node_positions_global(self) -> np.ndarray:
         return self.frame.to_global(self.node_positions_local())
@@ -118,70 +125,98 @@ def _cell_quadrature(elem: MRElement, tri: SubTriangle, degree: int):
     return pts, w * tri.area
 
 
+def _values(triples) -> np.ndarray:
+    """(npts, 9) deflection-interpolation row of a cell's nine local dofs."""
+    return np.stack([f.value for triple in triples for f in triple.functions()],
+                    axis=-1)
+
+
+def _curvatures(triples) -> np.ndarray:
+    """(npts, 3, 9) curvature matrix -(w_xx, w_yy, 2 w_xy) of a cell's nine
+    local dofs."""
+    hess = np.stack([f.hess for triple in triples for f in triple.functions()],
+                    axis=-1)
+    return hess * np.array([-1.0, -1.0, -2.0])[:, None]
+
+
 def _cell_B(elem: MRElement, tri: SubTriangle, pts: np.ndarray) -> np.ndarray:
     """(npts, 3, 9) curvature matrix of the cell's nine local dofs."""
-    triples = subtriangle_basis(elem.frame, elem.m, tri, pts)
-    n = len(pts)
-    B = np.empty((n, 3, 9))
-    for c, triple in enumerate(triples):
-        for comp, f in enumerate(triple.functions()):
-            col = 3 * c + comp
-            B[:, 0, col] = -f.hess[:, 0]
-            B[:, 1, col] = -f.hess[:, 1]
-            B[:, 2, col] = -2.0 * f.hess[:, 2]
-    return B
+    return _curvatures(subtriangle_basis(elem.frame, elem.m, tri, pts))
 
 
 def _cell_values(elem: MRElement, tri: SubTriangle, pts: np.ndarray) -> np.ndarray:
     """(npts, 9) deflection-interpolation row of the cell's nine local dofs."""
-    triples = subtriangle_basis(elem.frame, elem.m, tri, pts)
-    n = len(pts)
-    N = np.empty((n, 9))
-    for c, triple in enumerate(triples):
-        for comp, f in enumerate(triple.functions()):
-            N[:, 3 * c + comp] = f.value
-    return N
+    return _values(subtriangle_basis(elem.frame, elem.m, tri, pts))
+
+
+def _corner_dofs(m: int, corners: np.ndarray) -> np.ndarray:
+    """(n_cells, 9) element dofs of cells with corner grid indices (n, 3, 2)."""
+    k = grid_ordinal(m, corners[..., 0], corners[..., 1])
+    return (3 * k[:, :, None] + np.arange(3)).reshape(len(k), 9)
 
 
 def _cell_dofs(m: int, cells: list[SubTriangle]) -> np.ndarray:
     """(n_cells, 9) element dofs of each cell's nine local dofs."""
-    k = np.array([[node_ordinal(m, idx) for idx in tri.corner_nodes]
-                  for tri in cells])
-    return (3 * k[:, :, None] + np.arange(3)).reshape(len(cells), 9)
+    return _corner_dofs(m, np.array([tri.corner_nodes for tri in cells]))
+
+
+@lru_cache(maxsize=8)
+def _partition_dofs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_cell_dofs` of the whole partition, and its down-cell mask."""
+    corners, down = partition_corners(m)
+    dofs = _corner_dofs(m, corners)
+    dofs.flags.writeable = down.flags.writeable = False
+    return dofs, down
+
+
+def _orientation_basis(elem: MRElement, down: bool, degree: int):
+    """(weights, N, B) of one cell orientation at its quadrature points.
+
+    Cells of equal orientation are translates of each other, so they share
+    the first such cell's rule weights, deflection rows N (npts, 9) and
+    curvature matrices B (npts, 3, 9).  One `subtriangle_basis` call gives
+    both N and B, and the element keeps them, so its stiffness and load
+    evaluate the basis once per orientation between them.
+    """
+    key = (down, degree)
+    if key not in elem._basis:
+        tri = partition_cell(elem.frame, elem.m, int(down), 0, down)
+        pts, wq = _cell_quadrature(elem, tri, degree)
+        triples = subtriangle_basis(elem.frame, elem.m, tri, pts)
+        elem._basis[key] = wq, _values(triples), _curvatures(triples)
+    return elem._basis[key]
 
 
 def _per_cell(elem: MRElement, degree: int, integral) -> np.ndarray:
-    """integral(tri, pts, weights) of every cell, stacked in partition order.
+    """integral(weights, N, B) of every cell, stacked in partition order,
+    with the cell's (n_cells, 9) dofs.
 
-    Cells of equal orientation are translates of each other, so the
-    integral is computed once per orientation, on its first cell.
+    The integral is computed once per orientation.
     """
-    cells = elem.partition()
-    by_orientation = {}
-    for tri in cells:
-        if tri.orientation not in by_orientation:
-            by_orientation[tri.orientation] = integral(
-                tri, *_cell_quadrature(elem, tri, degree))
-    return np.array([by_orientation[tri.orientation] for tri in cells])
+    dofs, down = _partition_dofs(elem.m)
+    orientations = (False, True) if elem.m > 1 else (False,)
+    per_orientation = [integral(*_orientation_basis(elem, d, degree))
+                       for d in orientations]
+    return np.stack(per_orientation)[down.astype(np.intp)], dofs
 
 
 def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
     """Element bending stiffness (3n x 3n CSR), assembled from its cells.
 
     The integrand per cell is quadratic (second derivatives of cubics),
-    so the default degree-5 rule is exact.  Each entry is summed over its
-    cells in partition order.
+    so the default degree-5 rule is exact.  The two 9x9 cell matrices (up
+    and down) come from the basis kept by `_orientation_basis`, shared
+    with `element_load_uniform`.  Each entry is summed over its cells in
+    partition order.
     """
     degree = elem.quadrature_degree if degree is None else degree
     D = bending_rigidity(elem.material)
 
-    def cell_stiffness(tri, pts, wq):
-        B = _cell_B(elem, tri, pts)
+    def cell_stiffness(wq, N, B):
         kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
         return 0.5 * (kc + kc.T)
 
-    kc = _per_cell(elem, degree, cell_stiffness)
-    dofs = _cell_dofs(elem.m, elem.partition())
+    kc, dofs = _per_cell(elem, degree, cell_stiffness)
     n = elem.dof_count
     key = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
     uniq, slot = np.unique(key, return_inverse=True)
@@ -193,14 +228,15 @@ def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matr
 
 
 def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
-    """Consistent load vector for a uniform transverse pressure q."""
+    """Consistent load vector for a uniform transverse pressure q.
+
+    Reads the same per-orientation basis as `element_stiffness`.
+    """
     degree = elem.quadrature_degree if degree is None else degree
     n = elem.dof_count
     if q == 0.0:
         return np.zeros(n)
-    fc = _per_cell(elem, degree,
-                   lambda tri, pts, wq: q * (wq @ _cell_values(elem, tri, pts)))
-    dofs = _cell_dofs(elem.m, elem.partition())
+    fc, dofs = _per_cell(elem, degree, lambda wq, N, B: q * (wq @ N))
     return np.bincount(dofs.ravel(), weights=fc.ravel(), minlength=n)
 
 

@@ -223,12 +223,26 @@ def grid_indices(m: int) -> list[tuple[int, int]]:
     return [(r, s) for s in range(m + 1) for r in range(s, m + 1)]
 
 
+def grid_index_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`grid_indices` as two integer arrays r, s in the same order."""
+    if m < 1:
+        raise IndexOutOfGrid(f"resolution m must be >= 1, got {m}")
+    s = np.repeat(np.arange(m + 1), np.arange(m + 1, 0, -1))
+    return np.arange(grid_size(m)) - grid_ordinal(m, s, s) + s, s
+
+
+def grid_ordinal(m: int, r, s):
+    """`node_ordinal` of (r, s) without the range check; r and s may be
+    integer arrays."""
+    return s * (m + 1) - s * (s - 1) // 2 + (r - s)
+
+
 def node_ordinal(m: int, idx: tuple[int, int]) -> int:
     """Position of grid index (r, s) in the fixed s-major ordering."""
     r, s = idx
     if not (m >= r >= s >= 0):
         raise IndexOutOfGrid(f"index {idx} outside grid of resolution {m}")
-    return s * (m + 1) - s * (s - 1) // 2 + (r - s)
+    return grid_ordinal(m, r, s)
 
 
 def node_position(frame: LocalFrame, m: int, idx: tuple[int, int]) -> np.ndarray:
@@ -239,6 +253,14 @@ def node_position(frame: LocalFrame, m: int, idx: tuple[int, int]) -> np.ndarray
     x = (frame.a / m) * (r - s * frame.h / frame.b)
     y = (s / m) * frame.h
     return np.array([x, y])
+
+
+def node_positions(frame: LocalFrame, m: int) -> np.ndarray:
+    """Local coordinates (n, 2) of every grid node in `grid_indices` order,
+    with `node_position`'s float operations, so bit for bit its values."""
+    r, s = grid_index_arrays(m)
+    return np.stack([(frame.a / m) * (r - s * frame.h / frame.b),
+                     (s / m) * frame.h], axis=1)
 
 
 @dataclass
@@ -257,8 +279,22 @@ class SubTriangle:
         return 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
 
 
-_UP_DOMAINS = (HexDomain.D1, HexDomain.D3, HexDomain.D5)
-_DOWN_DOMAINS = (HexDomain.D2, HexDomain.D4, HexDomain.D6)
+#: up cells [0] and down cells [1]: orientation, (dr, ds) offsets of the
+#: corners from the cell's base node (r, s), hexagon domain of each corner
+_CELL_SHAPES = (
+    ("up", ((0, 0), (1, 0), (1, 1)), (HexDomain.D1, HexDomain.D3, HexDomain.D5)),
+    ("down", ((0, 0), (1, 1), (0, 1)), (HexDomain.D2, HexDomain.D4, HexDomain.D6)),
+)
+_CELL_OFFSETS = np.array([offsets for _, offsets, _ in _CELL_SHAPES])
+
+
+def partition_cell(frame: LocalFrame, m: int, r: int, s: int,
+                   down: bool) -> SubTriangle:
+    """The up or down cell of `subtriangle_partition` with base node (r, s)."""
+    orientation, offsets, domains = _CELL_SHAPES[down]
+    nodes = tuple((r + dr, s + ds) for dr, ds in offsets)
+    return SubTriangle(np.array([node_position(frame, m, n) for n in nodes]),
+                       orientation, nodes, domains)
 
 
 def subtriangle_partition(frame: LocalFrame, m: int) -> list[SubTriangle]:
@@ -267,28 +303,26 @@ def subtriangle_partition(frame: LocalFrame, m: int) -> list[SubTriangle]:
     Upward cells are (r,s), (r+1,s), (r+1,s+1); downward cells are
     (r,s), (r+1,s+1), (r,s+1).  Corner order matches corner_domains.
     """
+    corners, down = partition_corners(m)
+    vertices = node_positions(frame, m)[grid_ordinal(m, corners[..., 0], corners[..., 1])]
+    return [SubTriangle(v, _CELL_SHAPES[d][0], tuple(map(tuple, c)), _CELL_SHAPES[d][2])
+            for v, d, c in zip(vertices, down.tolist(), corners.tolist())]
+
+
+def partition_corners(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corner grid indices (m*m, 3, 2) of every cell of the partition, and
+    a (m*m,) mask of its down cells, in `subtriangle_partition` order.
+
+    Row s holds its m-s up cells, then its m-s-1 down cells, after the
+    s*(2m-s) cells of the rows below.
+    """
     if m < 1:
         raise IndexOutOfGrid(f"resolution m must be >= 1, got {m}")
-    tris: list[SubTriangle] = []
-    pos = {idx: node_position(frame, m, idx) for idx in grid_indices(m)}
-    for s in range(m):
-        for r in range(s, m):
-            nodes = ((r, s), (r + 1, s), (r + 1, s + 1))
-            tris.append(SubTriangle(
-                vertices=np.array([pos[n] for n in nodes]),
-                orientation="up",
-                corner_nodes=nodes,
-                corner_domains=_UP_DOMAINS,
-            ))
-        for r in range(s + 1, m):
-            nodes = ((r, s), (r + 1, s + 1), (r, s + 1))
-            tris.append(SubTriangle(
-                vertices=np.array([pos[n] for n in nodes]),
-                orientation="down",
-                corner_nodes=nodes,
-                corner_domains=_DOWN_DOMAINS,
-            ))
-    return tris
+    s = np.repeat(np.arange(m), 2 * (m - np.arange(m)) - 1)
+    j = np.arange(m * m) - s * (2 * m - s)       # place in row s
+    down = j >= m - s
+    r = s + j - down * (m - s - 1)
+    return np.stack([r, s], axis=-1)[:, None] + _CELL_OFFSETS[down.astype(np.intp)], down
 
 
 # cyclic successor j and predecessor k of each vertex i

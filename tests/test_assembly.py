@@ -1,5 +1,6 @@
 """Multi-element models: splicing, constraints, transformations, balance."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,14 @@ from numpy.testing import assert_allclose
 from triplate import (BCKind, BoundaryCondition, EmptyEdge, MRElement, Model,
                       NodeMismatch, apply_boundary_conditions, assemble,
                       bending_rigidity, node_ordinal, reactions, solve_system)
-from triplate.assembly import _merge_nodes, node_rotation
-from triplate.element import _cell_B, _cell_quadrature
+import triplate.assembly
+import triplate.element
+from triplate import PlateMaterial, benchmark_case, build_equivalent_mono
+from triplate.assembly import (_merge_nodes, _owning_element, node_rotation,
+                               _segment_distance)
+from triplate.bench import CASES
+from triplate.element import (_cell_B, _cell_quadrature, element_load_point,
+                              element_load_uniform, element_stiffness)
 
 SQUARE_EDGES = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
                 ((1, 1), (0, 1)), ((0, 1), (0, 0))]
@@ -81,6 +88,140 @@ def dense_path_stiffness(model):
                          shape=shape).tocsr()
 
 
+def per_element_assemble(model):
+    """Global K, rhs, node table and element nodes the element-by-element
+    way: each element's own CSR transformation T and two sparse products
+    T^T (K T), its stored triples appended in element order, its loads
+    added to the global rhs one element at a time."""
+    all_coords = np.vstack([el.node_positions_global() for el in model.elements])
+    if model.merge_tolerance is not None:
+        tol = model.merge_tolerance
+    else:
+        lo, hi = all_coords.min(axis=0), all_coords.max(axis=0)
+        tol = 1e-9 * float(np.linalg.norm(hi - lo))
+    uniq, inverse = np.unique(_merge_nodes(all_coords, tol), return_inverse=True)
+    element_nodes = np.split(inverse, np.cumsum([el.node_count for el in model.elements])[:-1])
+
+    def transformation(elem):
+        n = elem.dof_count
+        cols = np.repeat(np.arange(0, n, 3), 9) + np.tile([0, 1, 2], n)
+        return sp.csr_matrix((np.tile(node_rotation(elem.frame).ravel(), elem.node_count),
+                              cols, np.arange(0, 3 * n + 1, 3)), shape=(n, n))
+
+    n_dofs = 3 * len(uniq)
+    gdofs = [(3 * ids[:, None] + np.arange(3)).ravel() for ids in element_nodes]
+    rows, cols, data = [], [], []
+    rhs = np.zeros(n_dofs)
+    for elem, gdof in zip(model.elements, gdofs):
+        T = transformation(elem)
+        K_g = (T.T @ (element_stiffness(elem, model.quadrature_degree) @ T)).tocoo()
+        rows.append(gdof[K_g.row])
+        cols.append(gdof[K_g.col])
+        data.append(K_g.data)
+        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q,
+                                                model.quadrature_degree)
+    for (x, y, P) in model.point_loads:
+        p = np.array([x, y])
+        e = _owning_element(model, p)
+        elem = model.elements[e]
+        rhs[gdofs[e]] += transformation(elem).T @ element_load_point(
+            elem, P, elem.frame.to_local(p))
+    K = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_dofs, n_dofs)).tocsr()
+    return K, rhs, all_coords[uniq], element_nodes
+
+
+def edge_conformity_scan(system):
+    """The first (element, side) with nodes on it that are not its own, and
+    those nodes, by a scan of every node for every side; None if none."""
+    for e, elem in enumerate(system.model.elements):
+        corners = elem.frame.global_vertices()
+        for i in range(3):
+            dist = _segment_distance(system.node_coords, corners[i], corners[(i + 1) % 3])
+            on_side = np.nonzero(dist <= system.merge_tol)[0]
+            foreign = [int(n) for n in on_side if n not in system.element_nodes[e]]
+            if foreign:
+                return e, i, foreign
+    return None
+
+
+def two_material_model(q=1.0, loads=()):
+    model = benchmark_case("skew-60").build(3)
+    soft = PlateMaterial(E=3.0, t=0.5, nu=0.2)
+    elements = [model.elements[0], MRElement(model.elements[1].frame, 3, soft)]
+    return Model(elements=elements, uniform_q=q, point_loads=list(loads),
+                 bcs=model.bcs)
+
+
+# a point on the shared node (1, 0) of skew-60 at m = 3, and points inside cells
+_POINT_LOADS = [(1.0, 0.0, 0.7), (0.77, 0.31, -1.5), (0.5, 0.2, 2.0)]
+
+_BYTE_MODELS = {f"{name} m={m}{' twin' * twin}":
+                (lambda name=name, m=m, twin=twin:
+                 build_equivalent_mono(CASES[name].build(m)).model if twin
+                 else CASES[name].build(m))
+                for name in CASES for m in (1, 3, 8) for twin in (False, True)}
+_BYTE_MODELS["two materials"] = two_material_model
+_BYTE_MODELS["two materials twin"] = lambda: build_equivalent_mono(two_material_model()).model
+_BYTE_MODELS["point loads"] = lambda: two_material_model(loads=_POINT_LOADS)
+_BYTE_MODELS["point loads, q = 0"] = lambda: two_material_model(q=0.0, loads=_POINT_LOADS)
+_BYTE_MODELS["point loads twin"] = lambda: build_equivalent_mono(
+    two_material_model(loads=_POINT_LOADS)).model
+
+
+class TestMatchesPerElementAssembly:
+    @pytest.mark.parametrize("name", list(_BYTE_MODELS))
+    def test_bytes_equal_per_element_loop(self, name):
+        system = assemble(_BYTE_MODELS[name]())
+        K, rhs, node_coords, element_nodes = per_element_assemble(_BYTE_MODELS[name]())
+        for got, want in ((system.K.data, K.data), (system.K.indices, K.indices),
+                          (system.K.indptr, K.indptr), (system.rhs, rhs),
+                          (system.node_coords, node_coords),
+                          (np.concatenate(system.element_nodes),
+                           np.concatenate(element_nodes))):
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes())
+        assert [len(ids) for ids in system.element_nodes] == \
+            [len(ids) for ids in element_nodes]
+
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_one_basis_call_per_element_orientation(self, twin, monkeypatch):
+        model = benchmark_case("skew-60").build(8)
+        if twin:
+            model = build_equivalent_mono(model).model
+        calls = []
+        original = triplate.element.subtriangle_basis
+
+        def counting(frame, m, tri, p):
+            calls.append((id(frame), tri.orientation))
+            return original(frame, m, tri, p)
+
+        monkeypatch.setattr(triplate.element, "subtriangle_basis", counting)
+        assemble(model)
+        orientations = ("up", "down") if model.elements[0].m > 1 else ("up",)
+        expected = [(id(el.frame), o) for el in model.elements for o in orientations]
+        assert sorted(calls) == sorted(expected)
+        assert len(calls) == (128 if twin else 4)
+
+    @pytest.mark.parametrize("m_left, m_right", [(2, 1), (3, 2), (2, 4), (6, 3), (1, 32)])
+    def test_conformity_reports_first_side_as_scan(self, m_left, m_right,
+                                                   unit_material, monkeypatch):
+        elements = [
+            MRElement.from_vertices([0, 0], [1, 0], [1, 1], m_left, unit_material),
+            MRElement.from_vertices([0, 0], [1, 1], [0, 1], m_right, unit_material),
+        ]
+        check = triplate.assembly._check_edge_conformity
+        monkeypatch.setattr(triplate.assembly, "_check_edge_conformity",
+                            lambda system: None)
+        system = assemble(Model(elements=elements, uniform_q=1.0))
+        e, i, foreign = edge_conformity_scan(system)
+        with pytest.raises(NodeMismatch) as err:
+            check(system)
+        assert str(err.value) == (
+            f"element {e} side {i}: nodes {foreign} lie on the side but do not "
+            "match its grid (differing m across a shared edge?)")
+
+
 class TestSplicing:
     def test_shared_edge_nodes_merge(self, unit_material):
         system = assemble(square_model(2, unit_material))
@@ -96,7 +237,9 @@ class TestSplicing:
             MRElement.from_vertices([0, 0], [1, 0], [1, 1], 2, unit_material),
             MRElement.from_vertices([0, 0], [1, 1], [0, 1], 1, unit_material),
         ]
-        with pytest.raises(NodeMismatch):
+        with pytest.raises(NodeMismatch, match=re.escape(
+                "element 1 side 0: nodes [4] lie on the side but do not "
+                "match its grid (differing m across a shared edge?)")):
             assemble(Model(elements=elements, uniform_q=1.0))
 
     def test_hanging_node_rejected(self, unit_material):
@@ -106,7 +249,9 @@ class TestSplicing:
             MRElement.from_vertices([1, 0], [1, 1], [0.5, 0.5], 1,
                                     unit_material),
         ]
-        with pytest.raises(NodeMismatch):
+        with pytest.raises(NodeMismatch, match=re.escape(
+                "element 0 side 1: nodes [4] lie on the side but do not "
+                "match its grid (differing m across a shared edge?)")):
             assemble(Model(elements=elements, uniform_q=1.0))
 
     def test_assembly_deterministic(self, unit_material):

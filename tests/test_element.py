@@ -77,6 +77,23 @@ class TestStiffness:
         K9 = element_stiffness(elem, degree=9).toarray()
         assert_allclose(K5, K9, atol=1e-12 * np.abs(K5).max())
 
+    def test_kept_basis_is_per_degree(self, element_factory):
+        """An element evaluated at one degree and then another gives what a
+        fresh element gives at the second degree, bit for bit."""
+        elem = element_factory(m=3)
+        element_stiffness(elem, degree=5)
+        element_load_uniform(elem, 1.0, degree=5)
+        fresh = MRElement(elem.frame, elem.m, elem.material)
+        for degree in (2, 5):
+            K, f = element_stiffness(elem, degree), element_load_uniform(elem, 1.0, degree)
+            K0 = element_stiffness(fresh, degree)
+            f0 = element_load_uniform(fresh, 1.0, degree)
+            assert K.data.tobytes() == K0.data.tobytes()
+            assert f.tobytes() == f0.tobytes()
+            fresh = MRElement(elem.frame, elem.m, elem.material)
+        assert not np.array_equal(element_stiffness(elem, 2).data,
+                                  element_stiffness(elem, 5).data)
+
     def test_degree_one_rule_rejected(self, element_factory):
         # the curvature integrand is quadratic: a degree-1 rule is inexact
         elem = element_factory(m=2)
@@ -158,6 +175,13 @@ class TestConstruction:
     def test_material_validation(self, E, t, nu):
         with pytest.raises(ValueError):
             PlateMaterial(E=E, t=t, nu=nu)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 48])
+    def test_node_positions_are_node_position_bits(self, m, element_factory):
+        elem = element_factory(m=m)
+        expected = np.array([node_position(elem.frame, m, idx)
+                             for idx in grid_indices(m)])
+        assert elem.node_positions_local().tobytes() == expected.tobytes()
 
     def test_node_counts(self, element_factory):
         elem = element_factory(m=4)

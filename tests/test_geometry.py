@@ -11,7 +11,9 @@ from triplate import (CollinearVertices, HexDomain, IndexOutOfGrid,
                       subtriangle_partition)
 from triplate.geometry import (_DOMAIN_TABLE, barycentric_coeffs,
                                canonicalize_triangles, classify_points,
-                               hexagon_domain_of)
+                               grid_index_arrays, grid_ordinal,
+                               hexagon_domain_of, partition_cell,
+                               partition_corners)
 
 from conftest import random_triangle
 
@@ -132,6 +134,16 @@ class TestGrid:
     def test_bad_resolution_rejected(self):
         with pytest.raises(IndexOutOfGrid):
             grid_indices(0)
+        with pytest.raises(IndexOutOfGrid):
+            grid_index_arrays(0)
+        with pytest.raises(IndexOutOfGrid):
+            partition_corners(0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 48])
+    def test_index_arrays_match_grid(self, m):
+        r, s = grid_index_arrays(m)
+        assert list(zip(r.tolist(), s.tolist())) == grid_indices(m)
+        assert grid_ordinal(m, r, s).tolist() == list(range(grid_size(m)))
 
 
 class TestPartition:
@@ -154,6 +166,19 @@ class TestPartition:
             for corner, idx in zip(tri.vertices, tri.corner_nodes):
                 assert_allclose(corner, node_position(frame, m, idx),
                                 atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_closed_form_corners_match_partition(self, m, random_frame_factory):
+        frame = random_frame_factory()
+        tris = subtriangle_partition(frame, m)
+        corners, down = partition_corners(m)
+        assert corners.tolist() == [[list(n) for n in t.corner_nodes] for t in tris]
+        assert down.tolist() == [t.orientation == "down" for t in tris]
+        for t, (r, s) in zip(tris, corners[:, 0].tolist()):
+            cell = partition_cell(frame, m, r, s, t.orientation == "down")
+            assert cell.vertices.tobytes() == t.vertices.tobytes()
+            assert (cell.corner_nodes, cell.corner_domains) == \
+                (t.corner_nodes, t.corner_domains)
 
     def test_partition_covers_interior(self, rng, random_frame_factory):
         frame = random_frame_factory()

@@ -61,7 +61,6 @@ class Model:
     point_loads: list[tuple[float, float, float]] = field(default_factory=list)
     bcs: list[BoundaryCondition] = field(default_factory=list)
     merge_tolerance: float | None = None
-    quadrature_degree: int = 5
 
 
 def node_rotation(frame: LocalFrame) -> np.ndarray:
@@ -187,12 +186,26 @@ def _check_edge_conformity(system: GlobalSystem):
             "but do not match its grid (differing m across a shared edge?)")
 
 
-def _owning_element(model: Model, p: np.ndarray) -> int:
-    for e, elem in enumerate(model.elements):
+def _owning_element(model: Model, p, all_containing: bool = False):
+    """Element(s) whose closure holds the global point p.
+
+    With all_containing=False returns the first in model order, otherwise
+    every one in model order.  Raises OutsideModel when none does; a point
+    with a NaN or infinite coordinate lies in none.
+    """
+    p = np.asarray(p, dtype=float)
+    found = []
+    # skip a non-finite point: its local coordinates would be NaN
+    elements = model.elements if np.all(np.isfinite(p)) else []
+    for e, elem in enumerate(elements):
         L = barycentric(elem.frame.local_vertices(), elem.frame.to_local(p))
         if np.all(L >= -CONTAIN_TOL):
-            return e
-    raise OutsideModel(f"point {p} lies outside every element")
+            if not all_containing:
+                return e
+            found.append(e)
+    if not found:
+        raise OutsideModel(f"point {p.tolist()} lies outside every element")
+    return found
 
 
 def _block_diagonal(mats) -> sp.csr_matrix:
@@ -236,8 +249,7 @@ def assemble(model: Model) -> GlobalSystem:
     n_dofs = 3 * len(node_coords)
 
     T = transformation_matrix([el.frame for el in model.elements], node_counts)
-    K_loc = _block_diagonal([element_stiffness(el, model.quadrature_degree).tocsr()
-                             for el in model.elements])
+    K_loc = _block_diagonal([element_stiffness(el) for el in model.elements])
     # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
     # differently, and the large-m solves amplify that.  Each row of the
     # product lies in one element's block, and scipy sums a row in its own
@@ -245,8 +257,7 @@ def assemble(model: Model) -> GlobalSystem:
     # in the order of rotating that element alone.
     K_g = (T.T @ (K_loc @ T)).tocoo()
     rows, cols, data = gdof[K_g.row], gdof[K_g.col], K_g.data
-    f_loc = np.concatenate([element_load_uniform(el, model.uniform_q,
-                                                 model.quadrature_degree)
+    f_loc = np.concatenate([element_load_uniform(el, model.uniform_q)
                             for el in model.elements])
     rhs = np.bincount(gdof, weights=T.T @ f_loc, minlength=n_dofs)
     # free the stacked intermediates before the global matrix is built

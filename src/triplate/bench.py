@@ -80,51 +80,39 @@ class BenchmarkCase:
     probes: tuple[ProbeSpec, ...]
 
 
-def _square_model(m: int, kind: BCKind, hard_ss: bool = False,
-                  quadrature_degree: int = 5) -> Model:
+def _square_model(m: int, kind: BCKind, hard_ss: bool = False) -> Model:
     mat = UNIT_RIGIDITY_MATERIAL
-    els = [MRElement.from_vertices((0, 0), (1, 0), (1, 1), m, mat,
-                                   quadrature_degree=quadrature_degree),
-           MRElement.from_vertices((0, 0), (1, 1), (0, 1), m, mat,
-                                   quadrature_degree=quadrature_degree)]
+    els = [MRElement.from_vertices((0, 0), (1, 0), (1, 1), m, mat),
+           MRElement.from_vertices((0, 0), (1, 1), (0, 1), m, mat)]
     edges = [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (0, 1)),
              ((0, 1), (0, 0))]
     bcs = [BoundaryCondition(np.array(e), kind, hard=hard_ss) for e in edges]
-    return Model(elements=els, uniform_q=1.0, bcs=bcs,
-                 quadrature_degree=quadrature_degree)
+    return Model(elements=els, uniform_q=1.0, bcs=bcs)
 
 
-def _skew_model(m: int, hard_ss: bool = False,
-                quadrature_degree: int = 5) -> Model:
+def _skew_model(m: int, hard_ss: bool = False) -> Model:
     mat = UNIT_RIGIDITY_MATERIAL
     s3 = np.sqrt(3.0) / 2.0
     a, b, c, d = (0.0, 0.0), (1.0, 0.0), (1.5, s3), (0.5, s3)
-    els = [MRElement.from_vertices(a, b, d, m, mat,
-                                   quadrature_degree=quadrature_degree),
-           MRElement.from_vertices(b, c, d, m, mat,
-                                   quadrature_degree=quadrature_degree)]
+    els = [MRElement.from_vertices(a, b, d, m, mat),
+           MRElement.from_vertices(b, c, d, m, mat)]
     bcs = [BoundaryCondition(np.array([a, b]), BCKind.SIMPLY_SUPPORTED,
                              hard=hard_ss),
            BoundaryCondition(np.array([d, c]), BCKind.SIMPLY_SUPPORTED,
                              hard=hard_ss)]
-    return Model(elements=els, uniform_q=1.0, bcs=bcs,
-                 quadrature_degree=quadrature_degree)
+    return Model(elements=els, uniform_q=1.0, bcs=bcs)
 
 
-def _circle_model(m: int, kind: BCKind, hard_ss: bool = False,
-                  quadrature_degree: int = 5) -> Model:
+def _circle_model(m: int, kind: BCKind, hard_ss: bool = False) -> Model:
     mat = UNIT_RIGIDITY_MATERIAL
     c = 1.0 / np.sqrt(2.0)
-    els = [MRElement.from_vertices((0, 0), (1, 0), (c, c), m, mat,
-                                   quadrature_degree=quadrature_degree),
-           MRElement.from_vertices((0, 0), (c, c), (0, 1), m, mat,
-                                   quadrature_degree=quadrature_degree)]
+    els = [MRElement.from_vertices((0, 0), (1, 0), (c, c), m, mat),
+           MRElement.from_vertices((0, 0), (c, c), (0, 1), m, mat)]
     bcs = [BoundaryCondition(np.array([(0, 0), (1, 0)]), BCKind.SYMMETRY),
            BoundaryCondition(np.array([(0, 0), (0, 1)]), BCKind.SYMMETRY),
            BoundaryCondition(np.array([(1, 0), (c, c)]), kind, hard=hard_ss),
            BoundaryCondition(np.array([(c, c), (0, 1)]), kind, hard=hard_ss)]
-    return Model(elements=els, uniform_q=1.0, bcs=bcs,
-                 quadrature_degree=quadrature_degree)
+    return Model(elements=els, uniform_q=1.0, bcs=bcs)
 
 
 def _deflection_probe(point, scale: float) -> Callable[[Solution], float]:
@@ -157,8 +145,8 @@ _register(BenchmarkCase(
     description="simply supported unit square, uniform load, "
                 "two-element model split along the diagonal",
     default_ms=(2, 4, 8, 16),
-    build=lambda m, hard_ss=False, quadrature_degree=5: _square_model(
-        m, BCKind.SIMPLY_SUPPORTED, hard_ss, quadrature_degree),
+    build=lambda m, hard_ss=False: _square_model(
+        m, BCKind.SIMPLY_SUPPORTED, hard_ss),
     probes=(
         ProbeSpec("deflection_center_100wD_qL4",
                   _deflection_probe(_SQUARE_CENTER, 100.0),
@@ -174,8 +162,7 @@ _register(BenchmarkCase(
     description="clamped unit square, uniform load, "
                 "two-element model split along the diagonal",
     default_ms=(2, 4, 8, 16),
-    build=lambda m, hard_ss=False, quadrature_degree=5: _square_model(
-        m, BCKind.CLAMPED, hard_ss, quadrature_degree),
+    build=lambda m, hard_ss=False: _square_model(m, BCKind.CLAMPED, hard_ss),
     probes=(
         ProbeSpec("deflection_center_100wD_qL4",
                   _deflection_probe(_SQUARE_CENTER, 100.0),
@@ -191,8 +178,7 @@ _register(BenchmarkCase(
     description="60 degree rhombic plate, two opposite edges simply "
                 "supported and two free, uniform load",
     default_ms=(8, 12, 16),
-    build=lambda m, hard_ss=False, quadrature_degree=5: _skew_model(
-        m, hard_ss, quadrature_degree),
+    build=lambda m, hard_ss=False: _skew_model(m, hard_ss),
     probes=(
         ProbeSpec("deflection_center_100wD_qL4",
                   _deflection_probe(_SKEW_CENTER, 100.0),
@@ -205,8 +191,7 @@ _register(BenchmarkCase(
     description="clamped circular plate quadrant, symmetry on the radius "
                 "edges, straight-chord boundary, uniform load",
     default_ms=(3, 6),
-    build=lambda m, hard_ss=False, quadrature_degree=5: _circle_model(
-        m, BCKind.CLAMPED, hard_ss, quadrature_degree),
+    build=lambda m, hard_ss=False: _circle_model(m, BCKind.CLAMPED, hard_ss),
     probes=(
         ProbeSpec("deflection_center_wD_qr4",
                   _deflection_probe((0.0, 0.0), 1.0),
@@ -219,8 +204,8 @@ _register(BenchmarkCase(
     description="simply supported circular plate quadrant, symmetry on "
                 "the radius edges, straight-chord boundary, uniform load",
     default_ms=(3, 6),
-    build=lambda m, hard_ss=False, quadrature_degree=5: _circle_model(
-        m, BCKind.SIMPLY_SUPPORTED, hard_ss, quadrature_degree),
+    build=lambda m, hard_ss=False: _circle_model(
+        m, BCKind.SIMPLY_SUPPORTED, hard_ss),
     probes=(
         ProbeSpec("deflection_center_wD_qr4",
                   _deflection_probe((0.0, 0.0), 1.0),
@@ -240,8 +225,8 @@ def benchmark_case(name: str) -> BenchmarkCase:
         raise UnknownCase(f"unknown case {name!r}; known cases: {known}") from None
 
 
-def run_case(name: str, ms=None, quadrature_degree: int = 5,
-             hard_ss: bool = False, check_equivalence: bool = True) -> list:
+def run_case(name: str, ms=None, hard_ss: bool = False,
+             check_equivalence: bool = True) -> list:
     """Solve one case for each requested scale and report result rows.
 
     Returns a list of dicts with keys case, m, rl, quantity, value,
@@ -252,8 +237,7 @@ def run_case(name: str, ms=None, quadrature_degree: int = 5,
     case = benchmark_case(name)
     rows = []
     for m in (case.default_ms if ms is None else tuple(ms)):
-        model = case.build(m, hard_ss=hard_ss,
-                           quadrature_degree=quadrature_degree)
+        model = case.build(m, hard_ss=hard_ss)
         sol = solve_system(apply_boundary_conditions(assemble(model)))
         label = rl_label(m)
         for probe in case.probes:
@@ -293,14 +277,13 @@ def run_case(name: str, ms=None, quadrature_degree: int = 5,
     return rows
 
 
-def run_benchmark(names=None, ms=None, quadrature_degree: int = 5,
-                  hard_ss: bool = False, check_equivalence: bool = True) -> dict:
+def run_benchmark(names=None, ms=None, hard_ss: bool = False,
+                  check_equivalence: bool = True) -> dict:
     """Run several cases and bundle the rows into one report dict."""
     if names is None:
         names = list(CASES)
     rows = []
     for name in names:
-        rows.extend(run_case(name, ms=ms, quadrature_degree=quadrature_degree,
-                             hard_ss=hard_ss,
+        rows.extend(run_case(name, ms=ms, hard_ss=hard_ss,
                              check_equivalence=check_equivalence))
     return {"rows": rows}

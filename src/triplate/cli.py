@@ -147,7 +147,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "quadrature_degree": {"type": "integer", "minimum": 2},
                 "merge_tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -203,17 +202,14 @@ def load_config(path) -> dict:
     return cfg
 
 
-def build_model(cfg: dict, quadrature_degree: int | None = None,
-                hard_ss: bool = False) -> Model:
+def build_model(cfg: dict, hard_ss: bool = False) -> Model:
     """Instantiate the model a validated config describes."""
     material = PlateMaterial(**cfg["material"])
     solver = cfg.get("solver", {})
-    degree = (quadrature_degree if quadrature_degree is not None
-              else solver.get("quadrature_degree", 5))
     elements = [
         MRElement.from_vertices(*(np.asarray(v, dtype=float)
                                   for v in spec["vertices"]),
-                                spec["m"], material, degree)
+                                spec["m"], material)
         for spec in cfg["elements"]
     ]
     loads = cfg.get("loads", {})
@@ -230,8 +226,7 @@ def build_model(cfg: dict, quadrature_degree: int | None = None,
                  uniform_q=loads.get("uniform_q", 0.0),
                  point_loads=point_loads,
                  bcs=bcs,
-                 merge_tolerance=solver.get("merge_tolerance"),
-                 quadrature_degree=degree)
+                 merge_tolerance=solver.get("merge_tolerance"))
 
 
 def _probe_value(sol, probe: dict) -> float:
@@ -356,7 +351,7 @@ def _write_or_print(text: str, out_path, summary: str | None = None) -> None:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    model = build_model(cfg, args.quadrature_degree, args.hard_ss)
+    model = build_model(cfg, args.hard_ss)
     report = solve_report(cfg, model)
     if args.out:
         _write_or_print(_json_dumps(report), args.out)
@@ -370,9 +365,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     names = resolve_case_names(args.cases or ["all"])
-    report = bench.run_benchmark(names, ms=args.m,
-                                 quadrature_degree=args.quadrature_degree,
-                                 hard_ss=args.hard_ss)
+    report = bench.run_benchmark(names, ms=args.m, hard_ss=args.hard_ss)
     rows = report["rows"]
     bad = sum(1 for r in rows if r["status"] == "mismatch")
     if args.format == "json":
@@ -386,7 +379,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    model = build_model(cfg, args.quadrature_degree, args.hard_ss)
+    model = build_model(cfg, args.hard_ss)
     mono = build_equivalent_mono(model)
     if args.perturb_k:
         # negative control: nudge the refinable model's stiffness so the
@@ -495,13 +488,9 @@ def _parse_m_list(text: str):
     return ms
 
 
-def _add_model_flags(parser, with_out=True):
-    if with_out:
-        parser.add_argument("--out", metavar="PATH",
-                            help="write the output to this file")
-    parser.add_argument("--quadrature-degree", type=int, default=None,
-                        metavar="N", help="polynomial degree of the cell "
-                        "integration rule (default from config or 5)")
+def _add_model_flags(parser):
+    parser.add_argument("--out", metavar="PATH",
+                        help="write the output to this file")
     parser.add_argument("--hard-ss", action="store_true",
                         help="also fix the tangential edge slope on every "
                         "simply supported edge")
@@ -542,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: per-case list)")
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_model_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench, quadrature_degree=5)
+    p_bench.set_defaults(func=cmd_bench)
 
     p_verify = sub.add_parser(
         "verify", help="check a config against the conventional assembly",

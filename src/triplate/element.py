@@ -31,6 +31,13 @@ from .geometry import (
 from .quadrature import triangle_rule
 from .shapefn import subtriangle_basis
 
+#: Degree of the cell integration rule.  The stiffness integrand is
+#: quadratic (products of second derivatives of cubics), so every rule of
+#: degree >= 2 integrates it exactly, and rules of degree 2 to 6 give the
+#: same stiffness and uniform load to roundoff; degree 5 is the rule the
+#: element has always used, so its bits stay as they were.
+QUADRATURE_DEGREE = 5
+
 
 @dataclass
 class PlateMaterial:
@@ -68,7 +75,6 @@ class MRElement:
     frame: LocalFrame
     m: int
     material: PlateMaterial
-    quadrature_degree: int = 5
     _parts: list[SubTriangle] = field(default=None, repr=False)
     #: (weights, N, B) of each (orientation, degree), see `_orientation_basis`
     _basis: dict = field(default_factory=dict, init=False, repr=False,
@@ -79,12 +85,11 @@ class MRElement:
             raise ValueError("resolution m must be >= 1")
 
     @classmethod
-    def from_vertices(cls, v1, v2, v3, m: int, material: PlateMaterial,
-                      quadrature_degree: int = 5) -> "MRElement":
+    def from_vertices(cls, v1, v2, v3, m: int,
+                      material: PlateMaterial) -> "MRElement":
         from .geometry import canonicalize_triangle
 
-        return cls(canonicalize_triangle(v1, v2, v3), m, material,
-                   quadrature_degree)
+        return cls(canonicalize_triangle(v1, v2, v3), m, material)
 
     @property
     def node_count(self) -> int:
@@ -144,11 +149,6 @@ def _cell_B(elem: MRElement, tri: SubTriangle, pts: np.ndarray) -> np.ndarray:
     return _curvatures(subtriangle_basis(elem.frame, elem.m, tri, pts))
 
 
-def _cell_values(elem: MRElement, tri: SubTriangle, pts: np.ndarray) -> np.ndarray:
-    """(npts, 9) deflection-interpolation row of the cell's nine local dofs."""
-    return _values(subtriangle_basis(elem.frame, elem.m, tri, pts))
-
-
 def _corner_dofs(m: int, corners: np.ndarray) -> np.ndarray:
     """(n_cells, 9) element dofs of cells with corner grid indices (n, 3, 2)."""
     k = grid_ordinal(m, corners[..., 0], corners[..., 1])
@@ -161,12 +161,22 @@ def _cell_dofs(m: int, cells: list[SubTriangle]) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _partition_dofs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_cell_dofs` of the whole partition, and its down-cell mask."""
+def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
+    """`_cell_dofs` of the whole partition, its down-cell mask, and the
+    CSR pattern of the element stiffness: the slot of each cell-matrix
+    entry among the distinct (row, col) pairs in row-major order, their
+    column indices, and the row pointers.  All read-only."""
     corners, down = partition_corners(m)
     dofs = _corner_dofs(m, corners)
-    dofs.flags.writeable = down.flags.writeable = False
-    return dofs, down
+    n = 3 * grid_size(m)
+    key = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+    uniq, slot = np.unique(key, return_inverse=True)
+    row, indices = np.divmod(uniq, n)
+    indptr = np.searchsorted(row, np.arange(n + 1))
+    arrays = dofs, down, slot, indices, indptr
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _orientation_basis(elem: MRElement, down: bool, degree: int):
@@ -187,44 +197,43 @@ def _orientation_basis(elem: MRElement, down: bool, degree: int):
     return elem._basis[key]
 
 
-def _per_cell(elem: MRElement, degree: int, integral) -> np.ndarray:
-    """integral(weights, N, B) of every cell, stacked in partition order,
-    with the cell's (n_cells, 9) dofs.
+def _per_cell(elem: MRElement, degree: int | None, integral) -> np.ndarray:
+    """integral(weights, N, B) of every cell, stacked in partition order.
 
-    The integral is computed once per orientation.
+    The integral is computed once per orientation; degree None means
+    `QUADRATURE_DEGREE`.
     """
-    dofs, down = _partition_dofs(elem.m)
+    degree = QUADRATURE_DEGREE if degree is None else degree
+    down = _partition_dofs(elem.m)[1]
     orientations = (False, True) if elem.m > 1 else (False,)
     per_orientation = [integral(*_orientation_basis(elem, d, degree))
                        for d in orientations]
-    return np.stack(per_orientation)[down.astype(np.intp)], dofs
+    return np.stack(per_orientation)[down.astype(np.intp)]
 
 
 def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
     """Element bending stiffness (3n x 3n CSR), assembled from its cells.
 
     The integrand per cell is quadratic (second derivatives of cubics),
-    so the default degree-5 rule is exact.  The two 9x9 cell matrices (up
-    and down) come from the basis kept by `_orientation_basis`, shared
-    with `element_load_uniform`.  Each entry is summed over its cells in
-    partition order.
+    so the default `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
+    matrices (up and down) come from the basis kept by
+    `_orientation_basis`, shared with `element_load_uniform`, and are
+    scattered through the pattern `_partition_dofs` keeps per m.  Each
+    entry is summed over its cells in partition order.
     """
-    degree = elem.quadrature_degree if degree is None else degree
     D = bending_rigidity(elem.material)
 
     def cell_stiffness(wq, N, B):
         kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
         return 0.5 * (kc + kc.T)
 
-    kc, dofs = _per_cell(elem, degree, cell_stiffness)
+    kc = _per_cell(elem, degree, cell_stiffness)
+    _, _, slot, indices, indptr = _partition_dofs(elem.m)
     n = elem.dof_count
-    key = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
-    uniq, slot = np.unique(key, return_inverse=True)
-    row, col = np.divmod(uniq, n)
     # bincount adds in input order; the cell matrices are exactly
     # symmetric, so K is too
-    return sp.csr_matrix((np.bincount(slot, weights=kc.ravel()), col,
-                          np.searchsorted(row, np.arange(n + 1))), shape=(n, n))
+    return sp.csr_matrix((np.bincount(slot, weights=kc.ravel()), indices, indptr),
+                         shape=(n, n))
 
 
 def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
@@ -232,11 +241,11 @@ def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -
 
     Reads the same per-orientation basis as `element_stiffness`.
     """
-    degree = elem.quadrature_degree if degree is None else degree
     n = elem.dof_count
     if q == 0.0:
         return np.zeros(n)
-    fc, dofs = _per_cell(elem, degree, lambda wq, N, B: q * (wq @ N))
+    fc = _per_cell(elem, degree, lambda wq, N, B: q * (wq @ N))
+    dofs = _partition_dofs(elem.m)[0]
     return np.bincount(dofs.ravel(), weights=fc.ravel(), minlength=n)
 
 
@@ -291,7 +300,7 @@ def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:
     """Consistent load vector for a transverse point load P at local p."""
     tri = locate_subtriangle(elem, p_local)
     pts = np.atleast_2d(np.asarray(p_local, dtype=float))
-    N = _cell_values(elem, tri, pts)[0]
+    N = _values(subtriangle_basis(elem.frame, elem.m, tri, pts))[0]
     f = np.zeros(elem.dof_count)
     f[_cell_dofs(elem.m, [tri])[0]] = P * N
     return f

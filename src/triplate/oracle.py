@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .assembly import (GlobalSystem, Model, _merge_nodes, _owning_element,
                        apply_boundary_conditions, assemble)
-from .element import MRElement, bending_rigidity, element_load_point
+from .element import QUADRATURE_DEGREE, MRElement, bending_rigidity, element_load_point
 from .errors import PermutationNotFound
 from .geometry import CanonicalFrames, LocalFrame, canonicalize_triangles
 from .quadrature import triangle_rule
@@ -73,22 +73,21 @@ def build_equivalent_mono(model: Model) -> MonoModel:
     params = zip(frames.a.tolist(), frames.h.tolist(), frames.b.tolist(),
                  frames.vertices[:, 0], frames.rotation.tolist())
     sources = (elem for elem, c in zip(model.elements, cells) for _ in c)
-    elements = [MRElement(LocalFrame(*frame), 1, elem.material, elem.quadrature_degree)
+    elements = [MRElement(LocalFrame(*frame), 1, elem.material)
                 for elem, frame in zip(sources, params)]
     mono = Model(elements=elements, uniform_q=model.uniform_q,
                  point_loads=list(model.point_loads), bcs=list(model.bcs),
-                 merge_tolerance=model.merge_tolerance,
-                 quadrature_degree=model.quadrature_degree)
+                 merge_tolerance=model.merge_tolerance)
     return MonoModel(model=mono, triangles=list(triangles), frames=frames)
 
 
-def _cell_integrals(local: np.ndarray, D: np.ndarray, q: float, degree: int):
+def _cell_integrals(local: np.ndarray, D: np.ndarray, q: float):
     """Stiffness (n, 9, 9) and uniform load (n, 9) of cells in local axes.
 
     local: (n, 3, 2) canonical local vertices, the cells' nodes at m = 1;
     D: (n, 3, 3) bending rigidity of each cell.
     """
-    bary, wq = triangle_rule(degree)
+    bary, wq = triangle_rule(QUADRATURE_DEGREE)
     n, nq = len(local), len(wq)
     kc, f = np.empty((n, 9, 9)), np.empty((n, 9))
     for start in range(0, n, _CHUNK):
@@ -135,7 +134,7 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
     distinct = {id(mat): mat for mat in materials}
     D_of = {key: bending_rigidity(mat) for key, mat in distinct.items()}
     kc, f = _cell_integrals(local, np.array([D_of[id(mat)] for mat in materials]),
-                            model.uniform_q, model.quadrature_degree)
+                            model.uniform_q)
     for x, y, P in model.point_loads:
         p = np.array([x, y])
         e = _owning_element(model, p)

@@ -301,19 +301,20 @@ def subtriangle_basis(frame: LocalFrame, m: int, tri: SubTriangle, p) -> list[Ba
 
 
 def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],
-                     component: str = "w", degree: int = 5) -> float:
+                     component: str = "w") -> float:
     """Diagnostic: least-squares residual of projecting a resolution-m basis
     function onto the span of the resolution-2m basis.
 
-    Returns the relative weighted-L2 residual over the element.  The two
-    spans are generally not nested; this reports how far from nested they
-    are and asserts nothing.
+    Returns the relative weighted-L2 residual over the element, integrated
+    with the element's cell rule.  The two spans are generally not nested;
+    this reports how far from nested they are and asserts nothing.
     """
+    from .element import QUADRATURE_DEGREE
     from .quadrature import triangle_rule
 
     comp = {"w": 0, "thx": 1, "thy": 2}[component]
     m2 = 2 * m
-    bary, wts = triangle_rule(degree)
+    bary, wts = triangle_rule(QUADRATURE_DEGREE)
     pts_list = []
     w_list = []
     for tri in subtriangle_partition(frame, m2):

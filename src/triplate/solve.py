@@ -7,10 +7,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import GlobalSystem, apply_boundary_conditions, node_rotation
+from .assembly import (GlobalSystem, _owning_element, apply_boundary_conditions,
+                       node_rotation)
 from .element import bending_rigidity, locate_subtriangle, _cell_B, _cell_dofs
-from .errors import NotConverged, OutsideModel, SingularSystem
-from .geometry import CONTAIN_TOL, barycentric
+from .errors import NotConverged, SingularSystem
 from .shapefn import subtriangle_basis
 
 _RESIDUAL_BOUND = 1e-10
@@ -83,18 +83,6 @@ def reactions(sol: Solution) -> np.ndarray:
     return sol.system.K @ sol.dofs - sol.system.rhs
 
 
-def _containing_elements(system: GlobalSystem, p: np.ndarray) -> list[int]:
-    if not np.all(np.isfinite(p)):
-        # no element holds it, and its local coordinates would be NaN
-        return []
-    out = []
-    for e, elem in enumerate(system.model.elements):
-        L = barycentric(elem.frame.local_vertices(), elem.frame.to_local(p))
-        if np.all(L >= -CONTAIN_TOL):
-            out.append(e)
-    return out
-
-
 def _element_local_dofs(sol: Solution, e: int) -> np.ndarray:
     """Element dof vector in frame-local components, cell-scatter order."""
     system = sol.system
@@ -110,10 +98,7 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     containing element is used; the deflection field is continuous there.
     """
     p = np.asarray(p, dtype=float)
-    els = _containing_elements(sol.system, p)
-    if not els:
-        raise OutsideModel(f"point {p.tolist()} lies outside the model")
-    e = els[0]
+    e = _owning_element(sol.system.model, p)
     elem = sol.system.model.elements[e]
     a = _element_local_dofs(sol, e)
     p_loc = elem.frame.to_local(p)
@@ -140,11 +125,8 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
     contains the point, then across the containing elements.
     """
     p = np.asarray(p, dtype=float)
-    els = _containing_elements(sol.system, p)
-    if not els:
-        raise OutsideModel(f"point {p.tolist()} lies outside the model")
     collected = []
-    for e in els:
+    for e in _owning_element(sol.system.model, p, all_containing=True):
         elem = sol.system.model.elements[e]
         D = bending_rigidity(elem.material)
         a = _element_local_dofs(sol, e)

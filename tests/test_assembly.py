@@ -1,6 +1,7 @@
 """Multi-element models: splicing, constraints, transformations, balance."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from triplate import (BCKind, BoundaryCondition, EmptyEdge, MRElement, Model,
-                      NodeMismatch, apply_boundary_conditions, assemble,
+                      NodeMismatch, OutsideModel, apply_boundary_conditions, assemble,
                       bending_rigidity, node_ordinal, reactions, solve_system)
 import triplate.assembly
 import triplate.element
@@ -16,8 +17,9 @@ from triplate import PlateMaterial, benchmark_case, build_equivalent_mono
 from triplate.assembly import (_merge_nodes, _owning_element, node_rotation,
                                _segment_distance)
 from triplate.bench import CASES
-from triplate.element import (_cell_B, _cell_quadrature, element_load_point,
-                              element_load_uniform, element_stiffness)
+from triplate.element import (QUADRATURE_DEGREE, _cell_B, _cell_quadrature,
+                              element_load_point, element_load_uniform,
+                              element_stiffness)
 
 SQUARE_EDGES = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
                 ((1, 1), (0, 1)), ((0, 1), (0, 0))]
@@ -60,7 +62,7 @@ def dense_path_stiffness(model):
     rows, cols, data = [], [], []
     system = assemble(model)
     for elem, ids in zip(model.elements, system.element_nodes):
-        degree = model.quadrature_degree
+        degree = QUADRATURE_DEGREE
         D = bending_rigidity(elem.material)
         n = elem.dof_count
         K = np.zeros((n, n))
@@ -114,12 +116,12 @@ def per_element_assemble(model):
     rhs = np.zeros(n_dofs)
     for elem, gdof in zip(model.elements, gdofs):
         T = transformation(elem)
-        K_g = (T.T @ (element_stiffness(elem, model.quadrature_degree) @ T)).tocoo()
+        K_g = (T.T @ (element_stiffness(elem, QUADRATURE_DEGREE) @ T)).tocoo()
         rows.append(gdof[K_g.row])
         cols.append(gdof[K_g.col])
         data.append(K_g.data)
         rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q,
-                                                model.quadrature_degree)
+                                                QUADRATURE_DEGREE)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
         e = _owning_element(model, p)
@@ -279,6 +281,17 @@ class TestSplicing:
         K = assemble(model).K
         assert np.array_equal(K.toarray(),
                               dense_path_stiffness(model).toarray())
+
+
+@pytest.mark.parametrize("x, y", [(np.inf, 0.5), (-np.inf, 0.5), (0.5, np.inf),
+                                  (np.nan, 0.5), (0.5, np.nan)])
+def test_non_finite_point_load_rejected_without_warning(x, y, unit_material):
+    model = square_model(2, unit_material)
+    model.point_loads = [(x, y, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideModel, match="outside every element"):
+            assemble(model)
 
 
 def test_merge_joins_chains_to_lowest_index():

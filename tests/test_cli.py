@@ -2,10 +2,15 @@
 import csv
 import io
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
 from triplate import cli
+
+DEMO_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
 SQUARE_CONFIG = {
     "material": {"E": 10.92, "t": 1.0, "nu": 0.3},
@@ -86,14 +91,37 @@ class TestSolve:
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_degree_one_quadrature_exits_2(self, config_path, capsys):
-        cfg = config_path(SQUARE_CONFIG)
-        assert cli.main(["solve", cfg, "--quadrature-degree", "1"]) == 2
-        assert "error: element integrals need quadrature degree >= 2" \
+    @pytest.mark.parametrize("command", ["solve", "bench", "verify"])
+    def test_quadrature_degree_flag_is_gone(self, command, config_path,
+                                            capsys):
+        # the cell rule is fixed; argparse rejects the retired flag
+        args = [] if command == "bench" else [config_path(SQUARE_CONFIG)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *args, "--quadrature-degree", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quadrature-degree" \
             in capsys.readouterr().err
-        bad = dict(SQUARE_CONFIG, solver={"quadrature_degree": 1})
+
+    def test_quadrature_degree_key_exits_2(self, config_path, capsys):
+        bad = dict(SQUARE_CONFIG, solver={"quadrature_degree": 5})
         assert cli.main(["solve", config_path(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ")
+        assert "'quadrature_degree' was unexpected" in err
+        assert "(at solver)" in err
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_point_load_exits_2_without_warning(self, x,
+                                                           config_path,
+                                                           capsys):
+        # Python's json reads and writes Infinity and NaN, and the schema's
+        # "number" type accepts them
+        cfg = dict(SQUARE_CONFIG, loads={"uniform_q": 1.0, "point_loads": [
+            {"x": x, "y": 0.5, "P": 1.0}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", config_path(cfg)]) == 2
+        assert "lies outside every element" in capsys.readouterr().err
 
     def test_unconstrained_load_exits_2(self, config_path, capsys):
         cfg = dict(SQUARE_CONFIG, bcs=[])
@@ -153,6 +181,20 @@ class TestVerify:
         assert cli.main(["verify", config_path(SQUARE_CONFIG),
                          "--perturb-k"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestDemoConfigs:
+    def test_configs_found(self):
+        # an empty glob would leave the parametrized test below unrun
+        assert DEMO_CONFIGS
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
+    def test_loads_solves_and_verifies(self, path, capsys):
+        # a demo config that drifts from the schema fails here
+        cli.load_config(path)
+        assert cli.main(["solve", str(path)]) == 0
+        assert cli.main(["verify", str(path)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 class TestDev:

@@ -58,7 +58,8 @@ def main():
     print("  sum of all w functions at 5 random interior points:")
     print("  " + " ".join(f"{v:.12f}" for v in total))
 
-    print("\n4. refinement-span diagnostic (weighted-L2 projection residual)")
+    print("\n4. refinement-span diagnostic (weighted-L2 projection residual,")
+    print("  integrated exactly by a degree-6 rule)")
     print("  component w, scale m -> 2m:")
     for m0 in (1, 2):
         r = nesting_residual(frame, m0, (0, 0), component="w")

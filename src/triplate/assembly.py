@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .element import MRElement, element_load_point, element_load_uniform, element_stiffness
+from .element import (QUADRATURE_DEGREE, MRElement, _fill_basis, element_load_point,
+                      element_load_uniform, element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
 from .geometry import CONTAIN_TOL, LocalFrame, barycentric
 
@@ -223,12 +224,14 @@ def _block_diagonal(mats) -> sp.csr_matrix:
 def assemble(model: Model) -> GlobalSystem:
     """Merge nodes, transform and accumulate element matrices and loads.
 
-    `element_stiffness` and `element_load_uniform` are called once per
-    element and share the element's cached per-orientation basis.  All
-    element matrices are rotated to global axes by one block-diagonal
-    product T^T K T, and all uniform loads by one T^T f; the result has
-    the bits of rotating each element alone, and every global entry sums
-    its element contributions in element order.
+    Every element's per-orientation basis is evaluated first, a chunk of
+    elements per kernel call (`element._fill_basis`); `element_stiffness`
+    and `element_load_uniform` are then called once per element and read
+    it from the element's cache.  All element matrices are rotated to
+    global axes by one block-diagonal product T^T K T, and all uniform
+    loads by one T^T f; the result has the bits of rotating each element
+    alone, and every global entry sums its element contributions in
+    element order.
     """
     if not model.elements:
         raise ValueError("model has no elements")
@@ -248,6 +251,7 @@ def assemble(model: Model) -> GlobalSystem:
     gdof = (3 * inverse[:, None] + np.arange(3)).ravel()
     n_dofs = 3 * len(node_coords)
 
+    _fill_basis(model.elements, QUADRATURE_DEGREE)
     T = transformation_matrix([el.frame for el in model.elements], node_counts)
     K_loc = _block_diagonal([element_stiffness(el) for el in model.elements])
     # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K

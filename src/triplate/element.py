@@ -29,7 +29,7 @@ from .geometry import (
     subtriangle_partition,
 )
 from .quadrature import triangle_rule
-from .shapefn import subtriangle_basis
+from .shapefn import cells_basis, subtriangle_basis
 
 #: Degree of the cell integration rule.  The stiffness integrand is
 #: quadratic (products of second derivatives of cubics), so every rule of
@@ -37,6 +37,10 @@ from .shapefn import subtriangle_basis
 #: same stiffness and uniform load to roundoff; degree 5 is the rule the
 #: element has always used, so its bits stay as they were.
 QUADRATURE_DEGREE = 5
+
+#: (element, orientation) pairs per basis-kernel call of `_fill_basis`:
+#: keeps the kernel's temporaries near 2 MB, as `oracle._CHUNK` does
+_CHUNK = 16
 
 
 @dataclass
@@ -76,7 +80,7 @@ class MRElement:
     m: int
     material: PlateMaterial
     _parts: list[SubTriangle] = field(default=None, repr=False)
-    #: (weights, N, B) of each (orientation, degree), see `_orientation_basis`
+    #: (weights, N, B) of each (orientation, degree), see `_fill_basis`
     _basis: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -130,23 +134,30 @@ def _cell_quadrature(elem: MRElement, tri: SubTriangle, degree: int):
     return pts, w * tri.area
 
 
-def _values(triples) -> np.ndarray:
-    """(npts, 9) deflection-interpolation row of a cell's nine local dofs."""
-    return np.stack([f.value for triple in triples for f in triple.functions()],
-                    axis=-1)
+def _values(value: np.ndarray) -> np.ndarray:
+    """(k, npts, 9) deflection-interpolation rows of the nine local dofs of
+    k cells, from their `cells_basis` values (k, 3, 3, npts)."""
+    k, n = value.shape[0], value.shape[-1]
+    return np.ascontiguousarray(value.reshape(k, 9, n).transpose(0, 2, 1))
 
 
-def _curvatures(triples) -> np.ndarray:
-    """(npts, 3, 9) curvature matrix -(w_xx, w_yy, 2 w_xy) of a cell's nine
-    local dofs."""
-    hess = np.stack([f.hess for triple in triples for f in triple.functions()],
-                    axis=-1)
+def _curvatures(hess: np.ndarray) -> np.ndarray:
+    """(k, npts, 3, 9) curvature matrices -(w_xx, w_yy, 2 w_xy) of the nine
+    local dofs of k cells, from their `cells_basis` Hessians
+    (k, 3, 3, npts, 3)."""
+    k, n = hess.shape[0], hess.shape[3]
+    hess = np.ascontiguousarray(hess.reshape(k, 9, n, 3).transpose(0, 2, 3, 1))
     return hess * np.array([-1.0, -1.0, -2.0])[:, None]
 
 
-def _cell_B(elem: MRElement, tri: SubTriangle, pts: np.ndarray) -> np.ndarray:
-    """(npts, 3, 9) curvature matrix of the cell's nine local dofs."""
-    return _curvatures(subtriangle_basis(elem.frame, elem.m, tri, pts))
+def _cells_B(elem: MRElement, cells: list[SubTriangle], pts) -> np.ndarray:
+    """(len(cells), npts, 3, 9) curvature matrices of the element's cells
+    at the same local points (npts, 2), in one kernel call."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    k = len(cells)
+    _, _, hess = cells_basis([elem.frame] * k, [elem.m] * k, cells,
+                             np.broadcast_to(pts, (k,) + pts.shape))
+    return _curvatures(hess)
 
 
 def _corner_dofs(m: int, corners: np.ndarray) -> np.ndarray:
@@ -179,21 +190,40 @@ def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _orientation_basis(elem: MRElement, down: bool, degree: int):
-    """(weights, N, B) of one cell orientation at its quadrature points.
+def _fill_basis(elements, degree: int) -> None:
+    """Keep (weights, N, B) of every cell orientation of the elements.
 
     Cells of equal orientation are translates of each other, so they share
     the first such cell's rule weights, deflection rows N (npts, 9) and
-    curvature matrices B (npts, 3, 9).  One `subtriangle_basis` call gives
-    both N and B, and the element keeps them, so its stiffness and load
-    evaluate the basis once per orientation between them.
+    curvature matrices B (npts, 3, 9).  Each element keeps them in
+    `_basis` under (down, degree), so its stiffness and load evaluate the
+    basis once per orientation between them.  The first cells of the
+    (element, orientation) pairs not kept yet go through `cells_basis`
+    `_CHUNK` at a time: one kernel call per chunk, not one per pair.
     """
+    jobs = [(elem, down) for elem in elements
+            for down in ((False, True) if elem.m > 1 else (False,))
+            if (down, degree) not in elem._basis]
+    for start in range(0, len(jobs), _CHUNK):
+        chunk = jobs[start:start + _CHUNK]
+        cells = [partition_cell(elem.frame, elem.m, int(down), 0, down)
+                 for elem, down in chunk]
+        rules = [_cell_quadrature(elem, tri, degree)
+                 for (elem, _), tri in zip(chunk, cells)]
+        value, _, hess = cells_basis([elem.frame for elem, _ in chunk],
+                                     [elem.m for elem, _ in chunk], cells,
+                                     np.stack([pts for pts, _ in rules]))
+        for (elem, down), (_, wq), N, B in zip(chunk, rules, _values(value),
+                                                _curvatures(hess)):
+            elem._basis[(down, degree)] = wq, N, B
+
+
+def _orientation_basis(elem: MRElement, down: bool, degree: int):
+    """(weights, N, B) of one cell orientation at its quadrature points,
+    as `_fill_basis` keeps them."""
     key = (down, degree)
     if key not in elem._basis:
-        tri = partition_cell(elem.frame, elem.m, int(down), 0, down)
-        pts, wq = _cell_quadrature(elem, tri, degree)
-        triples = subtriangle_basis(elem.frame, elem.m, tri, pts)
-        elem._basis[key] = wq, _values(triples), _curvatures(triples)
+        _fill_basis([elem], degree)
     return elem._basis[key]
 
 
@@ -299,8 +329,8 @@ def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
 def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:
     """Consistent load vector for a transverse point load P at local p."""
     tri = locate_subtriangle(elem, p_local)
-    pts = np.atleast_2d(np.asarray(p_local, dtype=float))
-    N = _values(subtriangle_basis(elem.frame, elem.m, tri, pts))[0]
+    triples = subtriangle_basis(elem.frame, elem.m, tri, p_local)
+    N = np.array([f.value for triple in triples for f in triple.functions()])
     f = np.zeros(elem.dof_count)
     f[_cell_dofs(elem.m, [tri])[0]] = P * N
     return f

@@ -280,22 +280,50 @@ def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTripl
     return BasisTriple(*_squeeze(scaled.functions(), scalar))
 
 
+def cells_basis(frames, ms, cells, points):
+    """Scaled (N, Nx, Ny) families of the three corners of k cells, each
+    from within its own cell, in one kernel call.
+
+    frames, ms, cells: the element frame, resolution and SubTriangle of
+    each cell; points: (k, n, 2) element-local points of each cell.
+    Returns value (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess
+    (k, 3, 3, n, 3), indexed [cell, corner, family, point].  Evaluation is
+    forced onto the hexagon sub-domain each corner presents to its cell,
+    so points on cell edges get that cell's polynomial; a point outside it
+    raises OutsideDomain.  The kernel's values and Hessians do not depend
+    on how many domains share a call, so each cell gets the value and
+    Hessian bits of evaluating it alone (`subtriangle_basis`).
+    """
+    points = np.asarray(points, dtype=float)
+    k, n = points.shape[:2]
+    triangles, i0, rel, names, scales = [], [], [], [], []
+    for frame, m, tri, pts in zip(frames, ms, cells, points):
+        nodes = np.array([node_position(frame, m, idx) for idx in tri.corner_nodes])
+        rel.append(m * (pts - nodes[:, None]))
+        triangles.append(frame.domain_triangles(tri.corner_domains))
+        i0 += [frame.domain_center_vertex(d) - 1 for d in tri.corner_domains]
+        names += [d.name for d in tri.corner_domains]
+        scales.append(_scale_factors(m))
+    value, grad, hess = _eval_triangles(np.concatenate(triangles), np.array(i0),
+                                        np.concatenate(rel), names)
+    vf, gf, hf = (np.stack(f)[:, None, :, None] for f in zip(*scales))
+    return (value.reshape(k, 3, 3, n) * vf,
+            grad.reshape(k, 3, 3, n, 2) * gf[..., None],
+            hess.reshape(k, 3, 3, n, 3) * hf[..., None])
+
+
 def subtriangle_basis(frame: LocalFrame, m: int, tri: SubTriangle, p) -> list[BasisTriple]:
-    """Basis triples of the three corners of a sub-triangle, from within it.
+    """Basis triples of the three corners of a sub-triangle, from within it:
+    `cells_basis` of one cell.
 
     Evaluation is forced onto the hexagon sub-domain each corner presents
     to this cell, so points on cell edges get that cell's polynomial.
     """
     pts, scalar = _as_points(p)
-    nodes = np.array([node_position(frame, m, idx) for idx in tri.corner_nodes])
-    q = m * (pts - nodes[:, None])
-    value, grad, hess = _eval_domains(tri.corner_domains, frame, q, check=True)
-    vf, gf, hf = _scale_factors(m)
-    value = value * vf[:, None]
-    grad = grad * gf[:, None, None]
-    hess = hess * hf[:, None, None]
+    value, grad, hess = cells_basis([frame], [m], [tri], pts[None])
     at = 0 if scalar else slice(None)
-    return [BasisTriple(*(ShapeEval(value[c, f, at], grad[c, f, at], hess[c, f, at])
+    return [BasisTriple(*(ShapeEval(value[0, c, f, at], grad[0, c, f, at],
+                                    hess[0, c, f, at])
                           for f in range(3)))
             for c in range(3)]
 
@@ -305,16 +333,17 @@ def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],
     """Diagnostic: least-squares residual of projecting a resolution-m basis
     function onto the span of the resolution-2m basis.
 
-    Returns the relative weighted-L2 residual over the element, integrated
-    with the element's cell rule.  The two spans are generally not nested;
-    this reports how far from nested they are and asserts nothing.
+    Returns the relative weighted-L2 residual over the element.  The
+    normal equations and the residual norm integrate products of two
+    cubics over each fine cell, so a degree-6 rule makes them exact.  The
+    two spans are generally not nested; this reports how far from nested
+    they are and asserts nothing.
     """
-    from .element import QUADRATURE_DEGREE
     from .quadrature import triangle_rule
 
     comp = {"w": 0, "thx": 1, "thy": 2}[component]
     m2 = 2 * m
-    bary, wts = triangle_rule(QUADRATURE_DEGREE)
+    bary, wts = triangle_rule(6)
     pts_list = []
     w_list = []
     for tri in subtriangle_partition(frame, m2):

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (GlobalSystem, _owning_element, apply_boundary_conditions,
                        node_rotation)
-from .element import bending_rigidity, locate_subtriangle, _cell_B, _cell_dofs
+from .element import bending_rigidity, locate_subtriangle, _cell_dofs, _cells_B
 from .errors import NotConverged, SingularSystem
 from .shapefn import subtriangle_basis
 
@@ -122,7 +122,8 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
 
     Curvatures are discontinuous across cells; at points on cell edges or
     nodes the moment is averaged per element over all cells whose closure
-    contains the point, then across the containing elements.
+    contains the point, then across the containing elements.  One basis
+    kernel call per element evaluates all its incident cells.
     """
     p = np.asarray(p, dtype=float)
     collected = []
@@ -134,8 +135,8 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
         tris = locate_subtriangle(elem, p_loc, all_containing=True)
         R = elem.frame.rotation_matrix()
         per_elem = []
-        for tri, dofs in zip(tris, _cell_dofs(elem.m, tris)):
-            B = _cell_B(elem, tri, np.atleast_2d(p_loc))[0]
+        for B, dofs in zip(_cells_B(elem, tris, p_loc)[:, 0],
+                           _cell_dofs(elem.m, tris)):
             kappa = B @ a[dofs]
             m_loc = D @ kappa
             Mmat = np.array([[m_loc[0], m_loc[2]], [m_loc[2], m_loc[1]]])

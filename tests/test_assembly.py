@@ -1,6 +1,7 @@
 """Multi-element models: splicing, constraints, transformations, balance."""
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,17 +10,21 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from triplate import (BCKind, BoundaryCondition, EmptyEdge, MRElement, Model,
-                      NodeMismatch, OutsideModel, apply_boundary_conditions, assemble,
-                      bending_rigidity, node_ordinal, reactions, solve_system)
+                      NodeMismatch, OutsideDomain, OutsideModel, QuadratureFailure,
+                      apply_boundary_conditions, assemble, bending_rigidity,
+                      node_ordinal, reactions, solve_system)
 import triplate.assembly
 import triplate.element
+import triplate.shapefn
 from triplate import PlateMaterial, benchmark_case, build_equivalent_mono
 from triplate.assembly import (_merge_nodes, _owning_element, node_rotation,
                                _segment_distance)
 from triplate.bench import CASES
-from triplate.element import (QUADRATURE_DEGREE, _cell_B, _cell_quadrature,
-                              element_load_point, element_load_uniform,
+from triplate.element import (QUADRATURE_DEGREE, _cell_quadrature, _cells_B,
+                              _fill_basis, element_load_point, element_load_uniform,
                               element_stiffness)
+from triplate.geometry import LocalFrame, partition_cell
+from triplate.shapefn import cells_basis, subtriangle_basis
 
 SQUARE_EDGES = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
                 ((1, 1), (0, 1)), ((0, 1), (0, 0))]
@@ -70,7 +75,7 @@ def dense_path_stiffness(model):
         for tri in elem.partition():
             if tri.orientation not in cell_k:
                 pts, wq = _cell_quadrature(elem, tri, degree)
-                B = _cell_B(elem, tri, pts)
+                B = _cells_B(elem, [tri], pts)[0]
                 kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
                 cell_k[tri.orientation] = 0.5 * (kc + kc.T)
             dofs = [3 * node_ordinal(elem.m, idx) + c
@@ -188,22 +193,87 @@ class TestMatchesPerElementAssembly:
 
     @pytest.mark.parametrize("twin", [False, True])
     def test_one_basis_call_per_element_orientation(self, twin, monkeypatch):
+        # every (element, orientation) basis is evaluated once, inside one
+        # basis-kernel call per chunk of them: no per-element
+        # subtriangle_basis call, ceil(jobs / chunk) kernel calls of three
+        # domains per pair
         model = benchmark_case("skew-60").build(8)
         if twin:
             model = build_equivalent_mono(model).model
-        calls = []
-        original = triplate.element.subtriangle_basis
+        one_cell_calls, domains = [], []
+        original = triplate.shapefn._eval_triangles
 
-        def counting(frame, m, tri, p):
-            calls.append((id(frame), tri.orientation))
-            return original(frame, m, tri, p)
+        def counting(triangles, *args):
+            domains.append(len(triangles))
+            return original(triangles, *args)
 
-        monkeypatch.setattr(triplate.element, "subtriangle_basis", counting)
+        monkeypatch.setattr(triplate.element, "subtriangle_basis",
+                            lambda *args: one_cell_calls.append(args))
+        monkeypatch.setattr(triplate.shapefn, "_eval_triangles", counting)
         assemble(model)
-        orientations = ("up", "down") if model.elements[0].m > 1 else ("up",)
-        expected = [(id(el.frame), o) for el in model.elements for o in orientations]
-        assert sorted(calls) == sorted(expected)
-        assert len(calls) == (128 if twin else 4)
+        jobs = sum(2 if el.m > 1 else 1 for el in model.elements)
+        assert jobs == (128 if twin else 4)
+        assert one_cell_calls == []
+        assert len(domains) == math.ceil(jobs / triplate.element._CHUNK) \
+            == (8 if twin else 1)
+        assert sum(domains) == 3 * jobs
+        assert all(len(el._basis) == (2 if el.m > 1 else 1) for el in model.elements)
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_batched_basis_bytes_equal_one_cell_evaluation(self, degree):
+        # one filler call over the elements of every byte model at once:
+        # mixed m, frames and materials share kernel calls
+        elements = [el for build in _BYTE_MODELS.values() for el in build().elements]
+        assert {el.m for el in elements} == {1, 3, 8}
+        _fill_basis(elements, degree)
+        for elem in elements:
+            for down in ((False, True) if elem.m > 1 else (False,)):
+                tri = partition_cell(elem.frame, elem.m, int(down), 0, down)
+                pts, wq = _cell_quadrature(elem, tri, degree)
+                fs = [f for triple in subtriangle_basis(elem.frame, elem.m, tri, pts)
+                      for f in triple.functions()]
+                N = np.stack([f.value for f in fs], axis=-1)
+                B = np.stack([f.hess for f in fs], axis=-1) \
+                    * np.array([-1.0, -1.0, -2.0])[:, None]
+                for got, want in zip(elem._basis[(down, degree)], (wq, N, B)):
+                    assert (got.dtype, got.shape, got.tobytes()) == \
+                        (want.dtype, want.shape, want.tobytes())
+
+    def test_batched_basis_keeps_its_checks(self, unit_material):
+        elements = [MRElement.from_vertices([0, 0], [1, 0], [1, 1], m, unit_material)
+                    for m in (1, 2)]
+        with pytest.raises(QuadratureFailure, match="degree >= 2"):
+            _fill_basis(elements, 1)
+        # cells of area 0.5 * (1e-200 / 2)^2 underflow to zero
+        tiny = MRElement(LocalFrame(1e-200, 1e-200, 1e-200), 2, unit_material)
+        with pytest.raises(QuadratureFailure, match="degenerate sub-triangle"):
+            _fill_basis(elements + [tiny], QUADRATURE_DEGREE)
+
+    def test_stacked_evaluation_checks_each_cell(self, unit_material):
+        # a point outside the domains of the second (down) cell of a stack
+        # raises, naming one of that cell's domains
+        elem = MRElement.from_vertices([0, 0], [1, 0], [1, 1], 2, unit_material)
+        up, down = elem.partition()[0], elem.partition()[elem.m]
+        assert (up.orientation, down.orientation) == ("up", "down")
+        pts = np.stack([up.vertices.mean(axis=0), [10.0, 10.0]])[:, None]
+        with pytest.raises(OutsideDomain, match="sub-domain D[246]$"):
+            cells_basis([elem.frame] * 2, [2, 2], [up, down], pts)
+
+    def test_twin_assembly_memory_is_bounded(self):
+        # the basis kernel holds about 1.2 KB per (domain, point) in each of
+        # several temporaries, so kernel calls are kept to a few cells.  The
+        # square-ss m = 32 twin (2048 one-cell elements) peaked at 14.6 MB
+        # under tracemalloc; 128 cells per call took 24 MB and all 2048 in
+        # one call 288 MB
+        mono = build_equivalent_mono(benchmark_case("square-ss").build(32)).model
+        assert len(mono.elements) == 2048
+        tracemalloc.start()
+        try:
+            assemble(mono)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("m_left, m_right", [(2, 1), (3, 2), (2, 4), (6, 3), (1, 32)])
     def test_conformity_reports_first_side_as_scan(self, m_left, m_right,

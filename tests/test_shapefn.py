@@ -221,7 +221,7 @@ class TestRefinementSpan:
             assert nesting_residual(frame, 1, (1, 0), "thx") < 1e-10
 
     def test_higher_scales_are_not_nested(self):
-        # the m=2 deflection functions leave the m=4 span by ~0.7 percent;
+        # the m=2 deflection functions leave the m=4 span by 0.88 percent;
         # the diagnostic documents the gap rather than asserting nesting
         r = nesting_residual(FRAME, 2, (1, 0), "w")
         assert 5e-3 < r < 2e-2

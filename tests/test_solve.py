@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import triplate.shapefn
 from triplate import (BCKind, OutsideModel, PlateMaterial, SingularSystem,
-                      apply_boundary_conditions, assemble, field_eval,
+                      apply_boundary_conditions, assemble, benchmark_case, field_eval,
                       moment_eval, normalize_coefficient, solve_system)
+from triplate.element import _cells_B, locate_subtriangle
+from triplate.shapefn import subtriangle_basis
 
 from test_assembly import square_model
 
@@ -111,6 +114,42 @@ class TestMomentEval:
         # span center of a simply supported plate is in positive bending
         assert w > 0.0
         assert triple.mx > 0.0 and triple.my > 0.0
+
+    @pytest.mark.parametrize("name, m", [("skew-60", 4), ("circle-ss", 3)])
+    def test_incident_cells_bytes_equal_one_cell_evaluation(self, name, m):
+        # one kernel call for all cells that meet a point gives each cell
+        # the curvature bits of evaluating it alone
+        seen = set()
+        for elem in benchmark_case(name).build(m).elements:
+            cells = elem.partition()
+            pts = [*elem.node_positions_local(),
+                   *(0.5 * (t.vertices + t.vertices[[1, 2, 0]]) for t in cells[:6]),
+                   *(tri.vertices.mean(axis=0) for tri in cells[-4:])]
+            for p in np.vstack(pts):
+                tris = locate_subtriangle(elem, p, all_containing=True)
+                got = _cells_B(elem, tris, p)
+                want = np.stack([[f.hess for triple in subtriangle_basis(
+                    elem.frame, elem.m, tri, p[None]) for f in triple.functions()]
+                    for tri in tris]).transpose(0, 2, 3, 1) \
+                    * np.array([-1.0, -1.0, -2.0])[:, None]
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+                seen.add(len(tris))
+        assert seen == {1, 2, 3, 6}
+
+    def test_one_kernel_call_per_containing_element(self, unit_material, monkeypatch):
+        sol = solved_square(4, unit_material)
+        calls = []
+        original = triplate.shapefn._eval_triangles
+
+        def counting(triangles, *args):
+            calls.append(len(triangles))
+            return original(triangles, *args)
+
+        monkeypatch.setattr(triplate.shapefn, "_eval_triangles", counting)
+        # the centre is a node on the shared diagonal, where three cells of
+        # each element meet: one call per element, three domains per cell
+        moment_eval(sol, (0.5, 0.5))
+        assert calls == [3 * 3, 3 * 3]
 
 
 class TestNormalization:

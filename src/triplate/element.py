@@ -19,14 +19,18 @@ from .geometry import (
     LocalFrame,
     SubTriangle,
     barycentric,
+    canonicalize_triangle,
+    cell_corners,
     grid_indices,
     grid_ordinal,
+    grid_positions,
     grid_size,
     node_ordinal,
     node_positions,
     partition_cell,
     partition_corners,
     subtriangle_partition,
+    subtriangles,
 )
 from .quadrature import triangle_rule
 from .shapefn import cells_basis, subtriangle_basis
@@ -79,7 +83,6 @@ class MRElement:
     frame: LocalFrame
     m: int
     material: PlateMaterial
-    _parts: list[SubTriangle] = field(default=None, repr=False)
     #: (weights, N, B) of each (orientation, degree), see `_fill_basis`
     _basis: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -91,8 +94,6 @@ class MRElement:
     @classmethod
     def from_vertices(cls, v1, v2, v3, m: int,
                       material: PlateMaterial) -> "MRElement":
-        from .geometry import canonicalize_triangle
-
         return cls(canonicalize_triangle(v1, v2, v3), m, material)
 
     @property
@@ -113,9 +114,8 @@ class MRElement:
         return self.frame.to_global(self.node_positions_local())
 
     def partition(self) -> list[SubTriangle]:
-        if self._parts is None:
-            self._parts = subtriangle_partition(self.frame, self.m)
-        return self._parts
+        """Every cell as a `SubTriangle`, built anew on each call."""
+        return subtriangle_partition(self.frame, self.m)
 
     def dof_slice(self, idx: tuple[int, int]) -> slice:
         k = node_ordinal(self.m, idx)
@@ -290,40 +290,38 @@ def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
     [r, r+1] x [s, s+1].  A cell that holds p within the tolerance is
     therefore at most one grid step from (floor(rc), floor(sc)), so only
     the up and down cells of the 3 x 3 window around it, clipped to the
-    grid, are candidates: at most 18, whatever m is.  They get the same
-    barycentric closure test as a scan over all m*m cells, in partition
-    order, so the tolerance band, the first match and the order of the
-    matches (which sets moment_eval's averaging order) are the scan's.
+    grid, are candidates: at most 18, whatever m is.  Their vertices (the
+    partition's `grid_positions`) get one stacked closure test, rounded as
+    a scan over all m*m cells rounds it, in partition order, so the
+    tolerance band, the first match and the order of the matches (which
+    sets moment_eval's averaging order) are the scan's.  Only the matches
+    become `SubTriangle`s; no partition is built.
     """
-    p = np.asarray(p_local, dtype=float)
+    p = np.asarray(p_local, dtype=float).reshape(2)
     frame, m = elem.frame, elem.m
-    x, y = p.reshape(2).tolist()
+    x, y = p.tolist()
     sc = m * y / frame.h
     rc = m * x / frame.a + sc * frame.h / frame.b
     if not (math.isfinite(rc) and math.isfinite(sc)):
         # NaN, inf or overflow: no cell holds it, and math.floor would raise
         raise OutsideElement(f"point {p} lies outside the element")
     r0, s0 = math.floor(rc), math.floor(sc)
-    candidates = []
+    candidates = []                  # (r, s, down) of base node (r, s)
     for s in range(max(s0 - 1, 0), min(s0 + 1, m - 1) + 1):
-        # partition order: row s holds its m-s up cells, then its m-s-1
-        # down cells, after the s*(2m-s) cells of the rows below
-        row = s * (2 * m - s)
+        # partition order: row s holds its up cells, then its down cells
         rs = range(max(r0 - 1, s), min(r0 + 1, m - 1) + 1)
-        candidates += [row + (r - s) for r in rs]
-        candidates += [row + (m - s) + (r - s - 1) for r in rs if r > s]
-    cells = elem.partition()
-    found = []
-    for i in candidates:
-        tri = cells[i]
-        L = barycentric(tri.vertices, p)
-        if np.all(L >= -CONTAIN_TOL):
-            if not all_containing:
-                return tri
-            found.append(tri)
-    if not found:
+        candidates += [(r, s, False) for r in rs]
+        candidates += [(r, s, True) for r in rs if r > s]
+    hits = []
+    if candidates:
+        r, s, down = map(np.array, zip(*candidates))
+        corners = cell_corners(r, s, down)
+        vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
+        hits = np.flatnonzero(np.all(barycentric(vertices, p) >= -CONTAIN_TOL, axis=1))
+    if not len(hits):
         raise OutsideElement(f"point {p} lies outside the element")
-    return found
+    found = subtriangles(vertices[hits], corners[hits], down[hits])
+    return found if all_containing else found[0]
 
 
 def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:

@@ -245,22 +245,26 @@ def node_ordinal(m: int, idx: tuple[int, int]) -> int:
     return grid_ordinal(m, r, s)
 
 
+def grid_positions(frame: LocalFrame, m: int, r, s) -> np.ndarray:
+    """Local coordinates (..., 2) of grid nodes (r, s), unchecked; r and s
+    may be integer arrays of one shape.  The one node-position expression."""
+    out = np.empty(np.shape(r) + (2,))
+    out[..., 0] = (frame.a / m) * (r - s * frame.h / frame.b)
+    out[..., 1] = (s / m) * frame.h
+    return out
+
+
 def node_position(frame: LocalFrame, m: int, idx: tuple[int, int]) -> np.ndarray:
     """Local coordinates of grid node (r, s) at resolution m."""
     r, s = idx
     if not (m >= r >= s >= 0):
         raise IndexOutOfGrid(f"index {idx} outside grid of resolution {m}")
-    x = (frame.a / m) * (r - s * frame.h / frame.b)
-    y = (s / m) * frame.h
-    return np.array([x, y])
+    return grid_positions(frame, m, r, s)
 
 
 def node_positions(frame: LocalFrame, m: int) -> np.ndarray:
-    """Local coordinates (n, 2) of every grid node in `grid_indices` order,
-    with `node_position`'s float operations, so bit for bit its values."""
-    r, s = grid_index_arrays(m)
-    return np.stack([(frame.a / m) * (r - s * frame.h / frame.b),
-                     (s / m) * frame.h], axis=1)
+    """Local coordinates (n, 2) of every grid node in `grid_indices` order."""
+    return grid_positions(frame, m, *grid_index_arrays(m))
 
 
 @dataclass
@@ -304,9 +308,14 @@ def subtriangle_partition(frame: LocalFrame, m: int) -> list[SubTriangle]:
     (r,s), (r+1,s+1), (r,s+1).  Corner order matches corner_domains.
     """
     corners, down = partition_corners(m)
-    vertices = node_positions(frame, m)[grid_ordinal(m, corners[..., 0], corners[..., 1])]
+    vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
+    return subtriangles(vertices, corners, down)
+
+
+def subtriangles(vertices, corners, down) -> list[SubTriangle]:
+    """`SubTriangle`s of cells with vertices and `cell_corners` (k, 3, 2)."""
     return [SubTriangle(v, _CELL_SHAPES[d][0], tuple(map(tuple, c)), _CELL_SHAPES[d][2])
-            for v, d, c in zip(vertices, down.tolist(), corners.tolist())]
+            for v, d, c in zip(vertices, np.asarray(down).tolist(), corners.tolist())]
 
 
 def partition_corners(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +331,13 @@ def partition_corners(m: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(m * m) - s * (2 * m - s)       # place in row s
     down = j >= m - s
     r = s + j - down * (m - s - 1)
-    return np.stack([r, s], axis=-1)[:, None] + _CELL_OFFSETS[down.astype(np.intp)], down
+    return cell_corners(r, s, down), down
+
+
+def cell_corners(r, s, down) -> np.ndarray:
+    """Corner grid indices (k, 3, 2) of the up or down cells at base nodes (r, s)."""
+    offsets = _CELL_OFFSETS[np.asarray(down, dtype=np.intp)]
+    return np.stack([r, s], axis=-1)[:, None] + offsets
 
 
 # cyclic successor j and predecessor k of each vertex i
@@ -349,11 +364,12 @@ def barycentric_coeffs(vertices: np.ndarray):
 
 
 def barycentric(vertices: np.ndarray, p) -> np.ndarray:
-    """Barycentric coordinates of point(s) p in the given triangle."""
+    """Barycentric coordinates (..., 3) of points p (..., 2) in triangles
+    (..., 3, 2); their leading axes broadcast, so one triangle takes many
+    points and one point many triangles, each rounded as if alone."""
     a0, bb, cc, twoA = barycentric_coeffs(vertices)
     p = np.asarray(p, dtype=float)
-    return (a0 + p[..., :1] * bb + p[..., 1:] * cc) / twoA if p.ndim > 1 else \
-        (a0 + bb * p[0] + cc * p[1]) / twoA
+    return (a0 + p[..., :1] * bb + p[..., 1:] * cc) / twoA[..., None]
 
 
 def hexagon_domain_of(p, frame: LocalFrame, tol: float = 1e-12) -> HexDomain:
@@ -362,24 +378,13 @@ def hexagon_domain_of(p, frame: LocalFrame, tol: float = 1e-12) -> HexDomain:
     Points on shared sub-domain edges go to the lower-numbered domain;
     points outside the hexagon return OUTSIDE.
     """
-    p = np.asarray(p, dtype=float)
-    for dom in _DOMAIN_ORDER:
-        L = barycentric(frame.domain_triangle(dom), p)
-        if np.all(L >= -tol):
-            return dom
-    return HexDomain.OUTSIDE
+    return HexDomain(int(classify_points(np.reshape(p, 2), frame, tol)[0]))
 
 
 def classify_points(points: np.ndarray, frame: LocalFrame, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized hexagon classification; returns domain numbers (0 = outside)."""
+    """Vectorized hexagon classification, one closure test of all six domains;
+    returns the number of the lowest domain holding each point (0 = outside)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(len(points), dtype=int)
-    unassigned = np.ones(len(points), dtype=bool)
-    for dom in _DOMAIN_ORDER:
-        if not unassigned.any():
-            break
-        L = barycentric(frame.domain_triangle(dom), points)
-        inside = np.all(L >= -tol, axis=1) & unassigned
-        out[inside] = dom.value
-        unassigned &= ~inside
-    return out
+    L = barycentric(frame.domain_triangles(_DOMAIN_ORDER), points[:, None])
+    inside = np.all(L >= -tol, axis=-1)                     # (n, 6)
+    return np.where(inside.any(axis=1), np.argmax(inside, axis=1) + 1, 0)

@@ -285,7 +285,8 @@ def cells_basis(frames, ms, cells, points):
     from within its own cell, in one kernel call.
 
     frames, ms, cells: the element frame, resolution and SubTriangle of
-    each cell; points: (k, n, 2) element-local points of each cell.
+    each cell, a partition cell whose corner positions are read from its
+    vertices; points: (k, n, 2) element-local points of each cell.
     Returns value (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess
     (k, 3, 3, n, 3), indexed [cell, corner, family, point].  Evaluation is
     forced onto the hexagon sub-domain each corner presents to its cell,
@@ -298,8 +299,7 @@ def cells_basis(frames, ms, cells, points):
     k, n = points.shape[:2]
     triangles, i0, rel, names, scales = [], [], [], [], []
     for frame, m, tri, pts in zip(frames, ms, cells, points):
-        nodes = np.array([node_position(frame, m, idx) for idx in tri.corner_nodes])
-        rel.append(m * (pts - nodes[:, None]))
+        rel.append(m * (pts - tri.vertices[:, None]))
         triangles.append(frame.domain_triangles(tri.corner_domains))
         i0 += [frame.domain_center_vertex(d) - 1 for d in tri.corner_domains]
         names += [d.name for d in tri.corner_domains]

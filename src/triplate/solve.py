@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (GlobalSystem, _owning_element, apply_boundary_conditions,
@@ -104,14 +103,12 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     p_loc = elem.frame.to_local(p)
     tri = locate_subtriangle(elem, p_loc)
     triples = subtriangle_basis(elem.frame, elem.m, tri, p_loc)
-    a_cell = a[_cell_dofs(elem.m, [tri])[0]]
-    w = 0.0
-    grad = np.zeros(2)
-    for c, triple in enumerate(triples):
-        for comp, f in enumerate(triple.functions()):
-            w += a_cell[3 * c + comp] * float(f.value)
-            grad += a_cell[3 * c + comp] * np.asarray(f.grad, dtype=float)
-    th_loc = np.array([grad[1], -grad[0]])
+    a_cell = a[_cell_dofs(elem.m, [tri])[0]].tolist()
+    w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
+    for coef, f in zip(a_cell, [f for t in triples for f in t.functions()]):
+        gx, gy = f.grad.tolist()
+        w, dwdx, dwdy = w + coef * float(f.value), dwdx + coef * gx, dwdy + coef * gy
+    th_loc = np.array([dwdy, -dwdx])
     R = elem.frame.rotation_matrix()
     th_glob = R @ th_loc
     return float(w), float(th_glob[0]), float(th_glob[1])

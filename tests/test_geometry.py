@@ -227,6 +227,15 @@ class TestBarycentric:
                 assert g_stack[i].tobytes() == g_one.tobytes() == w.tobytes()
             assert got[3][i] == barycentric_coeffs(verts)[3] == want[3]
 
+    @pytest.mark.parametrize("k", [1, 3, 18])
+    def test_stacked_triangles_at_one_point_round_as_one(self, k, rng):
+        stacked = np.array([random_triangle(rng) for _ in range(k)])
+        for p in [*rng.uniform(-1.0, 1.0, (4, 2)), stacked[0, 1]]:
+            got = barycentric(stacked, p)
+            assert got.shape == (k, 3)
+            want = np.array([barycentric(verts, p) for verts in stacked])
+            assert got.tobytes() == want.tobytes()
+
 
 class TestHexagonDomains:
     def test_domain_triangles_round_as_one_domain(self, rng):

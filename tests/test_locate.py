@@ -7,6 +7,7 @@ all m*m cells, kept below word for word as the reference: at grid nodes
 tolerance band just outside the element and outside it, on random,
 skewed (b > h) and rotated frames.
 """
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 import triplate.element
+import triplate.geometry
+import triplate.shapefn
 import triplate.solve
 from triplate import (MRElement, OutsideElement, apply_boundary_conditions,
                       assemble, benchmark_case, canonicalize_triangle,
@@ -102,6 +105,13 @@ def _located(locate, elem, p, all_containing):
         return OutsideElement
 
 
+def _same_cell(got, want):
+    """Equal cells: vertex bytes, orientation, corner nodes and domains."""
+    return (got.vertices.tobytes() == want.vertices.tobytes()
+            and (got.orientation, got.corner_nodes, got.corner_domains)
+            == (want.orientation, want.corner_nodes, want.corner_domains))
+
+
 def _scanned(elem, p):
     # the scan's barycentric test overflows on far points; it still
     # reports them outside
@@ -122,9 +132,9 @@ def test_same_cells_as_full_scan(m, rng, unit_material):
         if want is OutsideElement:
             assert first is every is OutsideElement
         else:
-            assert first is want[0]
+            assert _same_cell(first, want[0])
             assert len(every) == len(want)
-            assert all(g is w for g, w in zip(every, want))
+            assert all(_same_cell(g, w) for g, w in zip(every, want))
             incident.add(len(want))
     # corner nodes and cell interiors have one cell, edge points two,
     # side nodes three, inner nodes six
@@ -182,6 +192,27 @@ def test_probe_bytes_match_full_scan(monkeypatch):
     assert got.tobytes() == probe().tobytes()
 
 
+def test_probes_build_no_partition(monkeypatch):
+    model = benchmark_case("square-ss").build(48)
+    sol = solve_system(apply_boundary_conditions(assemble(model)))
+
+    def no_partition(*args, **kwargs):
+        raise AssertionError("a probe built an element's cell partition")
+
+    for module in (triplate.element, triplate.geometry, triplate.shapefn):
+        monkeypatch.setattr(module, "subtriangle_partition", no_partition)
+    elem = model.elements[0]
+    node = node_position(elem.frame, 48, (30, 10))
+    for p in (node, (node + node_position(elem.frame, 48, (31, 11))) / 2,
+              node + [0.003, 0.001], elem.frame.to_local((0.5, 0.5))):
+        g = elem.frame.to_global(p)
+        assert all(map(math.isfinite, field_eval(sol, g)))
+        assert math.isfinite(moment_eval(sol, g).mx)
+        assert np.count_nonzero(element_load_point(elem, 1.0, p)) > 0
+    assert not hasattr(elem, "_parts")
+    assert "_parts" not in {f.name for f in dataclasses.fields(MRElement)}
+
+
 @pytest.mark.parametrize("where", ["node", "interior"])
 def test_cost_does_not_grow_with_m(where, unit_material, monkeypatch):
     m = 64
@@ -201,5 +232,5 @@ def test_cost_does_not_grow_with_m(where, unit_material, monkeypatch):
     for all_containing in (False, True):
         calls.clear()
         found = locate_subtriangle(elem, p, all_containing)
-        assert 0 < len(calls) <= 18
+        assert len(calls) == 1
     assert len(found) == incident

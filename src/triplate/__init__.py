@@ -21,7 +21,7 @@ from .errors import (CollinearVertices, ConfigError, DimensionMismatch,
                      NotConverged, OutsideDomain, OutsideElement,
                      OutsideModel, PermutationNotFound, QuadratureFailure,
                      SingularSystem, TriplateError, UnknownCase)
-from .geometry import (HexDomain, LocalFrame, SubTriangle, barycentric,
+from .geometry import (HexDomain, LocalFrame, barycentric,
                        canonicalize_triangle, classify_points, grid_indices,
                        grid_size, hexagon_domain_of, node_ordinal,
                        node_position, subtriangle_partition)
@@ -46,7 +46,7 @@ __all__ = [
     "IndexOutOfGrid", "NodeMismatch", "NoValidLabeling", "NotConverged",
     "OutsideDomain", "OutsideElement", "OutsideModel", "PermutationNotFound",
     "QuadratureFailure", "SingularSystem", "TriplateError", "UnknownCase",
-    "HexDomain", "LocalFrame", "SubTriangle", "barycentric",
+    "HexDomain", "LocalFrame", "barycentric",
     "canonicalize_triangle", "classify_points", "grid_indices", "grid_size",
     "hexagon_domain_of", "node_ordinal", "node_position",
     "subtriangle_partition",

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .element import (QUADRATURE_DEGREE, MRElement, _fill_basis, element_load_point,
-                      element_load_uniform, element_stiffness)
+from .element import (MRElement, _fill_basis, element_load_point, element_load_uniform,
+                      element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
 from .geometry import CONTAIN_TOL, LocalFrame, barycentric
 
@@ -187,26 +187,26 @@ def _check_edge_conformity(system: GlobalSystem):
             "but do not match its grid (differing m across a shared edge?)")
 
 
-def _owning_element(model: Model, p, all_containing: bool = False):
-    """Element(s) whose closure holds the global point p.
+def _owning_element(model: Model, p) -> list[int]:
+    """Every element whose closure holds the global point p, in model order.
 
-    With all_containing=False returns the first in model order, otherwise
-    every one in model order.  Raises OutsideModel when none does; a point
-    with a NaN or infinite coordinate lies in none.
+    All elements take one stacked closure test of p in their local axes,
+    each rounded as `to_local` and `barycentric` round it alone.  Raises
+    OutsideModel when none holds p; a point with a NaN or infinite
+    coordinate lies in none.
     """
     p = np.asarray(p, dtype=float)
-    found = []
     # skip a non-finite point: its local coordinates would be NaN
-    elements = model.elements if np.all(np.isfinite(p)) else []
-    for e, elem in enumerate(elements):
-        L = barycentric(elem.frame.local_vertices(), elem.frame.to_local(p))
-        if np.all(L >= -CONTAIN_TOL):
-            if not all_containing:
-                return e
-            found.append(e)
-    if not found:
-        raise OutsideModel(f"point {p.tolist()} lies outside every element")
-    return found
+    if np.all(np.isfinite(p)):
+        frames = [elem.frame for elem in model.elements]
+        origins = np.array([frame.origin for frame in frames])
+        R = np.array([frame.rotation_matrix() for frame in frames])
+        local = np.matmul((p - origins)[:, None], R)[:, 0]
+        L = barycentric(np.array([frame.local_vertices() for frame in frames]), local)
+        found = np.flatnonzero(np.all(L >= -CONTAIN_TOL, axis=1)).tolist()
+        if found:
+            return found
+    raise OutsideModel(f"point {p.tolist()} lies outside every element")
 
 
 def _block_diagonal(mats) -> sp.csr_matrix:
@@ -251,7 +251,7 @@ def assemble(model: Model) -> GlobalSystem:
     gdof = (3 * inverse[:, None] + np.arange(3)).ravel()
     n_dofs = 3 * len(node_coords)
 
-    _fill_basis(model.elements, QUADRATURE_DEGREE)
+    _fill_basis(model.elements)
     T = transformation_matrix([el.frame for el in model.elements], node_counts)
     K_loc = _block_diagonal([element_stiffness(el) for el in model.elements])
     # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
@@ -270,7 +270,7 @@ def assemble(model: Model) -> GlobalSystem:
     gdofs = np.split(gdof, 3 * starts)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(model, p)
+        e = _owning_element(model, p)[0]
         elem = model.elements[e]
         F_loc = element_load_point(elem, P, elem.frame.to_local(p))
         T = transformation_matrix([elem.frame], [elem.node_count])

@@ -17,7 +17,6 @@ from .errors import OutsideElement, QuadratureFailure
 from .geometry import (
     CONTAIN_TOL,
     LocalFrame,
-    SubTriangle,
     barycentric,
     canonicalize_triangle,
     cell_corners,
@@ -27,10 +26,9 @@ from .geometry import (
     grid_size,
     node_ordinal,
     node_positions,
-    partition_cell,
     partition_corners,
     subtriangle_partition,
-    subtriangles,
+    triangle_areas,
 )
 from .quadrature import triangle_rule
 from .shapefn import cells_basis, subtriangle_basis
@@ -83,7 +81,7 @@ class MRElement:
     frame: LocalFrame
     m: int
     material: PlateMaterial
-    #: (weights, N, B) of each (orientation, degree), see `_fill_basis`
+    #: (weights, N, B) of each cell orientation, see `_fill_basis`
     _basis: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -113,8 +111,9 @@ class MRElement:
     def node_positions_global(self) -> np.ndarray:
         return self.frame.to_global(self.node_positions_local())
 
-    def partition(self) -> list[SubTriangle]:
-        """Every cell as a `SubTriangle`, built anew on each call."""
+    def partition(self) -> np.ndarray:
+        """Local vertices (m*m, 3, 2) of every cell, built anew on each call;
+        `partition_corners(m)` gives their corners and orientations."""
         return subtriangle_partition(self.frame, self.m)
 
     def dof_slice(self, idx: tuple[int, int]) -> slice:
@@ -122,16 +121,14 @@ class MRElement:
         return slice(3 * k, 3 * k + 3)
 
 
-def _cell_quadrature(elem: MRElement, tri: SubTriangle, degree: int):
-    if degree < 2:
-        # the stiffness integrand is quadratic; lower rules are not exact
-        raise QuadratureFailure(
-            f"element integrals need quadrature degree >= 2, got {degree}")
-    bary, w = triangle_rule(degree)
-    pts = bary @ tri.vertices
-    if tri.area <= 0.0:
+def _cell_quadrature(vertices: np.ndarray):
+    """Points (k, npts, 2) and weights (k, npts) of the cell rule on the
+    cells with vertices (k, 3, 2)."""
+    bary, w = triangle_rule(QUADRATURE_DEGREE)
+    area = triangle_areas(vertices)
+    if np.any(area <= 0.0):
         raise QuadratureFailure("degenerate sub-triangle")
-    return pts, w * tri.area
+    return np.matmul(bary, vertices), w * area[:, None]
 
 
 def _values(value: np.ndarray) -> np.ndarray:
@@ -150,12 +147,13 @@ def _curvatures(hess: np.ndarray) -> np.ndarray:
     return hess * np.array([-1.0, -1.0, -2.0])[:, None]
 
 
-def _cells_B(elem: MRElement, cells: list[SubTriangle], pts) -> np.ndarray:
-    """(len(cells), npts, 3, 9) curvature matrices of the element's cells
-    at the same local points (npts, 2), in one kernel call."""
+def _cells_B(elem: MRElement, vertices: np.ndarray, down, pts) -> np.ndarray:
+    """(k, npts, 3, 9) curvature matrices of k cells of the element, with
+    vertices (k, 3, 2) and orientations down (k,), at the same local points
+    (npts, 2), in one kernel call."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    k = len(cells)
-    _, _, hess = cells_basis([elem.frame] * k, [elem.m] * k, cells,
+    k = len(vertices)
+    _, _, hess = cells_basis([elem.frame] * k, [elem.m] * k, vertices, down,
                              np.broadcast_to(pts, (k,) + pts.shape))
     return _curvatures(hess)
 
@@ -166,14 +164,9 @@ def _corner_dofs(m: int, corners: np.ndarray) -> np.ndarray:
     return (3 * k[:, :, None] + np.arange(3)).reshape(len(k), 9)
 
 
-def _cell_dofs(m: int, cells: list[SubTriangle]) -> np.ndarray:
-    """(n_cells, 9) element dofs of each cell's nine local dofs."""
-    return _corner_dofs(m, np.array([tri.corner_nodes for tri in cells]))
-
-
 @lru_cache(maxsize=8)
 def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
-    """`_cell_dofs` of the whole partition, its down-cell mask, and the
+    """`_corner_dofs` of the whole partition, its down-cell mask, and the
     CSR pattern of the element stiffness: the slot of each cell-matrix
     entry among the distinct (row, col) pairs in row-major order, their
     column indices, and the row pointers.  All read-only."""
@@ -190,62 +183,61 @@ def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _fill_basis(elements, degree: int) -> None:
+#: corner grid indices (2, 3, 2) of the first up and the first down cell
+_FIRST_CELLS = cell_corners(np.array([0, 1]), np.array([0, 0]), np.array([False, True]))
+
+
+def _fill_basis(elements) -> None:
     """Keep (weights, N, B) of every cell orientation of the elements.
 
     Cells of equal orientation are translates of each other, so they share
     the first such cell's rule weights, deflection rows N (npts, 9) and
     curvature matrices B (npts, 3, 9).  Each element keeps them in
-    `_basis` under (down, degree), so its stiffness and load evaluate the
+    `_basis` under its orientation, so its stiffness and load evaluate the
     basis once per orientation between them.  The first cells of the
     (element, orientation) pairs not kept yet go through `cells_basis`
     `_CHUNK` at a time: one kernel call per chunk, not one per pair.
     """
     jobs = [(elem, down) for elem in elements
             for down in ((False, True) if elem.m > 1 else (False,))
-            if (down, degree) not in elem._basis]
+            if down not in elem._basis]
     for start in range(0, len(jobs), _CHUNK):
         chunk = jobs[start:start + _CHUNK]
-        cells = [partition_cell(elem.frame, elem.m, int(down), 0, down)
-                 for elem, down in chunk]
-        rules = [_cell_quadrature(elem, tri, degree)
-                 for (elem, _), tri in zip(chunk, cells)]
+        down = [d for _, d in chunk]
+        vertices = np.array([grid_positions(elem.frame, elem.m,
+                                            *_FIRST_CELLS[int(d)].T)
+                             for elem, d in chunk])
+        pts, wq = _cell_quadrature(vertices)
         value, _, hess = cells_basis([elem.frame for elem, _ in chunk],
-                                     [elem.m for elem, _ in chunk], cells,
-                                     np.stack([pts for pts, _ in rules]))
-        for (elem, down), (_, wq), N, B in zip(chunk, rules, _values(value),
-                                                _curvatures(hess)):
-            elem._basis[(down, degree)] = wq, N, B
+                                     [elem.m for elem, _ in chunk], vertices, down, pts)
+        for (elem, d), w, N, B in zip(chunk, wq, _values(value), _curvatures(hess)):
+            elem._basis[d] = w, N, B
 
 
-def _orientation_basis(elem: MRElement, down: bool, degree: int):
+def _orientation_basis(elem: MRElement, down: bool):
     """(weights, N, B) of one cell orientation at its quadrature points,
     as `_fill_basis` keeps them."""
-    key = (down, degree)
-    if key not in elem._basis:
-        _fill_basis([elem], degree)
-    return elem._basis[key]
+    if down not in elem._basis:
+        _fill_basis([elem])
+    return elem._basis[down]
 
 
-def _per_cell(elem: MRElement, degree: int | None, integral) -> np.ndarray:
+def _per_cell(elem: MRElement, integral) -> np.ndarray:
     """integral(weights, N, B) of every cell, stacked in partition order.
 
-    The integral is computed once per orientation; degree None means
-    `QUADRATURE_DEGREE`.
+    The integral is computed once per orientation.
     """
-    degree = QUADRATURE_DEGREE if degree is None else degree
     down = _partition_dofs(elem.m)[1]
     orientations = (False, True) if elem.m > 1 else (False,)
-    per_orientation = [integral(*_orientation_basis(elem, d, degree))
-                       for d in orientations]
+    per_orientation = [integral(*_orientation_basis(elem, d)) for d in orientations]
     return np.stack(per_orientation)[down.astype(np.intp)]
 
 
-def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
+def element_stiffness(elem: MRElement) -> sp.csr_matrix:
     """Element bending stiffness (3n x 3n CSR), assembled from its cells.
 
     The integrand per cell is quadratic (second derivatives of cubics),
-    so the default `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
+    so the `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
     matrices (up and down) come from the basis kept by
     `_orientation_basis`, shared with `element_load_uniform`, and are
     scattered through the pattern `_partition_dofs` keeps per m.  Each
@@ -257,7 +249,7 @@ def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matr
         kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
         return 0.5 * (kc + kc.T)
 
-    kc = _per_cell(elem, degree, cell_stiffness)
+    kc = _per_cell(elem, cell_stiffness)
     _, _, slot, indices, indptr = _partition_dofs(elem.m)
     n = elem.dof_count
     # bincount adds in input order; the cell matrices are exactly
@@ -266,7 +258,7 @@ def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matr
                          shape=(n, n))
 
 
-def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
+def element_load_uniform(elem: MRElement, q: float) -> np.ndarray:
     """Consistent load vector for a uniform transverse pressure q.
 
     Reads the same per-orientation basis as `element_stiffness`.
@@ -274,16 +266,15 @@ def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -
     n = elem.dof_count
     if q == 0.0:
         return np.zeros(n)
-    fc = _per_cell(elem, degree, lambda wq, N, B: q * (wq @ N))
+    fc = _per_cell(elem, lambda wq, N, B: q * (wq @ N))
     dofs = _partition_dofs(elem.m)[0]
     return np.bincount(dofs.ravel(), weights=fc.ravel(), minlength=n)
 
 
-def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
-    """Sub-triangle(s) whose closure contains the local point p.
-
-    With all_containing=False returns the first match in partition order,
-    otherwise every match in partition order.
+def locate_subtriangle(elem: MRElement, p_local):
+    """Every cell whose closure contains the local point p, in partition
+    order: their vertices (j, 3, 2), corner grid indices (j, 3, 2) and
+    down-cell mask (j,), j >= 1.  Row 0 is the first match.
 
     Inverting `node_position` maps p to grid coordinates (rc, sc), in which
     the up cell (r, s) and the down cell (r, s) both lie in the unit square
@@ -294,8 +285,8 @@ def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
     partition's `grid_positions`) get one stacked closure test, rounded as
     a scan over all m*m cells rounds it, in partition order, so the
     tolerance band, the first match and the order of the matches (which
-    sets moment_eval's averaging order) are the scan's.  Only the matches
-    become `SubTriangle`s; no partition is built.
+    sets moment_eval's averaging order) are the scan's.  No partition is
+    built.
     """
     p = np.asarray(p_local, dtype=float).reshape(2)
     frame, m = elem.frame, elem.m
@@ -312,23 +303,22 @@ def locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
         rs = range(max(r0 - 1, s), min(r0 + 1, m - 1) + 1)
         candidates += [(r, s, False) for r in rs]
         candidates += [(r, s, True) for r in rs if r > s]
-    hits = []
-    if candidates:
-        r, s, down = map(np.array, zip(*candidates))
-        corners = cell_corners(r, s, down)
-        vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
-        hits = np.flatnonzero(np.all(barycentric(vertices, p) >= -CONTAIN_TOL, axis=1))
-    if not len(hits):
+    if not candidates:
         raise OutsideElement(f"point {p} lies outside the element")
-    found = subtriangles(vertices[hits], corners[hits], down[hits])
-    return found if all_containing else found[0]
+    r, s, down = map(np.array, zip(*candidates))
+    corners = cell_corners(r, s, down)
+    vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
+    hits = np.all(barycentric(vertices, p) >= -CONTAIN_TOL, axis=1)
+    if not hits.any():
+        raise OutsideElement(f"point {p} lies outside the element")
+    return vertices[hits], corners[hits], down[hits]
 
 
 def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:
     """Consistent load vector for a transverse point load P at local p."""
-    tri = locate_subtriangle(elem, p_local)
-    triples = subtriangle_basis(elem.frame, elem.m, tri, p_local)
+    vertices, corners, down = locate_subtriangle(elem, p_local)
+    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_local)
     N = np.array([f.value for triple in triples for f in triple.functions()])
     f = np.zeros(elem.dof_count)
-    f[_cell_dofs(elem.m, [tri])[0]] = P * N
+    f[_corner_dofs(elem.m, corners[:1])[0]] = P * N
     return f

@@ -267,55 +267,32 @@ def node_positions(frame: LocalFrame, m: int) -> np.ndarray:
     return grid_positions(frame, m, *grid_index_arrays(m))
 
 
-@dataclass
-class SubTriangle:
-    """One cell of the m x m refinement partition of an element."""
-
-    vertices: np.ndarray           # (3, 2) local coordinates
-    orientation: str               # "up" | "down"
-    corner_nodes: tuple[tuple[int, int], ...]   # grid indices of the corners
-    corner_domains: tuple[HexDomain, ...]       # hexagon domain seen by each corner
-
-    @property
-    def area(self) -> float:
-        e1 = self.vertices[1] - self.vertices[0]
-        e2 = self.vertices[2] - self.vertices[0]
-        return 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-
-
-#: up cells [0] and down cells [1]: orientation, (dr, ds) offsets of the
-#: corners from the cell's base node (r, s), hexagon domain of each corner
+#: up cells [0] and down cells [1]: (dr, ds) offsets of the corners from
+#: the cell's base node (r, s), and the hexagon domain each corner shows
+#: its cell
 _CELL_SHAPES = (
-    ("up", ((0, 0), (1, 0), (1, 1)), (HexDomain.D1, HexDomain.D3, HexDomain.D5)),
-    ("down", ((0, 0), (1, 1), (0, 1)), (HexDomain.D2, HexDomain.D4, HexDomain.D6)),
+    (((0, 0), (1, 0), (1, 1)), (HexDomain.D1, HexDomain.D3, HexDomain.D5)),
+    (((0, 0), (1, 1), (0, 1)), (HexDomain.D2, HexDomain.D4, HexDomain.D6)),
 )
-_CELL_OFFSETS = np.array([offsets for _, offsets, _ in _CELL_SHAPES])
+_CELL_OFFSETS = np.array([offsets for offsets, _ in _CELL_SHAPES])
 
 
-def partition_cell(frame: LocalFrame, m: int, r: int, s: int,
-                   down: bool) -> SubTriangle:
-    """The up or down cell of `subtriangle_partition` with base node (r, s)."""
-    orientation, offsets, domains = _CELL_SHAPES[down]
-    nodes = tuple((r + dr, s + ds) for dr, ds in offsets)
-    return SubTriangle(np.array([node_position(frame, m, n) for n in nodes]),
-                       orientation, nodes, domains)
-
-
-def subtriangle_partition(frame: LocalFrame, m: int) -> list[SubTriangle]:
-    """Partition the element into m*m congruent sub-triangles.
+def subtriangle_partition(frame: LocalFrame, m: int) -> np.ndarray:
+    """Local vertices (m*m, 3, 2) of the m x m congruent cells of the element.
 
     Upward cells are (r,s), (r+1,s), (r+1,s+1); downward cells are
-    (r,s), (r+1,s+1), (r,s+1).  Corner order matches corner_domains.
+    (r,s), (r+1,s+1), (r,s+1).  The corner grid indices and down-cell mask
+    of each row are `partition_corners(m)`.
     """
-    corners, down = partition_corners(m)
-    vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
-    return subtriangles(vertices, corners, down)
+    corners, _ = partition_corners(m)
+    return grid_positions(frame, m, corners[..., 0], corners[..., 1])
 
 
-def subtriangles(vertices, corners, down) -> list[SubTriangle]:
-    """`SubTriangle`s of cells with vertices and `cell_corners` (k, 3, 2)."""
-    return [SubTriangle(v, _CELL_SHAPES[d][0], tuple(map(tuple, c)), _CELL_SHAPES[d][2])
-            for v, d, c in zip(vertices, np.asarray(down).tolist(), corners.tolist())]
+def triangle_areas(vertices: np.ndarray) -> np.ndarray:
+    """Areas (k,) of triangles with vertices (k, 3, 2)."""
+    e1 = vertices[:, 1] - vertices[:, 0]
+    e2 = vertices[:, 2] - vertices[:, 0]
+    return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def partition_corners(m: int) -> tuple[np.ndarray, np.ndarray]:

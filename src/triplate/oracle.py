@@ -66,8 +66,7 @@ class EquivalenceReport:
 
 def build_equivalent_mono(model: Model) -> MonoModel:
     """Explode each element's refinement partition into m=1 elements."""
-    cells = [elem.frame.to_global(np.array([tri.vertices for tri in elem.partition()]))
-             for elem in model.elements]
+    cells = [elem.frame.to_global(elem.partition()) for elem in model.elements]
     triangles = np.concatenate(cells)
     frames = canonicalize_triangles(triangles)
     params = zip(frames.a.tolist(), frames.h.tolist(), frames.b.tolist(),
@@ -137,7 +136,7 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
                             model.uniform_q)
     for x, y, P in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(model, p)
+        e = _owning_element(model, p)[0]
         elem = model.elements[e]
         f[e] += element_load_point(elem, P, elem.frame.to_local(p))
 

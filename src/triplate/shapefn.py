@@ -17,16 +17,20 @@ import numpy as np
 
 from .errors import OutsideDomain
 from .geometry import (
+    _CELL_SHAPES,
+    _DOMAIN_TABLE,
+    _DOMAIN_UV,
     CONTAIN_TOL,
     HexDomain,
     LocalFrame,
-    SubTriangle,
     barycentric_coeffs,
     classify_points,
     grid_indices,
     node_position,
     subtriangle_partition,
+    triangle_areas,
 )
+from .quadrature import triangle_rule
 
 
 @dataclass
@@ -251,14 +255,20 @@ def full_node_eval(p, frame: LocalFrame):
     return _squeeze(tuple(outs), scalar)
 
 
-def _scale_factors(m: int):
-    """Resolution scaling of (value, grad, hess) for the (N, Nx, Ny) families.
+#: the deflection family N among (N, Nx, Ny)
+_IS_N = np.array([True, False, False])
+
+
+def _scale_factors(m):
+    """Resolution scaling of (value, grad, hess) for the (N, Nx, Ny) families,
+    each (..., 3) for a resolution m of shape (...).
 
     Rotation functions are additionally divided by m, so the nodal
     dw/dy, -dw/dx interpretation survives the scaling.
     """
-    return (np.array([1.0, 1.0 / m, 1.0 / m]), np.array([m, 1.0, 1.0]),
-            np.array([m * m, m, m], dtype=float))
+    m = np.asarray(m, dtype=float)[..., None]
+    grad = np.where(_IS_N, m, 1.0)
+    return np.where(_IS_N, 1.0, 1.0 / m), grad, m * grad
 
 
 def _scale_triple(triple, m: int) -> BasisTriple:
@@ -280,14 +290,23 @@ def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTripl
     return BasisTriple(*_squeeze(scaled.functions(), scalar))
 
 
-def cells_basis(frames, ms, cells, points):
+# per cell orientation (up 0, down 1): the (u, v) coefficients of the
+# hexagon domain each corner shows its cell, the local vertex (0-based)
+# the corner's node occupies in it, and the domain's name
+_CELL_UV = np.array([[_DOMAIN_UV[d] for d in domains] for _, domains in _CELL_SHAPES])
+_CELL_I0 = np.array([[_DOMAIN_TABLE[d][1] - 1 for d in domains]
+                     for _, domains in _CELL_SHAPES])
+_CELL_NAMES = np.array([[d.name for d in domains] for _, domains in _CELL_SHAPES])
+
+
+def cells_basis(frames, ms, vertices, down, points):
     """Scaled (N, Nx, Ny) families of the three corners of k cells, each
     from within its own cell, in one kernel call.
 
-    frames, ms, cells: the element frame, resolution and SubTriangle of
-    each cell, a partition cell whose corner positions are read from its
-    vertices; points: (k, n, 2) element-local points of each cell.
-    Returns value (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess
+    frames, ms: the element frame and resolution of each cell; vertices
+    (k, 3, 2): the cells' corner positions, in corner order; down (k,):
+    each cell's orientation; points (k, n, 2): element-local points of
+    each cell.  Returns value (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess
     (k, 3, 3, n, 3), indexed [cell, corner, family, point].  Evaluation is
     forced onto the hexagon sub-domain each corner presents to its cell,
     so points on cell edges get that cell's polynomial; a point outside it
@@ -297,30 +316,35 @@ def cells_basis(frames, ms, cells, points):
     """
     points = np.asarray(points, dtype=float)
     k, n = points.shape[:2]
-    triangles, i0, rel, names, scales = [], [], [], [], []
-    for frame, m, tri, pts in zip(frames, ms, cells, points):
-        rel.append(m * (pts - tri.vertices[:, None]))
-        triangles.append(frame.domain_triangles(tri.corner_domains))
-        i0 += [frame.domain_center_vertex(d) - 1 for d in tri.corner_domains]
-        names += [d.name for d in tri.corner_domains]
-        scales.append(_scale_factors(m))
-    value, grad, hess = _eval_triangles(np.concatenate(triangles), np.array(i0),
-                                        np.concatenate(rel), names)
-    vf, gf, hf = (np.stack(f)[:, None, :, None] for f in zip(*scales))
+    down = np.asarray(down, dtype=np.intp)
+    ms = np.asarray(ms)
+    # `LocalFrame.domain_triangles` of each corner's domain, all at once,
+    # from the node offsets u = (a, 0) and v = apex of each frame
+    uv = _CELL_UV[down]
+    offsets = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f in frames])[:, None, None]
+    triangles = uv[..., :1] * offsets[..., 0, :] + uv[..., 1:] * offsets[..., 1, :]
+    rel = ms[:, None, None, None] * (points[:, None] - vertices[:, :, None])
+    value, grad, hess = _eval_triangles(triangles.reshape(3 * k, 3, 2),
+                                        _CELL_I0[down].ravel(),
+                                        rel.reshape(3 * k, n, 2),
+                                        _CELL_NAMES[down].ravel())
+    vf, gf, hf = (f[:, None, :, None] for f in _scale_factors(ms))
     return (value.reshape(k, 3, 3, n) * vf,
             grad.reshape(k, 3, 3, n, 2) * gf[..., None],
             hess.reshape(k, 3, 3, n, 3) * hf[..., None])
 
 
-def subtriangle_basis(frame: LocalFrame, m: int, tri: SubTriangle, p) -> list[BasisTriple]:
-    """Basis triples of the three corners of a sub-triangle, from within it:
-    `cells_basis` of one cell.
+def subtriangle_basis(frame: LocalFrame, m: int, vertices, down: bool,
+                      p) -> list[BasisTriple]:
+    """Basis triples of the three corners of one cell, from within it:
+    `cells_basis` of the cell with vertices (3, 2) and orientation down.
 
     Evaluation is forced onto the hexagon sub-domain each corner presents
     to this cell, so points on cell edges get that cell's polynomial.
     """
     pts, scalar = _as_points(p)
-    value, grad, hess = cells_basis([frame], [m], [tri], pts[None])
+    value, grad, hess = cells_basis([frame], [m], np.asarray(vertices)[None],
+                                    [down], pts[None])
     at = 0 if scalar else slice(None)
     return [BasisTriple(*(ShapeEval(value[0, c, f, at], grad[0, c, f, at],
                                     hess[0, c, f, at])
@@ -339,18 +363,12 @@ def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],
     two spans are generally not nested; this reports how far from nested
     they are and asserts nothing.
     """
-    from .quadrature import triangle_rule
-
     comp = {"w": 0, "thx": 1, "thy": 2}[component]
     m2 = 2 * m
     bary, wts = triangle_rule(6)
-    pts_list = []
-    w_list = []
-    for tri in subtriangle_partition(frame, m2):
-        pts_list.append(bary @ tri.vertices)
-        w_list.append(wts * tri.area)
-    pts = np.vstack(pts_list)
-    wq = np.concatenate(w_list)
+    cells = subtriangle_partition(frame, m2)
+    pts = np.matmul(bary, cells).reshape(-1, 2)
+    wq = (wts * triangle_areas(cells)[:, None]).ravel()
 
     target = basis_eval(frame, m, idx, pts).functions()[comp].value
     cols = []

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (GlobalSystem, _owning_element, apply_boundary_conditions,
                        node_rotation)
-from .element import bending_rigidity, locate_subtriangle, _cell_dofs, _cells_B
+from .element import _cells_B, _corner_dofs, bending_rigidity, locate_subtriangle
 from .errors import NotConverged, SingularSystem
 from .shapefn import subtriangle_basis
 
@@ -97,13 +97,13 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     containing element is used; the deflection field is continuous there.
     """
     p = np.asarray(p, dtype=float)
-    e = _owning_element(sol.system.model, p)
+    e = _owning_element(sol.system.model, p)[0]
     elem = sol.system.model.elements[e]
     a = _element_local_dofs(sol, e)
     p_loc = elem.frame.to_local(p)
-    tri = locate_subtriangle(elem, p_loc)
-    triples = subtriangle_basis(elem.frame, elem.m, tri, p_loc)
-    a_cell = a[_cell_dofs(elem.m, [tri])[0]].tolist()
+    vertices, corners, down = locate_subtriangle(elem, p_loc)
+    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_loc)
+    a_cell = a[_corner_dofs(elem.m, corners[:1])[0]].tolist()
     w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
     for coef, f in zip(a_cell, [f for t in triples for f in t.functions()]):
         gx, gy = f.grad.tolist()
@@ -124,16 +124,16 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
     """
     p = np.asarray(p, dtype=float)
     collected = []
-    for e in _owning_element(sol.system.model, p, all_containing=True):
+    for e in _owning_element(sol.system.model, p):
         elem = sol.system.model.elements[e]
         D = bending_rigidity(elem.material)
         a = _element_local_dofs(sol, e)
         p_loc = elem.frame.to_local(p)
-        tris = locate_subtriangle(elem, p_loc, all_containing=True)
+        vertices, corners, down = locate_subtriangle(elem, p_loc)
         R = elem.frame.rotation_matrix()
         per_elem = []
-        for B, dofs in zip(_cells_B(elem, tris, p_loc)[:, 0],
-                           _cell_dofs(elem.m, tris)):
+        for B, dofs in zip(_cells_B(elem, vertices, down, p_loc)[:, 0],
+                           _corner_dofs(elem.m, corners)):
             kappa = B @ a[dofs]
             m_loc = D @ kappa
             Mmat = np.array([[m_loc[0], m_loc[2]], [m_loc[2], m_loc[1]]])

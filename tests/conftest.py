@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from triplate import MRElement, PlateMaterial, canonicalize_triangle
+from triplate import (MRElement, PlateMaterial, canonicalize_triangle,
+                      subtriangle_partition)
+from triplate.geometry import partition_corners
 
 
 @pytest.fixture
@@ -23,6 +25,16 @@ def random_triangle(rng, span=2.0, min_area=0.4):
         e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
         if abs(e1[0] * e2[1] - e1[1] * e2[0]) > 2.0 * min_area:
             return verts
+
+
+def partition_cells(frame, m):
+    """(vertices (3, 2), corner grid indices, down) of every cell, in
+    partition order, read from `subtriangle_partition` and
+    `partition_corners`."""
+    corners, down = partition_corners(m)
+    return list(zip(subtriangle_partition(frame, m),
+                    [tuple(map(tuple, c)) for c in corners.tolist()],
+                    down.tolist()))
 
 
 @pytest.fixture

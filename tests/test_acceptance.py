@@ -45,7 +45,7 @@ from triplate import (BCKind, BoundaryCondition, MRElement, Model,
                       run_benchmark, run_case, solve_system)
 
 import plate_reference
-from conftest import random_triangle
+from conftest import partition_cells, random_triangle
 from test_shapefn import cell_interpolate, field_dofs
 
 MATERIAL = PlateMaterial(E=10.92, t=1.0, nu=0.3)
@@ -242,12 +242,11 @@ def _criterion7_checks(rng):
         assert np.allclose(total, 1.0, atol=1e-11)
 
     def continuity():
-        from triplate import subtriangle_partition
         dofs = rng.standard_normal(3 * len(nodes))
-        tris = subtriangle_partition(frame, m)
-        pairs = [(ta, tb, sorted(set(ta.corner_nodes) & set(tb.corner_nodes)))
-                 for i, ta in enumerate(tris) for tb in tris[i + 1:]
-                 if len(set(ta.corner_nodes) & set(tb.corner_nodes)) == 2]
+        cells = partition_cells(frame, m)
+        pairs = [(ta, tb, sorted(set(ta[1]) & set(tb[1])))
+                 for i, ta in enumerate(cells) for tb in cells[i + 1:]
+                 if len(set(ta[1]) & set(tb[1])) == 2]
         for ta, tb, shared in pairs:
             p1 = node_position(frame, m, shared[0])
             p2 = node_position(frame, m, shared[1])
@@ -274,14 +273,12 @@ def _criterion7_checks(rng):
                 assert abs(f.grad[0, d] - fd) < 2e-6
 
     def quadratic_reproduction():
-        from triplate import subtriangle_partition
         fun = lambda x, y: x * x + 0.5 * x * y - y * y + x
         grad = lambda x, y: (2 * x + 0.5 * y + 1.0, 0.5 * x - 2 * y)
         dofs = field_dofs(frame, m, fun, grad)
-        for tri in subtriangle_partition(frame, m):
-            p = np.mean([node_position(frame, m, c)
-                         for c in tri.corner_nodes], axis=0)
-            val, g, hess = cell_interpolate(frame, m, tri, dofs, p)
+        for cell in partition_cells(frame, m):
+            p = np.mean([node_position(frame, m, c) for c in cell[1]], axis=0)
+            val, g, hess = cell_interpolate(frame, m, cell, dofs, p)
             assert abs(val[0] - fun(*p)) < 1e-10
             assert np.allclose(g[0], grad(*p), atol=1e-9)
             assert np.allclose(hess[0], [2.0, -2.0, 0.5], atol=1e-8)

@@ -16,14 +16,14 @@ from triplate import (BCKind, BoundaryCondition, EmptyEdge, MRElement, Model,
 import triplate.assembly
 import triplate.element
 import triplate.shapefn
-from triplate import PlateMaterial, benchmark_case, build_equivalent_mono
+from triplate import PlateMaterial, benchmark_case, build_equivalent_mono, triangle_rule
 from triplate.assembly import (_merge_nodes, _owning_element, node_rotation,
                                _segment_distance)
 from triplate.bench import CASES
-from triplate.element import (QUADRATURE_DEGREE, _cell_quadrature, _cells_B,
-                              _fill_basis, element_load_point, element_load_uniform,
-                              element_stiffness)
-from triplate.geometry import LocalFrame, partition_cell
+from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
+                              _cells_B, _fill_basis, element_load_point,
+                              element_load_uniform, element_stiffness)
+from triplate.geometry import LocalFrame, grid_positions, partition_corners
 from triplate.shapefn import cells_basis, subtriangle_basis
 
 SQUARE_EDGES = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
@@ -67,20 +67,20 @@ def dense_path_stiffness(model):
     rows, cols, data = [], [], []
     system = assemble(model)
     for elem, ids in zip(model.elements, system.element_nodes):
-        degree = QUADRATURE_DEGREE
         D = bending_rigidity(elem.material)
         n = elem.dof_count
         K = np.zeros((n, n))
         cell_k = {}
-        for tri in elem.partition():
-            if tri.orientation not in cell_k:
-                pts, wq = _cell_quadrature(elem, tri, degree)
-                B = _cells_B(elem, [tri], pts)[0]
-                kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
-                cell_k[tri.orientation] = 0.5 * (kc + kc.T)
-            dofs = [3 * node_ordinal(elem.m, idx) + c
-                    for idx in tri.corner_nodes for c in range(3)]
-            K[np.ix_(dofs, dofs)] += cell_k[tri.orientation]
+        corners, down = partition_corners(elem.m)
+        for vertices, nodes, d in zip(elem.partition(), corners.tolist(), down.tolist()):
+            if d not in cell_k:
+                pts, wq = _cell_quadrature(vertices[None])
+                B = _cells_B(elem, vertices[None], [d], pts[0])[0]
+                kc = np.einsum("q,qai,ab,qbj->ij", wq[0], B, D, B)
+                cell_k[d] = 0.5 * (kc + kc.T)
+            dofs = [3 * node_ordinal(elem.m, tuple(idx)) + c
+                    for idx in nodes for c in range(3)]
+            K[np.ix_(dofs, dofs)] += cell_k[d]
         K = 0.5 * (K + K.T)
         T = sp.kron(sp.identity(elem.node_count, format="csr"),
                     node_rotation(elem.frame), format="csr")
@@ -121,15 +121,14 @@ def per_element_assemble(model):
     rhs = np.zeros(n_dofs)
     for elem, gdof in zip(model.elements, gdofs):
         T = transformation(elem)
-        K_g = (T.T @ (element_stiffness(elem, QUADRATURE_DEGREE) @ T)).tocoo()
+        K_g = (T.T @ (element_stiffness(elem) @ T)).tocoo()
         rows.append(gdof[K_g.row])
         cols.append(gdof[K_g.col])
         data.append(K_g.data)
-        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q,
-                                                QUADRATURE_DEGREE)
+        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(model, p)
+        e = _owning_element(model, p)[0]
         elem = model.elements[e]
         rhs[gdofs[e]] += transformation(elem).T @ element_load_point(
             elem, P, elem.frame.to_local(p))
@@ -217,47 +216,58 @@ class TestMatchesPerElementAssembly:
         assert len(domains) == math.ceil(jobs / triplate.element._CHUNK) \
             == (8 if twin else 1)
         assert sum(domains) == 3 * jobs
-        assert all(len(el._basis) == (2 if el.m > 1 else 1) for el in model.elements)
+        assert all(sorted(el._basis) == ([False, True] if el.m > 1 else [False])
+                   for el in model.elements)
 
-    @pytest.mark.parametrize("degree", [2, 5])
-    def test_batched_basis_bytes_equal_one_cell_evaluation(self, degree):
+    def test_batched_basis_bytes_equal_one_cell_evaluation(self):
         # one filler call over the elements of every byte model at once:
         # mixed m, frames and materials share kernel calls
         elements = [el for build in _BYTE_MODELS.values() for el in build().elements]
         assert {el.m for el in elements} == {1, 3, 8}
-        _fill_basis(elements, degree)
+        _fill_basis(elements)
         for elem in elements:
+            cells = elem.partition()
+            corners, down_mask = partition_corners(elem.m)
             for down in ((False, True) if elem.m > 1 else (False,)):
-                tri = partition_cell(elem.frame, elem.m, int(down), 0, down)
-                pts, wq = _cell_quadrature(elem, tri, degree)
-                fs = [f for triple in subtriangle_basis(elem.frame, elem.m, tri, pts)
+                # the first cell of this orientation in partition order
+                c = int(np.argmax(down_mask == down))
+                vertices = cells[c]
+                assert corners[c].tolist() == _FIRST_CELLS[int(down)].tolist()
+                assert vertices.tobytes() == grid_positions(
+                    elem.frame, elem.m, *_FIRST_CELLS[int(down)].T).tobytes()
+                # one cell's rule, as a single cell computes it
+                bary, w = triangle_rule(QUADRATURE_DEGREE)
+                pts = bary @ vertices
+                e1, e2 = vertices[1] - vertices[0], vertices[2] - vertices[0]
+                wq = w * (0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0]))
+                fs = [f for triple in subtriangle_basis(elem.frame, elem.m, vertices,
+                                                        down, pts)
                       for f in triple.functions()]
                 N = np.stack([f.value for f in fs], axis=-1)
                 B = np.stack([f.hess for f in fs], axis=-1) \
                     * np.array([-1.0, -1.0, -2.0])[:, None]
-                for got, want in zip(elem._basis[(down, degree)], (wq, N, B)):
+                for got, want in zip(elem._basis[down], (wq, N, B)):
                     assert (got.dtype, got.shape, got.tobytes()) == \
                         (want.dtype, want.shape, want.tobytes())
 
     def test_batched_basis_keeps_its_checks(self, unit_material):
         elements = [MRElement.from_vertices([0, 0], [1, 0], [1, 1], m, unit_material)
                     for m in (1, 2)]
-        with pytest.raises(QuadratureFailure, match="degree >= 2"):
-            _fill_basis(elements, 1)
         # cells of area 0.5 * (1e-200 / 2)^2 underflow to zero
         tiny = MRElement(LocalFrame(1e-200, 1e-200, 1e-200), 2, unit_material)
         with pytest.raises(QuadratureFailure, match="degenerate sub-triangle"):
-            _fill_basis(elements + [tiny], QUADRATURE_DEGREE)
+            _fill_basis(elements + [tiny])
 
     def test_stacked_evaluation_checks_each_cell(self, unit_material):
         # a point outside the domains of the second (down) cell of a stack
         # raises, naming one of that cell's domains
         elem = MRElement.from_vertices([0, 0], [1, 0], [1, 1], 2, unit_material)
-        up, down = elem.partition()[0], elem.partition()[elem.m]
-        assert (up.orientation, down.orientation) == ("up", "down")
-        pts = np.stack([up.vertices.mean(axis=0), [10.0, 10.0]])[:, None]
+        _, down = partition_corners(elem.m)
+        assert down[[0, elem.m]].tolist() == [False, True]
+        cells = elem.partition()[[0, elem.m]]
+        pts = np.stack([cells[0].mean(axis=0), [10.0, 10.0]])[:, None]
         with pytest.raises(OutsideDomain, match="sub-domain D[246]$"):
-            cells_basis([elem.frame] * 2, [2, 2], [up, down], pts)
+            cells_basis([elem.frame] * 2, [2, 2], cells, [False, True], pts)
 
     def test_twin_assembly_memory_is_bounded(self):
         # the basis kernel holds about 1.2 KB per (domain, point) in each of

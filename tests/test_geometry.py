@@ -9,11 +9,11 @@ from triplate import (CollinearVertices, HexDomain, IndexOutOfGrid,
                       barycentric, canonicalize_triangle, grid_indices,
                       grid_size, node_ordinal, node_position,
                       subtriangle_partition)
-from triplate.geometry import (_DOMAIN_TABLE, barycentric_coeffs,
+from triplate.geometry import (_CELL_SHAPES, _DOMAIN_TABLE, barycentric_coeffs,
                                canonicalize_triangles, classify_points,
                                grid_index_arrays, grid_ordinal,
-                               hexagon_domain_of, partition_cell,
-                               partition_corners)
+                               hexagon_domain_of, partition_corners,
+                               triangle_areas)
 
 from conftest import random_triangle
 
@@ -146,49 +146,68 @@ class TestGrid:
         assert grid_ordinal(m, r, s).tolist() == list(range(grid_size(m)))
 
 
+def loop_partition(m):
+    """(corners, down) of every cell by the row loop: row s holds its m-s
+    up cells (r,s), (r+1,s), (r+1,s+1), then its m-s-1 down cells (r,s),
+    (r+1,s+1), (r,s+1)."""
+    cells = []
+    for s in range(m):
+        cells += [(((r, s), (r + 1, s), (r + 1, s + 1)), False) for r in range(s, m)]
+        cells += [(((r, s), (r + 1, s + 1), (r, s + 1)), True) for r in range(s + 1, m)]
+    return cells
+
+
 class TestPartition:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_counts_and_area(self, m, random_frame_factory):
         frame = random_frame_factory()
-        tris = subtriangle_partition(frame, m)
-        assert len(tris) == m * m
-        ups = [t for t in tris if t.orientation == "up"]
-        downs = [t for t in tris if t.orientation == "down"]
-        assert len(ups) == m * (m + 1) // 2
-        assert len(downs) == m * (m - 1) // 2
-        assert sum(t.area for t in tris) == pytest.approx(frame.area,
-                                                          rel=1e-12)
+        cells = subtriangle_partition(frame, m)
+        _, down = partition_corners(m)
+        assert cells.shape == (m * m, 3, 2)
+        assert np.count_nonzero(~down) == m * (m + 1) // 2
+        assert np.count_nonzero(down) == m * (m - 1) // 2
+        areas = triangle_areas(cells)
+        assert areas.tolist() == [_shoelace(v) for v in cells]
+        assert sum(areas) == pytest.approx(frame.area, rel=1e-12)
 
     def test_corners_match_grid(self, random_frame_factory):
         frame = random_frame_factory()
         m = 3
-        for tri in subtriangle_partition(frame, m):
-            for corner, idx in zip(tri.vertices, tri.corner_nodes):
-                assert_allclose(corner, node_position(frame, m, idx),
+        corners, _ = partition_corners(m)
+        for vertices, nodes in zip(subtriangle_partition(frame, m), corners.tolist()):
+            for corner, idx in zip(vertices, nodes):
+                assert_allclose(corner, node_position(frame, m, tuple(idx)),
                                 atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_closed_form_corners_match_partition(self, m, random_frame_factory):
         frame = random_frame_factory()
-        tris = subtriangle_partition(frame, m)
+        cells = subtriangle_partition(frame, m)
         corners, down = partition_corners(m)
-        assert corners.tolist() == [[list(n) for n in t.corner_nodes] for t in tris]
-        assert down.tolist() == [t.orientation == "down" for t in tris]
-        for t, (r, s) in zip(tris, corners[:, 0].tolist()):
-            cell = partition_cell(frame, m, r, s, t.orientation == "down")
-            assert cell.vertices.tobytes() == t.vertices.tobytes()
-            assert (cell.corner_nodes, cell.corner_domains) == \
-                (t.corner_nodes, t.corner_domains)
+        loop = loop_partition(m)
+        assert corners.tolist() == [[list(n) for n in nodes] for nodes, _ in loop]
+        assert down.tolist() == [d for _, d in loop]
+        for vertices, (nodes, d) in zip(cells, loop):
+            want = np.array([node_position(frame, m, n) for n in nodes])
+            assert vertices.tobytes() == want.tobytes()
+            # each corner sees the cell as its hexagon domain scaled by 1/m:
+            # the cell's vertices, relative to the corner and times m, are
+            # the domain's, one to one
+            for corner, dom in zip(nodes, _CELL_SHAPES[d][1]):
+                shifted = m * (vertices - node_position(frame, m, corner))
+                dist = np.linalg.norm(shifted[:, None] - frame.domain_triangle(dom),
+                                      axis=-1)
+                assert sorted(dist.argmin(axis=1).tolist()) == [0, 1, 2]
+                assert dist.min(axis=1).max() < 1e-12 * max(frame.a, frame.h)
 
     def test_partition_covers_interior(self, rng, random_frame_factory):
         frame = random_frame_factory()
-        tris = subtriangle_partition(frame, 4)
+        cells = subtriangle_partition(frame, 4)
         verts = frame.local_vertices()
         for _ in range(30):
             lam = rng.dirichlet([1.0, 1.0, 1.0])
             p = lam @ verts
-            hits = sum(bool(np.all(barycentric(t.vertices, p) >= -1e-9))
-                       for t in tris)
+            hits = sum(bool(np.all(barycentric(v, p) >= -1e-9)) for v in cells)
             assert hits >= 1
 
 

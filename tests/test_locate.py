@@ -1,11 +1,13 @@
-"""Cell location: the O(1) grid window against the full scan it replaced.
+"""Cell and element location against the scans they replaced.
 
 `locate_subtriangle` tests at most 18 cells picked by grid arithmetic.
 It must return the same cells, in the same order, as the full scan over
-all m*m cells, kept below word for word as the reference: at grid nodes
-(one to six incident cells), on cell edges, inside cells, in the 1e-9
-tolerance band just outside the element and outside it, on random,
-skewed (b > h) and rotated frames.
+all m*m cells, kept below as the reference: at grid nodes (one to six
+incident cells), on cell edges, inside cells, in the 1e-9 tolerance band
+just outside the element and outside it, on random, skewed (b > h) and
+rotated frames.  `assembly._owning_element` tests every element of a
+model in one stacked closure test; it must return the elements the
+per-element scan it replaced returns.
 """
 import dataclasses
 import math
@@ -18,35 +20,55 @@ import triplate.element
 import triplate.geometry
 import triplate.shapefn
 import triplate.solve
-from triplate import (MRElement, OutsideElement, apply_boundary_conditions,
-                      assemble, benchmark_case, canonicalize_triangle,
+from triplate import (CASES, MRElement, Model, OutsideElement, OutsideModel,
+                      apply_boundary_conditions, assemble, benchmark_case,
+                      build_equivalent_mono, canonicalize_triangle,
                       element_load_point, field_eval, grid_indices,
                       moment_eval, node_position, solve_system,
                       subtriangle_partition)
+from triplate.assembly import _owning_element
 from triplate.element import locate_subtriangle
-from triplate.geometry import barycentric
+from triplate.geometry import _CELL_SHAPES, barycentric, partition_corners
 
 from conftest import random_triangle
 
 
-# The full scan that the grid window replaced, kept word for word as the
-# reference it must reproduce.
-def scan_locate_subtriangle(elem: MRElement, p_local, all_containing: bool = False):
-    """Sub-triangle(s) whose closure contains the local point p.
-
-    With all_containing=False returns the first match in partition order.
-    """
+# The full scan that the grid window replaced, one closure test per cell,
+# kept as the reference it must reproduce.
+def scan_locate_subtriangle(elem: MRElement, p_local, first_only: bool = False):
+    """Vertices, corners and down-cell mask of every cell whose closure
+    contains the local point p, in partition order; with first_only, of
+    the first such cell alone."""
     p = np.asarray(p_local, dtype=float)
+    cells = elem.partition()
+    corners, down = partition_corners(elem.m)
     found = []
-    for tri in elem.partition():
-        L = barycentric(tri.vertices, p)
+    for c, vertices in enumerate(cells):
+        L = barycentric(vertices, p)
         # scale-free containment: tolerance on barycentric coordinates
         if np.all(L >= -1e-9):
-            if not all_containing:
-                return tri
-            found.append(tri)
+            found.append(c)
+            if first_only:
+                break
     if not found:
         raise OutsideElement(f"point {p} lies outside the element")
+    return cells[found], corners[found], down[found]
+
+
+# The per-element scan that the stacked element lookup replaced, kept word
+# for word as the reference it must reproduce.
+def scan_owning_element(model: Model, p):
+    """Every element whose closure holds the global point p, in model order."""
+    p = np.asarray(p, dtype=float)
+    found = []
+    # skip a non-finite point: its local coordinates would be NaN
+    elements = model.elements if np.all(np.isfinite(p)) else []
+    for e, elem in enumerate(elements):
+        L = barycentric(elem.frame.local_vertices(), elem.frame.to_local(p))
+        if np.all(L >= -1e-9):
+            found.append(e)
+    if not found:
+        raise OutsideModel(f"point {p.tolist()} lies outside every element")
     return found
 
 
@@ -68,16 +90,15 @@ def probe_points(frame, m, rng):
     """Local points of every kind the locator must agree on."""
     cells = subtriangle_partition(frame, m)
     pts = [node_position(frame, m, idx) for idx in grid_indices(m)]
-    for c, tri in enumerate(cells):
-        v = tri.vertices
+    for c, v in enumerate(cells):
         i, t = c % 3, rng.uniform(0.05, 0.95)
         pts.append((1.0 - t) * v[i] + t * v[(i + 1) % 3])
     # nodes and edge points after a round trip through global axes, which
     # moves them off by rounding, to either side
     pts += [frame.to_local(frame.to_global(p)) for p in pts]
-    for tri in cells:
+    for v in cells:
         w = rng.uniform(0.05, 1.0, 3)
-        pts.append(w / w.sum() @ tri.vertices)
+        pts.append(w / w.sum() @ v)
     for d in OFFSETS:
         for side in range(3):
             for t in (0.0, 0.37, 1.0):
@@ -98,25 +119,28 @@ def frame_for(m, rng):
     return canonicalize_triangle(*random_triangle(rng))
 
 
-def _located(locate, elem, p, all_containing):
+def _located(locate, elem, p, *args):
     try:
-        return locate(elem, p, all_containing)
+        return locate(elem, p, *args)
     except OutsideElement:
         return OutsideElement
 
 
-def _same_cell(got, want):
-    """Equal cells: vertex bytes, orientation, corner nodes and domains."""
-    return (got.vertices.tobytes() == want.vertices.tobytes()
-            and (got.orientation, got.corner_nodes, got.corner_domains)
-            == (want.orientation, want.corner_nodes, want.corner_domains))
+def _same_cells(got, want):
+    """Equal cell arrays: vertex bytes, corner nodes, orientation and the
+    hexagon domain each corner shows its cell."""
+    (gv, gc, gd), (wv, wc, wd) = got, want
+    return (gv.shape == wv.shape and gv.tobytes() == wv.tobytes()
+            and gc.tolist() == wc.tolist() and gd.tolist() == wd.tolist()
+            and [_CELL_SHAPES[d][1] for d in gd.tolist()]
+            == [_CELL_SHAPES[d][1] for d in wd.tolist()])
 
 
-def _scanned(elem, p):
+def _scanned(elem, p, first_only=False):
     # the scan's barycentric test overflows on far points; it still
     # reports them outside
     with np.errstate(over="ignore", invalid="ignore"):
-        return _located(scan_locate_subtriangle, elem, p, True)
+        return _located(scan_locate_subtriangle, elem, p, first_only)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -125,17 +149,15 @@ def test_same_cells_as_full_scan(m, rng, unit_material):
     elem = MRElement(frame, m, unit_material)
     incident = set()
     for p in probe_points(frame, m, rng):
-        # the scan's first match is the head of its list of matches
         want = _scanned(elem, p)
-        first = _located(locate_subtriangle, elem, p, False)
-        every = _located(locate_subtriangle, elem, p, True)
+        got = _located(locate_subtriangle, elem, p)
         if want is OutsideElement:
-            assert first is every is OutsideElement
+            assert got is want
         else:
-            assert _same_cell(first, want[0])
-            assert len(every) == len(want)
-            assert all(_same_cell(g, w) for g, w in zip(every, want))
-            incident.add(len(want))
+            assert _same_cells(got, want)
+            # row 0 is the scan's first match
+            assert _same_cells([a[:1] for a in got], _scanned(elem, p, True))
+            incident.add(len(want[0]))
     # corner nodes and cell interiors have one cell, edge points two,
     # side nodes three, inner nodes six
     assert incident == ({1}, {1, 2, 3}, {1, 2, 3, 6})[min(m, 3) - 1]
@@ -151,9 +173,8 @@ def test_non_finite_and_far_points_are_outside(p, unit_material):
     assert _scanned(elem, p) is OutsideElement
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for all_containing in (False, True):
-            with pytest.raises(OutsideElement):
-                locate_subtriangle(elem, p, all_containing)
+        with pytest.raises(OutsideElement):
+            locate_subtriangle(elem, p)
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
@@ -174,8 +195,7 @@ def test_probe_bytes_match_full_scan(monkeypatch):
     sol = solve_system(apply_boundary_conditions(assemble(model)))
     pts = []
     for el in model.elements:
-        for tri in el.partition():
-            v = tri.vertices
+        for v in el.partition():
             pts += list(el.frame.to_global([v[0], v.mean(axis=0),
                                             v[1:].mean(axis=0)]))
 
@@ -228,9 +248,54 @@ def test_cost_does_not_grow_with_m(where, unit_material, monkeypatch):
     if where == "node":
         p, incident = node_position(frame, m, (40, 20)), 6
     else:
-        p, incident = elem.partition()[3000].vertices.mean(axis=0), 1
-    for all_containing in (False, True):
-        calls.clear()
-        found = locate_subtriangle(elem, p, all_containing)
-        assert len(calls) == 1
-    assert len(found) == incident
+        p, incident = elem.partition()[3000].mean(axis=0), 1
+    vertices, corners, down = locate_subtriangle(elem, p)
+    assert len(calls) == 1
+    assert len(vertices) == len(corners) == len(down) == incident
+
+
+def element_probe_points(model):
+    """Global points of every kind the element lookup must agree on: all
+    element nodes (model corners and shared-edge nodes among them), points
+    along every element side, the same moved 1e-10 off the side to either
+    side, far and non-finite points."""
+    pts = [p for el in model.elements for p in el.node_positions_global()]
+    for el in model.elements:
+        v = el.frame.global_vertices()
+        for i in range(3):
+            p1, p2 = v[i], v[(i + 1) % 3]
+            d = p2 - p1
+            normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)
+            for t in (0.0, 0.37, 0.5, 1.0):
+                p = p1 + t * d
+                pts += [p, p + 1e-10 * normal, p - 1e-10 * normal]
+    pts += [np.array(p) for p in [(50.0, -3.0), (-1e3, 1e3), (math.nan, 0.2),
+                                  (0.2, math.nan), (math.inf, 0.0),
+                                  (-math.inf, math.inf)]]
+    return pts
+
+
+def _owners(lookup, model, p):
+    try:
+        return lookup(model, p)
+    except OutsideModel:
+        return OutsideModel
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_stacked_element_lookup_matches_scan(name):
+    model = CASES[name].build(3)
+    glob = model.elements[0].frame.to_global
+    loads = [(*glob(p), 1.0) for p in ((0.2, 0.1), (0.4, 0.0))]
+    twin = build_equivalent_mono(Model(elements=model.elements, uniform_q=1.0,
+                                       point_loads=loads, bcs=model.bcs)).model
+    for mdl, counts in ((model, {1, 2}), (twin, {1, 2, 3, 6})):
+        pts = element_probe_points(mdl) + [np.array(load[:2]) for load in loads]
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in pts:
+                got = _owners(_owning_element, mdl, p)
+                assert got == _owners(scan_owning_element, mdl, p)
+                seen.add(OutsideModel if got is OutsideModel else len(got))
+        assert seen >= counts | {OutsideModel}

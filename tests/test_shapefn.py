@@ -16,11 +16,11 @@ from triplate import (HexDomain, OutsideDomain, basis_eval,
                       canonicalize_triangle, classify_points, full_node_eval,
                       grid_indices, nesting_residual, node_ordinal,
                       node_position, split_shape_eval, subtriangle_basis,
-                      subtriangle_partition, triangle_rule)
-from triplate.geometry import barycentric_coeffs
+                      triangle_rule)
+from triplate.geometry import _CELL_SHAPES, barycentric_coeffs
 from triplate.shapefn import BasisTriple, ShapeEval
 
-from conftest import random_triangle
+from conftest import partition_cells, random_triangle
 
 FRAME = canonicalize_triangle([0.0, 0.0], [1.0, 0.0], [0.3, 0.8])
 
@@ -38,14 +38,16 @@ def field_dofs(frame, m, fun, grad):
     return np.asarray(out)
 
 
-def cell_interpolate(frame, m, tri, dofs, pts):
-    """Value, grad, hess of the interpolant at points inside one cell."""
+def cell_interpolate(frame, m, cell, dofs, pts):
+    """Value, grad, hess of the interpolant at points inside one cell
+    (vertices, corners, down)."""
+    vertices, corners, down = cell
     pts = np.atleast_2d(pts)
     val = np.zeros(len(pts))
     grad = np.zeros((len(pts), 2))
     hess = np.zeros((len(pts), 3))
-    triples = subtriangle_basis(frame, m, tri, pts)
-    for corner, triple in zip(tri.corner_nodes, triples):
+    triples = subtriangle_basis(frame, m, vertices, down, pts)
+    for corner, triple in zip(corners, triples):
         k = node_ordinal(m, corner)
         for comp, f in enumerate(triple.functions()):
             c = dofs[3 * k + comp]
@@ -99,10 +101,10 @@ class TestFieldReproduction:
         frame, m = FRAME, 3
         dofs = field_dofs(frame, m, lambda x, y: c0 + c1 * x + c2 * y,
                           lambda x, y: (c1, c2))
-        for tri in subtriangle_partition(frame, m)[::3]:
+        for cell in partition_cells(frame, m)[::3]:
             lam = rng.dirichlet([2.0, 2.0, 2.0], size=6)
-            pts = lam @ tri.vertices
-            val, grad, hess = cell_interpolate(frame, m, tri, dofs, pts)
+            pts = lam @ cell[0]
+            val, grad, hess = cell_interpolate(frame, m, cell, dofs, pts)
             assert_allclose(val, c0 + pts @ [c1, c2], atol=1e-12)
             assert_allclose(grad, np.tile([c1, c2], (len(pts), 1)),
                             atol=1e-11)
@@ -119,10 +121,10 @@ class TestFieldReproduction:
     def test_quadratic_reproduction(self, quad, grad, hess, rng):
         frame, m = FRAME, 2
         dofs = field_dofs(frame, m, quad, grad)
-        for tri in subtriangle_partition(frame, m):
+        for cell in partition_cells(frame, m):
             lam = rng.dirichlet([2.0, 2.0, 2.0], size=5)
-            pts = lam @ tri.vertices
-            val, g, h = cell_interpolate(frame, m, tri, dofs, pts)
+            pts = lam @ cell[0]
+            val, g, h = cell_interpolate(frame, m, cell, dofs, pts)
             assert_allclose(val, [quad(x, y) for x, y in pts], atol=1e-11)
             assert_allclose(g, [grad(x, y) for x, y in pts], atol=1e-10)
             assert_allclose(h, np.tile(hess, (len(pts), 1)), atol=1e-9)
@@ -130,10 +132,10 @@ class TestFieldReproduction:
 
 class TestContinuity:
     def _shared_edges(self, frame, m):
-        tris = subtriangle_partition(frame, m)
-        for i, ta in enumerate(tris):
-            for tb in tris[i + 1:]:
-                shared = set(ta.corner_nodes) & set(tb.corner_nodes)
+        cells = partition_cells(frame, m)
+        for i, ta in enumerate(cells):
+            for tb in cells[i + 1:]:
+                shared = set(ta[1]) & set(tb[1])
                 if len(shared) == 2:
                     yield ta, tb, sorted(shared)
 
@@ -155,13 +157,12 @@ class TestContinuity:
 class TestDerivativeConsistency:
     def test_against_finite_differences(self, rng):
         frame, m = FRAME, 2
-        tris = subtriangle_partition(frame, m)
         h = 1e-6
-        for tri in tris[:3]:
-            p = tri.vertices.mean(axis=0)
+        for vertices, _, down in partition_cells(frame, m)[:3]:
+            p = vertices.mean(axis=0)
             for c in range(3):
                 def get(point, comp):
-                    triple = subtriangle_basis(frame, m, tri,
+                    triple = subtriangle_basis(frame, m, vertices, down,
                                                point)[c].functions()[comp]
                     return triple
 
@@ -237,12 +238,12 @@ class TestCellPathMatchesHexagonPath:
     def test_interior_points_of_every_cell(self, m, rng, random_frame_factory):
         for _ in range(2):
             frame = random_frame_factory()
-            for tri in subtriangle_partition(frame, m):
+            for vertices, corners, down in partition_cells(frame, m):
                 # barycentric coordinates >= 0.05: clear of the cell edges
                 lam = 0.05 + 0.85 * rng.dirichlet([1.0, 1.0, 1.0], size=6)
-                pts = lam @ tri.vertices
-                cell = subtriangle_basis(frame, m, tri, pts)
-                for idx, triple in zip(tri.corner_nodes, cell):
+                pts = lam @ vertices
+                cell = subtriangle_basis(frame, m, vertices, down, pts)
+                for idx, triple in zip(corners, cell):
                     hexa = basis_eval(frame, m, idx, pts)
                     for fc, fh in zip(triple.functions(), hexa.functions()):
                         for a, b in ((fc.value, fh.value), (fc.grad, fh.grad),
@@ -382,12 +383,13 @@ def _seed_squeeze(f):
     return ShapeEval(f.value[0], f.grad[0], f.hess[0])
 
 
-def seed_subtriangle_basis(frame, m, tri, p):
+def seed_subtriangle_basis(frame, m, cell, p):
+    vertices, corners, down = cell
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 1
     pts = np.atleast_2d(p)
     out = []
-    for idx, dom in zip(tri.corner_nodes, tri.corner_domains):
+    for idx, dom in zip(corners, _CELL_SHAPES[down][1]):
         q = m * (pts - node_position(frame, m, idx))
         scaled = _seed_scale_triple(_eval_domain(dom, frame, q, check=True), m)
         if scalar:
@@ -428,13 +430,13 @@ def assert_basis_same_bytes(got, want):
         assert_same_bytes(g.functions(), w.functions())
 
 
-def cell_point_sets(tri, rng):
+def cell_point_sets(vertices, rng):
     """Quadrature points of degrees 2-5, the vertices, interior points and
     one scalar vertex: the point sets the element and the probes pass."""
-    sets = [triangle_rule(deg)[0] @ tri.vertices for deg in (2, 3, 4, 5)]
-    sets.append(tri.vertices.copy())
-    sets.append(rng.dirichlet([1.0, 1.0, 1.0], size=11) @ tri.vertices)
-    sets.append(tri.vertices[int(rng.integers(3))].copy())
+    sets = [triangle_rule(deg)[0] @ vertices for deg in (2, 3, 4, 5)]
+    sets.append(vertices.copy())
+    sets.append(rng.dirichlet([1.0, 1.0, 1.0], size=11) @ vertices)
+    sets.append(vertices[int(rng.integers(3))].copy())
     return sets
 
 
@@ -444,22 +446,24 @@ class TestSeedEvaluatorBytes:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_every_cell(self, m, rng, random_frame_factory):
         for frame in (FRAME, random_frame_factory()):
-            for tri in subtriangle_partition(frame, m):
-                for pts in cell_point_sets(tri, rng):
+            for cell in partition_cells(frame, m):
+                vertices, _, down = cell
+                for pts in cell_point_sets(vertices, rng):
                     assert_basis_same_bytes(
-                        subtriangle_basis(frame, m, tri, pts),
-                        seed_subtriangle_basis(frame, m, tri, pts))
+                        subtriangle_basis(frame, m, vertices, down, pts),
+                        seed_subtriangle_basis(frame, m, cell, pts))
 
     def test_random_frames(self, rng, random_frame_factory):
         for _ in range(40):
             frame = random_frame_factory()
             m = int(rng.integers(1, 9))
-            cells = subtriangle_partition(frame, m)
-            tri = cells[int(rng.integers(len(cells)))]
+            cells = partition_cells(frame, m)
+            cell = cells[int(rng.integers(len(cells)))]
+            vertices, _, down = cell
             pts = rng.dirichlet([1.0, 1.0, 1.0],
-                                size=int(rng.integers(1, 40))) @ tri.vertices
-            assert_basis_same_bytes(subtriangle_basis(frame, m, tri, pts),
-                                    seed_subtriangle_basis(frame, m, tri, pts))
+                                size=int(rng.integers(1, 40))) @ vertices
+            assert_basis_same_bytes(subtriangle_basis(frame, m, vertices, down, pts),
+                                    seed_subtriangle_basis(frame, m, cell, pts))
 
     def test_split_and_full_node_eval(self, rng, random_frame_factory):
         for frame in (FRAME, random_frame_factory(), random_frame_factory()):

@@ -123,17 +123,17 @@ class TestMomentEval:
         for elem in benchmark_case(name).build(m).elements:
             cells = elem.partition()
             pts = [*elem.node_positions_local(),
-                   *(0.5 * (t.vertices + t.vertices[[1, 2, 0]]) for t in cells[:6]),
-                   *(tri.vertices.mean(axis=0) for tri in cells[-4:])]
+                   *(0.5 * (v + v[[1, 2, 0]]) for v in cells[:6]),
+                   *(v.mean(axis=0) for v in cells[-4:])]
             for p in np.vstack(pts):
-                tris = locate_subtriangle(elem, p, all_containing=True)
-                got = _cells_B(elem, tris, p)
+                vertices, _, down = locate_subtriangle(elem, p)
+                got = _cells_B(elem, vertices, down, p)
                 want = np.stack([[f.hess for triple in subtriangle_basis(
-                    elem.frame, elem.m, tri, p[None]) for f in triple.functions()]
-                    for tri in tris]).transpose(0, 2, 3, 1) \
+                    elem.frame, elem.m, v, d, p[None]) for f in triple.functions()]
+                    for v, d in zip(vertices, down)]).transpose(0, 2, 3, 1) \
                     * np.array([-1.0, -1.0, -2.0])[:, None]
                 assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
-                seen.add(len(tris))
+                seen.add(len(vertices))
         assert seen == {1, 2, 3, 6}
 
     def test_one_kernel_call_per_containing_element(self, unit_material, monkeypatch):

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .element import (MRElement, _fill_basis, element_load_point, element_load_uniform,
-                      element_stiffness)
+from .element import (QUADRATURE_DEGREE, MRElement, _fill_basis, element_load_point,
+                      element_load_uniform, element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
 from .geometry import CONTAIN_TOL, LocalFrame, barycentric
 
@@ -251,7 +251,7 @@ def assemble(model: Model) -> GlobalSystem:
     gdof = (3 * inverse[:, None] + np.arange(3)).ravel()
     n_dofs = 3 * len(node_coords)
 
-    _fill_basis(model.elements)
+    _fill_basis(model.elements, QUADRATURE_DEGREE)
     T = transformation_matrix([el.frame for el in model.elements], node_counts)
     K_loc = _block_diagonal([element_stiffness(el) for el in model.elements])
     # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K

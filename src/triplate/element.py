@@ -81,7 +81,7 @@ class MRElement:
     frame: LocalFrame
     m: int
     material: PlateMaterial
-    #: (weights, N, B) of each cell orientation, see `_fill_basis`
+    #: (weights, N, B) of each (orientation, degree), see `_fill_basis`
     _basis: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -121,10 +121,14 @@ class MRElement:
         return slice(3 * k, 3 * k + 3)
 
 
-def _cell_quadrature(vertices: np.ndarray):
-    """Points (k, npts, 2) and weights (k, npts) of the cell rule on the
-    cells with vertices (k, 3, 2)."""
-    bary, w = triangle_rule(QUADRATURE_DEGREE)
+def _cell_quadrature(vertices: np.ndarray, degree: int):
+    """Points (k, npts, 2) and weights (k, npts) of the degree rule on
+    the cells with vertices (k, 3, 2)."""
+    if degree < 2:
+        # the stiffness integrand is quadratic; lower rules are not exact
+        raise QuadratureFailure(
+            f"element integrals need quadrature degree >= 2, got {degree}")
+    bary, w = triangle_rule(degree)
     area = triangle_areas(vertices)
     if np.any(area <= 0.0):
         raise QuadratureFailure("degenerate sub-triangle")
@@ -187,57 +191,61 @@ def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
 _FIRST_CELLS = cell_corners(np.array([0, 1]), np.array([0, 0]), np.array([False, True]))
 
 
-def _fill_basis(elements) -> None:
+def _fill_basis(elements, degree: int) -> None:
     """Keep (weights, N, B) of every cell orientation of the elements.
 
     Cells of equal orientation are translates of each other, so they share
     the first such cell's rule weights, deflection rows N (npts, 9) and
     curvature matrices B (npts, 3, 9).  Each element keeps them in
-    `_basis` under its orientation, so its stiffness and load evaluate the
+    `_basis` under (down, degree), so its stiffness and load evaluate the
     basis once per orientation between them.  The first cells of the
     (element, orientation) pairs not kept yet go through `cells_basis`
     `_CHUNK` at a time: one kernel call per chunk, not one per pair.
     """
     jobs = [(elem, down) for elem in elements
             for down in ((False, True) if elem.m > 1 else (False,))
-            if down not in elem._basis]
+            if (down, degree) not in elem._basis]
     for start in range(0, len(jobs), _CHUNK):
         chunk = jobs[start:start + _CHUNK]
         down = [d for _, d in chunk]
         vertices = np.array([grid_positions(elem.frame, elem.m,
                                             *_FIRST_CELLS[int(d)].T)
                              for elem, d in chunk])
-        pts, wq = _cell_quadrature(vertices)
+        pts, wq = _cell_quadrature(vertices, degree)
         value, _, hess = cells_basis([elem.frame for elem, _ in chunk],
                                      [elem.m for elem, _ in chunk], vertices, down, pts)
         for (elem, d), w, N, B in zip(chunk, wq, _values(value), _curvatures(hess)):
-            elem._basis[d] = w, N, B
+            elem._basis[(d, degree)] = w, N, B
 
 
-def _orientation_basis(elem: MRElement, down: bool):
+def _orientation_basis(elem: MRElement, down: bool, degree: int):
     """(weights, N, B) of one cell orientation at its quadrature points,
     as `_fill_basis` keeps them."""
-    if down not in elem._basis:
-        _fill_basis([elem])
-    return elem._basis[down]
+    key = (down, degree)
+    if key not in elem._basis:
+        _fill_basis([elem], degree)
+    return elem._basis[key]
 
 
-def _per_cell(elem: MRElement, integral) -> np.ndarray:
+def _per_cell(elem: MRElement, degree: int | None, integral) -> np.ndarray:
     """integral(weights, N, B) of every cell, stacked in partition order.
 
-    The integral is computed once per orientation.
+    The integral is computed once per orientation; degree None means
+    `QUADRATURE_DEGREE`.
     """
+    degree = QUADRATURE_DEGREE if degree is None else degree
     down = _partition_dofs(elem.m)[1]
     orientations = (False, True) if elem.m > 1 else (False,)
-    per_orientation = [integral(*_orientation_basis(elem, d)) for d in orientations]
+    per_orientation = [integral(*_orientation_basis(elem, d, degree))
+                       for d in orientations]
     return np.stack(per_orientation)[down.astype(np.intp)]
 
 
-def element_stiffness(elem: MRElement) -> sp.csr_matrix:
+def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
     """Element bending stiffness (3n x 3n CSR), assembled from its cells.
 
     The integrand per cell is quadratic (second derivatives of cubics),
-    so the `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
+    so the default `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
     matrices (up and down) come from the basis kept by
     `_orientation_basis`, shared with `element_load_uniform`, and are
     scattered through the pattern `_partition_dofs` keeps per m.  Each
@@ -249,7 +257,7 @@ def element_stiffness(elem: MRElement) -> sp.csr_matrix:
         kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
         return 0.5 * (kc + kc.T)
 
-    kc = _per_cell(elem, cell_stiffness)
+    kc = _per_cell(elem, degree, cell_stiffness)
     _, _, slot, indices, indptr = _partition_dofs(elem.m)
     n = elem.dof_count
     # bincount adds in input order; the cell matrices are exactly
@@ -258,7 +266,7 @@ def element_stiffness(elem: MRElement) -> sp.csr_matrix:
                          shape=(n, n))
 
 
-def element_load_uniform(elem: MRElement, q: float) -> np.ndarray:
+def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
     """Consistent load vector for a uniform transverse pressure q.
 
     Reads the same per-orientation basis as `element_stiffness`.
@@ -266,7 +274,7 @@ def element_load_uniform(elem: MRElement, q: float) -> np.ndarray:
     n = elem.dof_count
     if q == 0.0:
         return np.zeros(n)
-    fc = _per_cell(elem, lambda wq, N, B: q * (wq @ N))
+    fc = _per_cell(elem, degree, lambda wq, N, B: q * (wq @ N))
     dofs = _partition_dofs(elem.m)[0]
     return np.bincount(dofs.ravel(), weights=fc.ravel(), minlength=n)
 

@@ -61,6 +61,12 @@ _DOMAIN_ORDER = (
 )
 
 
+def domain_triangles_of(uv, u, v) -> np.ndarray:
+    """Local vertices (..., 3, 2) of hexagon sub-domains with (u, v)
+    coefficients uv (..., 3, 2), from node offsets u and v (..., 2)."""
+    return uv[..., :1] * u + uv[..., 1:] * v
+
+
 @dataclass
 class LocalFrame:
     """Canonical description of a triangular element.
@@ -126,7 +132,7 @@ class LocalFrame:
     def domain_triangles(self, domains) -> np.ndarray:
         """Local vertices (len(domains), 3, 2) of several hexagon sub-domains."""
         uv = np.array([_DOMAIN_UV[d] for d in domains])
-        return uv[..., :1] * self.u + uv[..., 1:] * self.v
+        return domain_triangles_of(uv, self.u, self.v)
 
     def domain_center_vertex(self, domain: HexDomain) -> int:
         """Local vertex index (1-based) occupied by the node at the origin."""
@@ -275,6 +281,22 @@ _CELL_SHAPES = (
     (((0, 0), (1, 1), (0, 1)), (HexDomain.D2, HexDomain.D4, HexDomain.D6)),
 )
 _CELL_OFFSETS = np.array([offsets for offsets, _ in _CELL_SHAPES])
+# per orientation, the domain each corner shows its cell: its (u, v)
+# coefficients, its `domain_center_vertex` (0-based) and its name
+_CELL_UV = np.array([[_DOMAIN_UV[d] for d in ds] for _, ds in _CELL_SHAPES])
+_CELL_I0 = np.array([[_DOMAIN_TABLE[d][1] - 1 for d in ds] for _, ds in _CELL_SHAPES])
+_CELL_NAMES = np.array([[d.name for d in ds] for _, ds in _CELL_SHAPES])
+
+
+def cell_domains(frames, down):
+    """The hexagon sub-domain each corner of k cells of the frames (k,)
+    with orientations down (k,) shows its cell: `domain_triangles` (k, 3,
+    3, 2), `domain_center_vertex` (0-based, (k, 3)) and names (k, 3)."""
+    down = np.asarray(down, dtype=np.intp)
+    # the node offsets u = (a, 0) and v = apex of each frame
+    offsets = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f in frames])[:, None, None]
+    triangles = domain_triangles_of(_CELL_UV[down], offsets[..., 0, :], offsets[..., 1, :])
+    return triangles, _CELL_I0[down], _CELL_NAMES[down]
 
 
 def subtriangle_partition(frame: LocalFrame, m: int) -> np.ndarray:

@@ -17,13 +17,11 @@ import numpy as np
 
 from .errors import OutsideDomain
 from .geometry import (
-    _CELL_SHAPES,
-    _DOMAIN_TABLE,
-    _DOMAIN_UV,
     CONTAIN_TOL,
     HexDomain,
     LocalFrame,
     barycentric_coeffs,
+    cell_domains,
     classify_points,
     grid_indices,
     node_position,
@@ -290,15 +288,6 @@ def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTripl
     return BasisTriple(*_squeeze(scaled.functions(), scalar))
 
 
-# per cell orientation (up 0, down 1): the (u, v) coefficients of the
-# hexagon domain each corner shows its cell, the local vertex (0-based)
-# the corner's node occupies in it, and the domain's name
-_CELL_UV = np.array([[_DOMAIN_UV[d] for d in domains] for _, domains in _CELL_SHAPES])
-_CELL_I0 = np.array([[_DOMAIN_TABLE[d][1] - 1 for d in domains]
-                     for _, domains in _CELL_SHAPES])
-_CELL_NAMES = np.array([[d.name for d in domains] for _, domains in _CELL_SHAPES])
-
-
 def cells_basis(frames, ms, vertices, down, points):
     """Scaled (N, Nx, Ny) families of the three corners of k cells, each
     from within its own cell, in one kernel call.
@@ -316,18 +305,11 @@ def cells_basis(frames, ms, vertices, down, points):
     """
     points = np.asarray(points, dtype=float)
     k, n = points.shape[:2]
-    down = np.asarray(down, dtype=np.intp)
     ms = np.asarray(ms)
-    # `LocalFrame.domain_triangles` of each corner's domain, all at once,
-    # from the node offsets u = (a, 0) and v = apex of each frame
-    uv = _CELL_UV[down]
-    offsets = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f in frames])[:, None, None]
-    triangles = uv[..., :1] * offsets[..., 0, :] + uv[..., 1:] * offsets[..., 1, :]
+    triangles, i0, names = cell_domains(frames, down)
     rel = ms[:, None, None, None] * (points[:, None] - vertices[:, :, None])
-    value, grad, hess = _eval_triangles(triangles.reshape(3 * k, 3, 2),
-                                        _CELL_I0[down].ravel(),
-                                        rel.reshape(3 * k, n, 2),
-                                        _CELL_NAMES[down].ravel())
+    value, grad, hess = _eval_triangles(triangles.reshape(3 * k, 3, 2), i0.ravel(),
+                                        rel.reshape(3 * k, n, 2), names.ravel())
     vf, gf, hf = (f[:, None, :, None] for f in _scale_factors(ms))
     return (value.reshape(k, 3, 3, n) * vf,
             grad.reshape(k, 3, 3, n, 2) * gf[..., None],

@@ -67,6 +67,7 @@ def dense_path_stiffness(model):
     rows, cols, data = [], [], []
     system = assemble(model)
     for elem, ids in zip(model.elements, system.element_nodes):
+        degree = QUADRATURE_DEGREE
         D = bending_rigidity(elem.material)
         n = elem.dof_count
         K = np.zeros((n, n))
@@ -74,7 +75,7 @@ def dense_path_stiffness(model):
         corners, down = partition_corners(elem.m)
         for vertices, nodes, d in zip(elem.partition(), corners.tolist(), down.tolist()):
             if d not in cell_k:
-                pts, wq = _cell_quadrature(vertices[None])
+                pts, wq = _cell_quadrature(vertices[None], degree)
                 B = _cells_B(elem, vertices[None], [d], pts[0])[0]
                 kc = np.einsum("q,qai,ab,qbj->ij", wq[0], B, D, B)
                 cell_k[d] = 0.5 * (kc + kc.T)
@@ -121,11 +122,12 @@ def per_element_assemble(model):
     rhs = np.zeros(n_dofs)
     for elem, gdof in zip(model.elements, gdofs):
         T = transformation(elem)
-        K_g = (T.T @ (element_stiffness(elem) @ T)).tocoo()
+        K_g = (T.T @ (element_stiffness(elem, QUADRATURE_DEGREE) @ T)).tocoo()
         rows.append(gdof[K_g.row])
         cols.append(gdof[K_g.col])
         data.append(K_g.data)
-        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q)
+        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q,
+                                                QUADRATURE_DEGREE)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
         e = _owning_element(model, p)[0]
@@ -216,15 +218,15 @@ class TestMatchesPerElementAssembly:
         assert len(domains) == math.ceil(jobs / triplate.element._CHUNK) \
             == (8 if twin else 1)
         assert sum(domains) == 3 * jobs
-        assert all(sorted(el._basis) == ([False, True] if el.m > 1 else [False])
-                   for el in model.elements)
+        assert all(len(el._basis) == (2 if el.m > 1 else 1) for el in model.elements)
 
-    def test_batched_basis_bytes_equal_one_cell_evaluation(self):
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_batched_basis_bytes_equal_one_cell_evaluation(self, degree):
         # one filler call over the elements of every byte model at once:
         # mixed m, frames and materials share kernel calls
         elements = [el for build in _BYTE_MODELS.values() for el in build().elements]
         assert {el.m for el in elements} == {1, 3, 8}
-        _fill_basis(elements)
+        _fill_basis(elements, degree)
         for elem in elements:
             cells = elem.partition()
             corners, down_mask = partition_corners(elem.m)
@@ -236,7 +238,7 @@ class TestMatchesPerElementAssembly:
                 assert vertices.tobytes() == grid_positions(
                     elem.frame, elem.m, *_FIRST_CELLS[int(down)].T).tobytes()
                 # one cell's rule, as a single cell computes it
-                bary, w = triangle_rule(QUADRATURE_DEGREE)
+                bary, w = triangle_rule(degree)
                 pts = bary @ vertices
                 e1, e2 = vertices[1] - vertices[0], vertices[2] - vertices[0]
                 wq = w * (0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0]))
@@ -246,17 +248,19 @@ class TestMatchesPerElementAssembly:
                 N = np.stack([f.value for f in fs], axis=-1)
                 B = np.stack([f.hess for f in fs], axis=-1) \
                     * np.array([-1.0, -1.0, -2.0])[:, None]
-                for got, want in zip(elem._basis[down], (wq, N, B)):
+                for got, want in zip(elem._basis[(down, degree)], (wq, N, B)):
                     assert (got.dtype, got.shape, got.tobytes()) == \
                         (want.dtype, want.shape, want.tobytes())
 
     def test_batched_basis_keeps_its_checks(self, unit_material):
         elements = [MRElement.from_vertices([0, 0], [1, 0], [1, 1], m, unit_material)
                     for m in (1, 2)]
+        with pytest.raises(QuadratureFailure, match="degree >= 2"):
+            _fill_basis(elements, 1)
         # cells of area 0.5 * (1e-200 / 2)^2 underflow to zero
         tiny = MRElement(LocalFrame(1e-200, 1e-200, 1e-200), 2, unit_material)
         with pytest.raises(QuadratureFailure, match="degenerate sub-triangle"):
-            _fill_basis(elements + [tiny])
+            _fill_basis(elements + [tiny], QUADRATURE_DEGREE)
 
     def test_stacked_evaluation_checks_each_cell(self, unit_material):
         # a point outside the domains of the second (down) cell of a stack

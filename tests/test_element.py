@@ -4,11 +4,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from triplate import (CollinearVertices, MRElement, PlateMaterial,
-                      bending_rigidity, element_load_point, element_load_uniform,
-                      element_stiffness, grid_indices, node_ordinal,
-                      node_position, triangle_rule)
-from triplate.element import _cells_B, _corner_dofs
-from triplate.geometry import partition_corners
+                      QuadratureFailure, bending_rigidity, element_load_point,
+                      element_load_uniform, element_stiffness, grid_indices,
+                      node_ordinal, node_position)
 
 from conftest import random_triangle
 
@@ -74,21 +72,35 @@ class TestStiffness:
         assert 0.5 * d @ K @ d == pytest.approx(expected, rel=1e-10)
 
     def test_quadrature_degree_invariance(self, element_factory):
-        # the stiffness integrand is quadratic, so the element's rule gives
-        # the matrix a degree-9 rule gives, integrated here cell by cell
         elem = element_factory(m=2)
-        D = bending_rigidity(elem.material)
-        bary, w = triangle_rule(9)
-        corners, down = partition_corners(elem.m)
-        K9 = np.zeros((elem.dof_count, elem.dof_count))
-        for vertices, nodes, d in zip(elem.partition(), corners, down):
-            B = _cells_B(elem, vertices[None], [d], bary @ vertices)[0]
-            e1, e2 = vertices[1] - vertices[0], vertices[2] - vertices[0]
-            wq = w * 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-            dofs = _corner_dofs(elem.m, nodes[None])[0]
-            K9[np.ix_(dofs, dofs)] += np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
-        K5 = element_stiffness(elem).toarray()
+        K5 = element_stiffness(elem, degree=5).toarray()
+        K9 = element_stiffness(elem, degree=9).toarray()
         assert_allclose(K5, K9, atol=1e-12 * np.abs(K5).max())
+
+    def test_kept_basis_is_per_degree(self, element_factory):
+        """An element evaluated at one degree and then another gives what a
+        fresh element gives at the second degree, bit for bit."""
+        elem = element_factory(m=3)
+        element_stiffness(elem, degree=5)
+        element_load_uniform(elem, 1.0, degree=5)
+        fresh = MRElement(elem.frame, elem.m, elem.material)
+        for degree in (2, 5):
+            K, f = element_stiffness(elem, degree), element_load_uniform(elem, 1.0, degree)
+            K0 = element_stiffness(fresh, degree)
+            f0 = element_load_uniform(fresh, 1.0, degree)
+            assert K.data.tobytes() == K0.data.tobytes()
+            assert f.tobytes() == f0.tobytes()
+            fresh = MRElement(elem.frame, elem.m, elem.material)
+        assert not np.array_equal(element_stiffness(elem, 2).data,
+                                  element_stiffness(elem, 5).data)
+
+    def test_degree_one_rule_rejected(self, element_factory):
+        # the curvature integrand is quadratic: a degree-1 rule is inexact
+        elem = element_factory(m=2)
+        with pytest.raises(QuadratureFailure, match="degree >= 2"):
+            element_stiffness(elem, degree=1)
+        with pytest.raises(QuadratureFailure, match="degree >= 2"):
+            element_load_uniform(elem, 1.0, degree=1)
 
     def test_coupling_only_between_cell_mates(self, element_factory):
         elem = element_factory(m=3)

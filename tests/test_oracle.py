@@ -164,8 +164,8 @@ class TestMutationsFail:
         assert equivalence_check(model, mono).ok
         original = triplate.assembly.element_stiffness
 
-        def scaled(elem):
-            K = original(elem)
+        def scaled(elem, degree=None):
+            K = original(elem, degree)
             return K * (1.0 + 1e-6) if elem is model.elements[1] else K
 
         monkeypatch.setattr(triplate.assembly, "element_stiffness", scaled)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +20,7 @@ from scipy.spatial import cKDTree
 from .element import (QUADRATURE_DEGREE, MRElement, _fill_basis, element_load_point,
                       element_load_uniform, element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
-from .geometry import CONTAIN_TOL, LocalFrame, barycentric
+from .geometry import CONTAIN_TOL, LocalFrame, barycentric_at, barycentric_coeffs
 
 _PAIR_TOL = 1e-10
 
@@ -111,6 +112,12 @@ class GlobalSystem:
     rhs_red: np.ndarray | None = None
     constraints: list[Constraint] = field(default_factory=list)
 
+    @cached_property
+    def element_stack(self) -> tuple:
+        """`_element_stack` of the model's elements, kept from first use:
+        the system's matrices already fix those elements."""
+        return _element_stack(self.model.elements)
+
     @property
     def n_nodes(self) -> int:
         return len(self.node_coords)
@@ -187,22 +194,29 @@ def _check_edge_conformity(system: GlobalSystem):
             "but do not match its grid (differing m across a shared edge?)")
 
 
-def _owning_element(model: Model, p) -> list[int]:
+def _element_stack(elements):
+    """Origins (E, 2), rotations (E, 2, 2) and the `barycentric_coeffs` of
+    the local vertices of the elements, stacked for `_owning_element`."""
+    frames = [elem.frame for elem in elements]
+    return (np.array([frame.origin for frame in frames]),
+            np.array([frame.rotation_matrix() for frame in frames]),
+            barycentric_coeffs(np.array([frame.local_vertices() for frame in frames])))
+
+
+def _owning_element(stack, p) -> list[int]:
     """Every element whose closure holds the global point p, in model order.
 
-    All elements take one stacked closure test of p in their local axes,
-    each rounded as `to_local` and `barycentric` round it alone.  Raises
-    OutsideModel when none holds p; a point with a NaN or infinite
-    coordinate lies in none.
+    All elements of the `_element_stack` (which each system keeps) take
+    one stacked closure test of p in their local axes, each rounded as
+    `to_local` and `barycentric` round it alone.  Raises OutsideModel when
+    none holds p; a point with a NaN or infinite coordinate lies in none.
     """
     p = np.asarray(p, dtype=float)
     # skip a non-finite point: its local coordinates would be NaN
     if np.all(np.isfinite(p)):
-        frames = [elem.frame for elem in model.elements]
-        origins = np.array([frame.origin for frame in frames])
-        R = np.array([frame.rotation_matrix() for frame in frames])
+        origins, R, coeffs = stack
         local = np.matmul((p - origins)[:, None], R)[:, 0]
-        L = barycentric(np.array([frame.local_vertices() for frame in frames]), local)
+        L = barycentric_at(coeffs, local)
         found = np.flatnonzero(np.all(L >= -CONTAIN_TOL, axis=1)).tolist()
         if found:
             return found
@@ -267,19 +281,18 @@ def assemble(model: Model) -> GlobalSystem:
     # free the stacked intermediates before the global matrix is built
     del T, K_loc, K_g, f_loc
 
+    K = sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
+    system = GlobalSystem(model=model, node_coords=node_coords,
+                          element_nodes=element_nodes, K=K, rhs=rhs, merge_tol=tol)
+
     gdofs = np.split(gdof, 3 * starts)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(model, p)[0]
+        e = _owning_element(system.element_stack, p)[0]
         elem = model.elements[e]
         F_loc = element_load_point(elem, P, elem.frame.to_local(p))
         T = transformation_matrix([elem.frame], [elem.node_count])
         rhs[gdofs[e]] += T.T @ F_loc
-
-    K = sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-
-    system = GlobalSystem(model=model, node_coords=node_coords,
-                          element_nodes=element_nodes, K=K, rhs=rhs, merge_tol=tol)
     _check_edge_conformity(system)
     return system
 

@@ -158,7 +158,7 @@ def _cells_B(elem: MRElement, vertices: np.ndarray, down, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     k = len(vertices)
     _, _, hess = cells_basis([elem.frame] * k, [elem.m] * k, vertices, down,
-                             np.broadcast_to(pts, (k,) + pts.shape))
+                             np.broadcast_to(pts, (k,) + pts.shape), grad=False)
     return _curvatures(hess)
 
 
@@ -213,7 +213,8 @@ def _fill_basis(elements, degree: int) -> None:
                              for elem, d in chunk])
         pts, wq = _cell_quadrature(vertices, degree)
         value, _, hess = cells_basis([elem.frame for elem, _ in chunk],
-                                     [elem.m for elem, _ in chunk], vertices, down, pts)
+                                     [elem.m for elem, _ in chunk], vertices, down, pts,
+                                     grad=False)
         for (elem, d), w, N, B in zip(chunk, wq, _values(value), _curvatures(hess)):
             elem._basis[(d, degree)] = w, N, B
 
@@ -279,6 +280,14 @@ def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -
     return np.bincount(dofs.ravel(), weights=fc.ravel(), minlength=n)
 
 
+#: base-node offsets (dr, ds), orientations and corner offsets of the up and
+#: down cells of the 3 x 3 window around a point's grid square, in
+#: partition order: row by row, each row's up cells before its down cells
+_WINDOW = np.array([(dr, ds) for ds in (-1, 0, 1) for _ in (0, 1) for dr in (-1, 0, 1)])
+_WINDOW_DOWN = np.tile(np.repeat([False, True], 3), 3)
+_WINDOW_CORNERS = cell_corners(*_WINDOW.T, _WINDOW_DOWN)
+
+
 def locate_subtriangle(elem: MRElement, p_local):
     """Every cell whose closure contains the local point p, in partition
     order: their vertices (j, 3, 2), corner grid indices (j, 3, 2) and
@@ -288,13 +297,14 @@ def locate_subtriangle(elem: MRElement, p_local):
     the up cell (r, s) and the down cell (r, s) both lie in the unit square
     [r, r+1] x [s, s+1].  A cell that holds p within the tolerance is
     therefore at most one grid step from (floor(rc), floor(sc)), so only
-    the up and down cells of the 3 x 3 window around it, clipped to the
-    grid, are candidates: at most 18, whatever m is.  Their vertices (the
+    the cells of the fixed `_WINDOW` around it that lie in the grid are
+    candidates: at most 18, whatever m is.  Their vertices (the
     partition's `grid_positions`) get one stacked closure test, rounded as
     a scan over all m*m cells rounds it, in partition order, so the
     tolerance band, the first match and the order of the matches (which
-    sets moment_eval's averaging order) are the scan's.  No partition is
-    built.
+    sets moment_eval's averaging order) are the scan's.  The window is one
+    table for every element and m; nothing else is kept and no partition
+    is built.
     """
     p = np.asarray(p_local, dtype=float).reshape(2)
     frame, m = elem.frame, elem.m
@@ -304,17 +314,14 @@ def locate_subtriangle(elem: MRElement, p_local):
     if not (math.isfinite(rc) and math.isfinite(sc)):
         # NaN, inf or overflow: no cell holds it, and math.floor would raise
         raise OutsideElement(f"point {p} lies outside the element")
-    r0, s0 = math.floor(rc), math.floor(sc)
-    candidates = []                  # (r, s, down) of base node (r, s)
-    for s in range(max(s0 - 1, 0), min(s0 + 1, m - 1) + 1):
-        # partition order: row s holds its up cells, then its down cells
-        rs = range(max(r0 - 1, s), min(r0 + 1, m - 1) + 1)
-        candidates += [(r, s, False) for r in rs]
-        candidates += [(r, s, True) for r in rs if r > s]
-    if not candidates:
+    # a base node beyond -2 or m + 1 puts the whole window off the grid
+    base = np.array([min(max(math.floor(c), -2), m + 1) for c in (rc, sc)])
+    r, s = (base + _WINDOW).T
+    keep = (s >= 0) & (s < m) & (r >= s + _WINDOW_DOWN) & (r < m)
+    if not keep.any():
         raise OutsideElement(f"point {p} lies outside the element")
-    r, s, down = map(np.array, zip(*candidates))
-    corners = cell_corners(r, s, down)
+    down = _WINDOW_DOWN[keep]
+    corners = base + _WINDOW_CORNERS[keep]
     vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
     hits = np.all(barycentric(vertices, p) >= -CONTAIN_TOL, axis=1)
     if not hits.any():
@@ -325,7 +332,8 @@ def locate_subtriangle(elem: MRElement, p_local):
 def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:
     """Consistent load vector for a transverse point load P at local p."""
     vertices, corners, down = locate_subtriangle(elem, p_local)
-    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_local)
+    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_local,
+                                grad=False, hess=False)
     N = np.array([f.value for triple in triples for f in triple.functions()])
     f = np.zeros(elem.dof_count)
     f[_corner_dofs(elem.m, corners[:1])[0]] = P * N

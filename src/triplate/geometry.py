@@ -81,6 +81,9 @@ class LocalFrame:
     b: float
     origin: np.ndarray = field(default_factory=lambda: np.zeros(2))
     rotation: float = 0.0
+    #: (shape (a, h, b), kernel constants, row) kept by `shapefn._cell_domains`
+    _kernel: tuple = field(default=(None, None, 0), init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
@@ -282,21 +285,11 @@ _CELL_SHAPES = (
 )
 _CELL_OFFSETS = np.array([offsets for offsets, _ in _CELL_SHAPES])
 # per orientation, the domain each corner shows its cell: its (u, v)
-# coefficients, its `domain_center_vertex` (0-based) and its name
+# coefficients, its `domain_center_vertex` (0-based) and its name, indexed
+# [down, corner]
 _CELL_UV = np.array([[_DOMAIN_UV[d] for d in ds] for _, ds in _CELL_SHAPES])
 _CELL_I0 = np.array([[_DOMAIN_TABLE[d][1] - 1 for d in ds] for _, ds in _CELL_SHAPES])
 _CELL_NAMES = np.array([[d.name for d in ds] for _, ds in _CELL_SHAPES])
-
-
-def cell_domains(frames, down):
-    """The hexagon sub-domain each corner of k cells of the frames (k,)
-    with orientations down (k,) shows its cell: `domain_triangles` (k, 3,
-    3, 2), `domain_center_vertex` (0-based, (k, 3)) and names (k, 3)."""
-    down = np.asarray(down, dtype=np.intp)
-    # the node offsets u = (a, 0) and v = apex of each frame
-    offsets = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f in frames])[:, None, None]
-    triangles = domain_triangles_of(_CELL_UV[down], offsets[..., 0, :], offsets[..., 1, :])
-    return triangles, _CELL_I0[down], _CELL_NAMES[down]
 
 
 def subtriangle_partition(frame: LocalFrame, m: int) -> np.ndarray:
@@ -366,7 +359,12 @@ def barycentric(vertices: np.ndarray, p) -> np.ndarray:
     """Barycentric coordinates (..., 3) of points p (..., 2) in triangles
     (..., 3, 2); their leading axes broadcast, so one triangle takes many
     points and one point many triangles, each rounded as if alone."""
-    a0, bb, cc, twoA = barycentric_coeffs(vertices)
+    return barycentric_at(barycentric_coeffs(vertices), p)
+
+
+def barycentric_at(coeffs, p) -> np.ndarray:
+    """`barycentric` from the triangles' `barycentric_coeffs`."""
+    a0, bb, cc, twoA = coeffs
     p = np.asarray(p, dtype=float)
     return (a0 + p[..., :1] * bb + p[..., 1:] * cc) / twoA[..., None]
 

@@ -26,13 +26,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .assembly import (GlobalSystem, Model, _merge_nodes, _owning_element,
-                       apply_boundary_conditions, assemble)
+from .assembly import (GlobalSystem, Model, _element_stack, _merge_nodes,
+                       _owning_element, apply_boundary_conditions, assemble)
 from .element import QUADRATURE_DEGREE, MRElement, bending_rigidity, element_load_point
 from .errors import PermutationNotFound
 from .geometry import CanonicalFrames, LocalFrame, canonicalize_triangles
 from .quadrature import triangle_rule
-from .shapefn import _eval_triangles
+from .shapefn import _domains, _eval_triangles
 from .solve import solve_system
 
 #: cells per basis-kernel call: keeps the kernel's temporaries near 2 MB
@@ -96,8 +96,8 @@ def _cell_integrals(local: np.ndarray, D: np.ndarray, q: float):
         # at the origin, with the node at local vertex i0 = corner
         domains = (cell[:, None] - cell[:, :, None]).reshape(3 * c, 3, 2)
         rel = np.matmul(bary, cell)[:, None] - cell[:, :, None]
-        value, _, hess = _eval_triangles(domains, np.tile(np.arange(3), c),
-                                         rel.reshape(3 * c, nq, 2))
+        value, _, hess = _eval_triangles(_domains(domains, np.tile(np.arange(3), c)),
+                                         rel.reshape(3 * c, nq, 2), grad=False)
         # dof 3*corner + family; curvatures -(w_xx, w_yy, 2 w_xy)
         N = value.reshape(c, 9, nq).transpose(0, 2, 1)
         B = (hess.reshape(c, 9, nq, 3).transpose(0, 2, 3, 1)
@@ -134,9 +134,10 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
     D_of = {key: bending_rigidity(mat) for key, mat in distinct.items()}
     kc, f = _cell_integrals(local, np.array([D_of[id(mat)] for mat in materials]),
                             model.uniform_q)
+    stack = _element_stack(model.elements) if model.point_loads else None
     for x, y, P in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(model, p)[0]
+        e = _owning_element(stack, p)[0]
         elem = model.elements[e]
         f[e] += element_load_point(elem, P, elem.frame.to_local(p))
 

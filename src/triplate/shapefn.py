@@ -17,12 +17,15 @@ import numpy as np
 
 from .errors import OutsideDomain
 from .geometry import (
+    _CELL_I0,
+    _CELL_NAMES,
+    _CELL_UV,
     CONTAIN_TOL,
     HexDomain,
     LocalFrame,
     barycentric_coeffs,
-    cell_domains,
     classify_points,
+    domain_triangles_of,
     grid_indices,
     node_position,
     subtriangle_partition,
@@ -35,7 +38,8 @@ from .quadrature import triangle_rule
 class ShapeEval:
     """Value and derivatives of one scalar shape function.
 
-    value: (...,), grad: (..., 2), hess: (..., 3) as (dxx, dyy, dxy).
+    value: (...,), grad: (..., 2), hess: (..., 3) as (dxx, dyy, dxy);
+    a derivative the evaluation did not ask for is None.
     """
 
     value: np.ndarray
@@ -113,6 +117,14 @@ _FACTOR_INDEX = np.moveaxis(
 _HESS_CHANNELS = [7, 1, 2, 1, 8, 3, 2, 3, 9]
 
 
+#: per (grad, hess) asked for, the channels evaluated (value and the
+#: ((coef * x) * y) * z channels first, the gradient's next): their
+#: _FACTOR_INDEX rows and the places of the _HESS_CHANNELS among them
+_PLANS = {(g, h): (_FACTOR_INDEX[..., ch], [ch.index(c) for c in _HESS_CHANNELS if h])
+          for g in (False, True) for h in (False, True)
+          for ch in [[0] + [1, 2, 3] * h + [4, 5, 6] * g + [7, 8, 9] * h]}
+
+
 def _coefficients(i0: np.ndarray, bb: np.ndarray, cc: np.ndarray) -> np.ndarray:
     """Term coefficients (c, 3, 5) of each domain's (N, Nx, Ny) families."""
     c = len(i0)
@@ -128,32 +140,28 @@ def _coefficients(i0: np.ndarray, bb: np.ndarray, cc: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _eval_domains(domains, frame: LocalFrame, points: np.ndarray,
-                  check: bool = False):
-    """Evaluate the nodal families of several hexagon domains of a frame.
-
-    points: (c, n, 2), node-relative coordinates for each domain.  With
-    check set, a point outside its domain raises OutsideDomain.
-    """
-    i0 = np.array([frame.domain_center_vertex(d) - 1 for d in domains])
-    return _eval_triangles(frame.domain_triangles(domains), i0, points,
-                           [d.name for d in domains] if check else None)
-
-
-def _eval_triangles(triangles: np.ndarray, i0: np.ndarray, points: np.ndarray,
-                    names=None):
-    """Evaluate the nodal families of stacked domain triangles in one pass.
-
-    triangles: (c, 3, 2) vertices of each domain, in the coordinates of
-    its points (c, n, 2); i0: (c,) local vertex (0-based) the node
-    occupies.  Returns value (c, 3, n), grad (c, 3, n, 2) and hess
-    (c, 3, n, 3) of the (N, Nx, Ny) families.  Given one name per domain,
-    a point outside its domain raises OutsideDomain naming it.  Each
-    product keeps its factor order and the terms are summed one at a time
-    in term order from +0, so the result is rounded exactly as a
-    term-by-term monomial evaluation rounds it.
-    """
+def _domains(triangles: np.ndarray, i0: np.ndarray) -> tuple:
+    """What the kernel derives from c stacked domain triangles (c, 3, 2)
+    alone, i0 (c,) being the local vertex (0-based) the node occupies:
+    `barycentric_coeffs` (a0, bb, cc, twoA), i0 and the `_coefficients`
+    (c, 3, 5, 1, 1)."""
     a0, bb, cc, twoA = barycentric_coeffs(triangles)
+    return a0, bb, cc, twoA, i0, _coefficients(i0, bb, cc)[..., None, None]
+
+
+def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
+                    grad: bool = True, hess: bool = True):
+    """The basis kernel: the (N, Nx, Ny) families of c stacked domain
+    triangles, given by their `_domains`, at points (c, n, 2) in one pass.
+
+    Returns value (c, 3, n), grad (c, 3, n, 2) and hess (c, 3, n, 3); a
+    derivative not asked for is not computed and comes back as None.
+    Given one name per domain, a point outside its domain raises
+    OutsideDomain naming it.  Each product keeps its factor order and the
+    terms are summed one at a time in term order from +0, so every result
+    is rounded exactly as a term-by-term monomial evaluation rounds it.
+    """
+    a0, bb, cc, twoA, i0, coef = domains
     L = (a0[:, None] + points[..., :1] * bb[:, None]
          + points[..., 1:] * cc[:, None]) / twoA[:, None, None]
     if names is not None:
@@ -169,14 +177,15 @@ def _eval_triangles(triangles: np.ndarray, i0: np.ndarray, points: np.ndarray,
     table[:, 3] = Lt
     np.multiply(Lt, Lt, out=table[:, 4])
     np.multiply(2.0, Lt, out=table[:, 5])
-    rows = _FACTOR_INDEX[:, i0] + 6 * 3 * np.arange(c)[:, None, None, None]
+    factor_index, at_hess = _PLANS[grad, hess]
+    j = 1 + 3 * hess            # channels of the first form; the gradient's next
+    rows = factor_index[:, i0] + 6 * 3 * np.arange(c)[:, None, None, None]
     x, y, z = table.reshape(-1, n).take(rows, axis=0)
-    coef = _coefficients(i0, bb, cc)[..., None, None]
-    terms = np.empty((c, 3, 5, 10, n))
-    np.multiply((coef * x[..., :4, :]) * y[..., :4, :], z[..., :4, :],
-                out=terms[..., :4, :])
-    np.multiply(coef * x[..., 4:, :], y[..., 4:, :] * z[..., 4:, :],
-                out=terms[..., 4:, :])
+    terms = np.empty(x.shape)
+    np.multiply((coef * x[..., :j, :]) * y[..., :j, :], z[..., :j, :],
+                out=terms[..., :j, :])
+    np.multiply(coef * x[..., j:, :], y[..., j:, :] * z[..., j:, :],
+                out=terms[..., j:, :])
     # + 0.0 turns a -0 first term into +0, as a sum started from zeros
     # does; the accumulator is then never -0, so the +-0 of padded terms
     # and of factors that vanish change nothing
@@ -189,20 +198,25 @@ def _eval_triangles(triangles: np.ndarray, i0: np.ndarray, points: np.ndarray,
     # depends on the shape of the operands
     wb = bb / twoA[:, None]
     wc = cc / twoA[:, None]
-    dL = np.ascontiguousarray(acc[:, :, 4:7].swapaxes(2, 3))
-    grad = np.concatenate([np.matmul(dL, w[:, None, :, None]) for w in (wb, wc)],
-                          axis=-1)
-    d2L = np.ascontiguousarray(acc[:, :, _HESS_CHANNELS].swapaxes(2, 3))
-    d2L = d2L.reshape(c, 3, n, 3, 3)
-    hess = np.stack([np.einsum("cfnab,ca,cb->cfn", d2L, u, v)
-                     for u, v in ((wb, wb), (wc, wc), (wb, wc))], axis=-1)
-    return acc[:, :, 0], grad, hess
+    g = h = None
+    if grad:
+        dL = np.ascontiguousarray(acc[:, :, j:j + 3].swapaxes(2, 3))
+        g = np.concatenate([np.matmul(dL, w[:, None, :, None]) for w in (wb, wc)],
+                           axis=-1)
+    if hess:
+        d2L = np.ascontiguousarray(acc[:, :, at_hess].swapaxes(2, 3))
+        d2L = d2L.reshape(c, 3, n, 3, 3)
+        h = np.stack([np.einsum("cfnab,ca,cb->cfn", d2L, u, v)
+                      for u, v in ((wb, wb), (wc, wc), (wb, wc))], axis=-1)
+    return acc[:, :, 0], g, h
 
 
 def _eval_domain(domain: HexDomain, frame: LocalFrame, points: np.ndarray,
                  check: bool = False):
     """Evaluate the domain's nodal family at points (n, 2) in node-relative coords."""
-    value, grad, hess = _eval_domains([domain], frame, points[None], check)
+    i0 = np.array([frame.domain_center_vertex(domain) - 1])
+    value, grad, hess = _eval_triangles(_domains(frame.domain_triangles([domain]), i0),
+                                        points[None], [domain.name] if check else None)
     return tuple(ShapeEval(value[0, f], grad[0, f], hess[0, f]) for f in range(3))
 
 
@@ -288,7 +302,32 @@ def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTripl
     return BasisTriple(*_squeeze(scaled.functions(), scalar))
 
 
-def cells_basis(frames, ms, vertices, down, points):
+def _cell_domains(frames, down: np.ndarray) -> tuple:
+    """`_domains` (3k, ...) of the corners of k cells of the frames with
+    orientations down (k,), as the frames keep them.
+
+    They depend on a frame's shape (a, h, b) alone, as the kernel takes
+    node-relative points scaled by m.  A frame keeps both orientations'
+    under its shape, at its row of the arrays built for all frames of one
+    call; a call whose frames do not all read one such set builds it anew
+    for them, so the constants cannot go stale.
+    """
+    first = frames[0]._kernel[1]
+    if any(f._kernel[0] != (f.a, f.h, f.b) or f._kernel[1] is not first for f in frames):
+        new = list({id(f): f for f in frames}.values())
+        # the node offsets u = (a, 0) and v = apex of each frame
+        uv = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f in new])[:, None, None, None]
+        triangles = domain_triangles_of(_CELL_UV, uv[..., 0, :], uv[..., 1, :])
+        kept = tuple(a.reshape((-1, 3) + a.shape[1:]) for a in _domains(
+            triangles.reshape(-1, 3, 2), np.tile(_CELL_I0.ravel(), len(new))))
+        for j, f in enumerate(new):
+            f._kernel = ((f.a, f.h, f.b), kept, 2 * j)
+    rows = np.array([f._kernel[2] for f in frames]) + down
+    return tuple(a[rows].reshape((-1,) + a.shape[2:]) for a in frames[0]._kernel[1])
+
+
+def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
+                hess: bool = True):
     """Scaled (N, Nx, Ny) families of the three corners of k cells, each
     from within its own cell, in one kernel call.
 
@@ -296,28 +335,29 @@ def cells_basis(frames, ms, vertices, down, points):
     (k, 3, 2): the cells' corner positions, in corner order; down (k,):
     each cell's orientation; points (k, n, 2): element-local points of
     each cell.  Returns value (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess
-    (k, 3, 3, n, 3), indexed [cell, corner, family, point].  Evaluation is
-    forced onto the hexagon sub-domain each corner presents to its cell,
-    so points on cell edges get that cell's polynomial; a point outside it
-    raises OutsideDomain.  The kernel's values and Hessians do not depend
-    on how many domains share a call, so each cell gets the value and
-    Hessian bits of evaluating it alone (`subtriangle_basis`).
+    (k, 3, 3, n, 3), indexed [cell, corner, family, point]; grad or hess
+    set False comes back as None.  Evaluation is forced onto the hexagon
+    sub-domain each corner presents to its cell, so points on cell edges
+    get that cell's polynomial; a point outside it raises OutsideDomain.
+    The kernel reads the constants each frame keeps under its shape
+    (`_cell_domains`), and its results do not depend on how many domains
+    share a call: each cell gets the bits of evaluating it alone.
     """
     points = np.asarray(points, dtype=float)
     k, n = points.shape[:2]
     ms = np.asarray(ms)
-    triangles, i0, names = cell_domains(frames, down)
+    down = np.asarray(down, dtype=np.intp)
     rel = ms[:, None, None, None] * (points[:, None] - vertices[:, :, None])
-    value, grad, hess = _eval_triangles(triangles.reshape(3 * k, 3, 2), i0.ravel(),
-                                        rel.reshape(3 * k, n, 2), names.ravel())
+    value, g, h = _eval_triangles(_cell_domains(frames, down), rel.reshape(3 * k, n, 2),
+                                  _CELL_NAMES[down].ravel(), grad=grad, hess=hess)
     vf, gf, hf = (f[:, None, :, None] for f in _scale_factors(ms))
     return (value.reshape(k, 3, 3, n) * vf,
-            grad.reshape(k, 3, 3, n, 2) * gf[..., None],
-            hess.reshape(k, 3, 3, n, 3) * hf[..., None])
+            g if g is None else g.reshape(k, 3, 3, n, 2) * gf[..., None],
+            h if h is None else h.reshape(k, 3, 3, n, 3) * hf[..., None])
 
 
-def subtriangle_basis(frame: LocalFrame, m: int, vertices, down: bool,
-                      p) -> list[BasisTriple]:
+def subtriangle_basis(frame: LocalFrame, m: int, vertices, down: bool, p, *,
+                      grad: bool = True, hess: bool = True) -> list[BasisTriple]:
     """Basis triples of the three corners of one cell, from within it:
     `cells_basis` of the cell with vertices (3, 2) and orientation down.
 
@@ -325,13 +365,12 @@ def subtriangle_basis(frame: LocalFrame, m: int, vertices, down: bool,
     to this cell, so points on cell edges get that cell's polynomial.
     """
     pts, scalar = _as_points(p)
-    value, grad, hess = cells_basis([frame], [m], np.asarray(vertices)[None],
-                                    [down], pts[None])
+    value, grad, hess = cells_basis([frame], [m], np.asarray(vertices)[None], [down],
+                                    pts[None], grad=grad, hess=hess)
     at = 0 if scalar else slice(None)
-    return [BasisTriple(*(ShapeEval(value[0, c, f, at], grad[0, c, f, at],
-                                    hess[0, c, f, at])
-                          for f in range(3)))
-            for c in range(3)]
+    skipped = [[None] * 3] * 3
+    per_corner = (skipped if d is None else d[0, :, :, at] for d in (value, grad, hess))
+    return [BasisTriple(*map(ShapeEval, *fams)) for fams in zip(*per_corner)]
 
 
 def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -25,16 +26,32 @@ class MomentTriple:
     mxy: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Solution:
-    """Solved dof vector (full, global components) plus solve metadata."""
+    """Solved dof vector (full, global components) plus solve metadata.
+
+    The probes read each element's frame-local dofs, built on the first
+    probe and kept; the solution is frozen and its dofs are read-only
+    (writing into them raises), so those cannot go stale.
+    """
 
     system: GlobalSystem
     dofs: np.ndarray
     residual: float
 
+    def __post_init__(self):
+        self.dofs.flags.writeable = False
+
     def node_dofs(self, node: int) -> np.ndarray:
         return self.dofs[3 * node: 3 * node + 3]
+
+    @cached_property
+    def _local_dofs(self) -> list[np.ndarray]:
+        """Each element's dof vector in frame-local components, cell-scatter
+        order, built on the first probe."""
+        by_node = self.dofs.reshape(-1, 3)
+        return [(by_node[nodes] @ node_rotation(elem.frame).T).ravel() for elem, nodes
+                in zip(self.system.model.elements, self.system.element_nodes)]
 
 
 def solve_system(system: GlobalSystem) -> Solution:
@@ -82,13 +99,6 @@ def reactions(sol: Solution) -> np.ndarray:
     return sol.system.K @ sol.dofs - sol.system.rhs
 
 
-def _element_local_dofs(sol: Solution, e: int) -> np.ndarray:
-    """Element dof vector in frame-local components, cell-scatter order."""
-    system = sol.system
-    lam = node_rotation(system.model.elements[e].frame)
-    return (sol.dofs.reshape(-1, 3)[system.element_nodes[e]] @ lam.T).ravel()
-
-
 def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     """Deflection and rotations (w, thx, thy) at a global point.
 
@@ -97,12 +107,13 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     containing element is used; the deflection field is continuous there.
     """
     p = np.asarray(p, dtype=float)
-    e = _owning_element(sol.system.model, p)[0]
+    e = _owning_element(sol.system.element_stack, p)[0]
     elem = sol.system.model.elements[e]
-    a = _element_local_dofs(sol, e)
+    a = sol._local_dofs[e]
     p_loc = elem.frame.to_local(p)
     vertices, corners, down = locate_subtriangle(elem, p_loc)
-    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_loc)
+    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_loc,
+                                hess=False)
     a_cell = a[_corner_dofs(elem.m, corners[:1])[0]].tolist()
     w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
     for coef, f in zip(a_cell, [f for t in triples for f in t.functions()]):
@@ -124,10 +135,10 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
     """
     p = np.asarray(p, dtype=float)
     collected = []
-    for e in _owning_element(sol.system.model, p):
+    for e in _owning_element(sol.system.element_stack, p):
         elem = sol.system.model.elements[e]
         D = bending_rigidity(elem.material)
-        a = _element_local_dofs(sol, e)
+        a = sol._local_dofs[e]
         p_loc = elem.frame.to_local(p)
         vertices, corners, down = locate_subtriangle(elem, p_loc)
         R = elem.frame.rotation_matrix()

@@ -17,8 +17,8 @@ import triplate.assembly
 import triplate.element
 import triplate.shapefn
 from triplate import PlateMaterial, benchmark_case, build_equivalent_mono, triangle_rule
-from triplate.assembly import (_merge_nodes, _owning_element, node_rotation,
-                               _segment_distance)
+from triplate.assembly import (_element_stack, _merge_nodes, _owning_element,
+                               node_rotation, _segment_distance)
 from triplate.bench import CASES
 from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
                               _cells_B, _fill_basis, element_load_point,
@@ -130,7 +130,7 @@ def per_element_assemble(model):
                                                 QUADRATURE_DEGREE)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(model, p)[0]
+        e = _owning_element(_element_stack(model.elements), p)[0]
         elem = model.elements[e]
         rhs[gdofs[e]] += transformation(elem).T @ element_load_point(
             elem, P, elem.frame.to_local(p))
@@ -204,9 +204,9 @@ class TestMatchesPerElementAssembly:
         one_cell_calls, domains = [], []
         original = triplate.shapefn._eval_triangles
 
-        def counting(triangles, *args):
-            domains.append(len(triangles))
-            return original(triangles, *args)
+        def counting(kernel_domains, *args, **kwargs):
+            domains.append(len(kernel_domains[3]))
+            return original(kernel_domains, *args, **kwargs)
 
         monkeypatch.setattr(triplate.element, "subtriangle_basis",
                             lambda *args: one_cell_calls.append(args))
@@ -277,8 +277,9 @@ class TestMatchesPerElementAssembly:
         # the basis kernel holds about 1.2 KB per (domain, point) in each of
         # several temporaries, so kernel calls are kept to a few cells.  The
         # square-ss m = 32 twin (2048 one-cell elements) peaked at 14.6 MB
-        # under tracemalloc; 128 cells per call took 24 MB and all 2048 in
-        # one call 288 MB
+        # under tracemalloc, and at 17.7 MB once every cell frame kept its
+        # kernel constants (about 1.5 KB a frame); 128 cells per call took
+        # 24 MB and all 2048 in one call 288 MB
         mono = build_equivalent_mono(benchmark_case("square-ss").build(32)).model
         assert len(mono.elements) == 2048
         tracemalloc.start()

@@ -1,0 +1,211 @@
+"""Constants that the probes and the basis filler keep between calls.
+
+Each frame keeps the kernel constants of its cell corner domains
+(`shapefn._cell_domains`), each assembled system its element stack
+(`GlobalSystem.element_stack`) and each solution its elements' frame-local
+dofs (`Solution._local_dofs`).  The kept constants must give the bits of
+building them anew, be built once, and never be shared where they differ.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+import triplate.assembly
+import triplate.shapefn
+from triplate import (CASES, Solution, apply_boundary_conditions, assemble,
+                      benchmark_case, canonicalize_triangle, field_eval, moment_eval,
+                      solve_system, subtriangle_partition)
+from triplate.geometry import _CELL_SHAPES, partition_corners
+from triplate.shapefn import (_domains, _eval_triangles, _scale_factors, cells_basis,
+                              subtriangle_basis)
+
+from conftest import random_triangle
+
+FRAME_VERTICES = [
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],            # b == h
+    [(0.0, 0.0), (1.0, 0.0), (0.9, 0.2)],            # b = 10 h
+    [(0.3, -0.2), (-0.4, 1.1), (-1.2, -0.7)],        # rotated, b > h
+]
+
+
+def fresh_cells_basis(frames, ms, vertices, down, points):
+    """`cells_basis` with its domain constants built anew from the
+    `domain_triangles` of each corner's hexagon domain, as before the
+    frames kept them."""
+    k, n = points.shape[:2]
+    ms = np.asarray(ms)
+    domains = [_CELL_SHAPES[int(d)][1] for d in down]
+    triangles = np.array([f.domain_triangles(ds) for f, ds in zip(frames, domains)])
+    i0 = np.array([f.domain_center_vertex(d) - 1 for f, ds in zip(frames, domains)
+                   for d in ds])
+    rel = ms[:, None, None, None] * (points[:, None] - vertices[:, :, None])
+    value, grad, hess = _eval_triangles(_domains(triangles.reshape(3 * k, 3, 2), i0),
+                                        rel.reshape(3 * k, n, 2),
+                                        [d.name for ds in domains for d in ds])
+    vf, gf, hf = (f[:, None, :, None] for f in _scale_factors(ms))
+    return (value.reshape(k, 3, 3, n) * vf, grad.reshape(k, 3, 3, n, 2) * gf[..., None],
+            hess.reshape(k, 3, 3, n, 3) * hf[..., None])
+
+
+def cell_points(vertices, rng):
+    """(k, 9, 2): each cell's vertices, edge midpoints and a point 0.3 of
+    the way along each edge, and three interior points."""
+    edges = vertices[:, [1, 2, 0]] - vertices
+    inside = np.matmul(rng.dirichlet([1.0, 1.0, 1.0], size=(len(vertices), 3)), vertices)
+    return np.concatenate([vertices, vertices + 0.5 * edges, vertices + 0.3 * edges,
+                           inside], axis=1)
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def mixed_cells(rng):
+    """Cells of both orientations from frames of several shapes at m = 1,
+    3 and 8, interleaved: (frames, ms, vertices, down) of each cell."""
+    cells = []
+    for verts in FRAME_VERTICES + [random_triangle(rng) for _ in range(2)]:
+        frame = canonicalize_triangle(*verts)
+        for m in (1, 3, 8):
+            _, down = partition_corners(m)
+            pick = [0, int(np.argmax(down))] if m > 1 else [0]
+            pick += list(rng.integers(m * m, size=3))
+            vertices = subtriangle_partition(frame, m)[pick]
+            cells += [(frame, m, v, d) for v, d in zip(vertices, down[pick])]
+    order = rng.permutation(len(cells))
+    return [list(x) for x in zip(*(cells[i] for i in order))]
+
+
+def test_cached_constants_bytes_equal_fresh_triangles(rng):
+    frames, ms, vertices, down = mixed_cells(rng)
+    vertices = np.array(vertices)
+    points = cell_points(vertices, rng)
+    assert set(ms) == {1, 3, 8} and set(down) == {False, True}
+    want = fresh_cells_basis(frames, ms, vertices, down, points)
+    # first call builds the constants of every frame in one pass, the second
+    # reads them; one cell at a time reads them with other cells absent
+    for _ in range(2):
+        assert_same_bytes(cells_basis(frames, ms, vertices, down, points), want)
+    for i in range(0, len(frames), 7):
+        got = cells_basis(frames[i:i + 1], ms[i:i + 1], vertices[i:i + 1],
+                          down[i:i + 1], points[i:i + 1])
+        assert_same_bytes(got, [w[i:i + 1] for w in want])
+
+
+def test_constants_from_several_passes_bytes_equal_fresh(rng):
+    # frames whose constants were built by separate calls get them built
+    # anew together when one call takes them all
+    frames, ms, vertices, down = mixed_cells(rng)
+    vertices = np.array(vertices)
+    points = cell_points(vertices, rng)
+    for i in range(0, len(frames), 4):
+        cells_basis(frames[i:i + 1], ms[i:i + 1], vertices[i:i + 1], down[i:i + 1],
+                    points[i:i + 1])
+    assert len({id(f._kernel[1]) for f in frames}) > 1
+    assert_same_bytes(cells_basis(frames, ms, vertices, down, points),
+                      fresh_cells_basis(frames, ms, vertices, down, points))
+    assert len({id(f._kernel[1]) for f in frames}) == 1
+
+
+@pytest.mark.parametrize("grad, hess", [(False, False), (True, False), (False, True)])
+def test_kernel_bytes_do_not_depend_on_derivatives_asked(grad, hess, rng):
+    frames, ms, vertices, down = mixed_cells(rng)
+    vertices = np.array(vertices)
+    points = cell_points(vertices, rng)
+    full = cells_basis(frames, ms, vertices, down, points)
+    part = cells_basis(frames, ms, vertices, down, points, grad=grad, hess=hess)
+    assert_same_bytes(part[:1], full[:1])
+    for asked, got, want in ((grad, part[1], full[1]), (hess, part[2], full[2])):
+        if asked:
+            assert_same_bytes([got], [want])
+        else:
+            assert got is None
+    triples = subtriangle_basis(frames[0], ms[0], vertices[0], down[0], points[0],
+                                grad=grad, hess=hess)
+    for c, triple in enumerate(triples):
+        for f, fam in enumerate(triple.functions()):
+            assert fam.value.tobytes() == full[0][0, c, f].tobytes()
+            for got, want, asked in ((fam.grad, full[1], grad), (fam.hess, full[2], hess)):
+                assert got.tobytes() == want[0, c, f].tobytes() if asked else got is None
+
+
+def test_frames_of_other_shape_get_other_constants():
+    a, b = (canonicalize_triangle(*v) for v in FRAME_VERTICES[:2])
+    for frame in (a, b):
+        cells = subtriangle_partition(frame, 3)[:1]
+        cells_basis([frame], [3], cells, [False], cells.mean(axis=1)[:, None])
+    assert a._kernel[0] != b._kernel[0]
+    assert not np.array_equal(a._kernel[1][1], b._kernel[1][1])
+    # a frame given a new shape builds new constants instead of reading stale ones
+    kept = a._kernel
+    a.b = 3.0 * a.b
+    cells = subtriangle_partition(a, 3)[:1]
+    got = cells_basis([a], [3], cells, [False], cells.mean(axis=1)[:, None])
+    assert a._kernel[1] is not kept[1]
+    assert_same_bytes(got, fresh_cells_basis([a], [3], cells, [False],
+                                             cells.mean(axis=1)[:, None]))
+
+
+def probe_points(sol, rng, count):
+    """Global points spread over every element of the solved model."""
+    pts = []
+    for elem in sol.system.model.elements:
+        w = rng.dirichlet([1.0, 1.0, 1.0], size=count // len(sol.system.model.elements))
+        pts += list(elem.frame.to_global(w @ elem.frame.local_vertices()))
+    return pts
+
+
+def test_probes_after_the_first_rebuild_nothing(rng, monkeypatch):
+    model = benchmark_case("skew-60").build(4)
+    sol = solve_system(apply_boundary_conditions(assemble(model)))
+    p0 = probe_points(sol, rng, 2)[0]
+    field_eval(sol, p0)
+    moment_eval(sol, p0)
+    local = sol._local_dofs
+    built = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((triplate.shapefn, "_domains"),
+                         (triplate.assembly, "_element_stack")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    pts = probe_points(sol, rng, 50)
+    assert len(pts) == 50
+    for p in pts:
+        field_eval(sol, p)
+        moment_eval(sol, p)
+    assert built == []
+    assert sol._local_dofs is local
+    # the wrappers do count: a new system of the same elements (whose basis
+    # and frame constants are kept) builds its element stack, once
+    again = solve_system(apply_boundary_conditions(assemble(model)))
+    field_eval(again, p0)
+    moment_eval(again, p0)
+    assert built == ["_element_stack"]
+
+
+def test_solutions_of_one_system_keep_their_own_local_dofs(rng):
+    sol = solve_system(apply_boundary_conditions(assemble(CASES["square-ss"].build(3))))
+    twice = Solution(sol.system, 2.0 * sol.dofs, sol.residual)
+    for p in probe_points(sol, rng, 6):
+        w, thx, thy = field_eval(sol, p)
+        assert field_eval(twice, p) == pytest.approx((2 * w, 2 * thx, 2 * thy), rel=1e-12)
+    assert len(sol._local_dofs) == len(twice._local_dofs) == len(sol.system.element_nodes)
+    for mine, other in zip(sol._local_dofs, twice._local_dofs):
+        assert np.array_equal(2.0 * mine, other)
+
+
+def test_solution_dofs_cannot_change_under_the_kept_local_dofs():
+    sol = solve_system(apply_boundary_conditions(assemble(CASES["square-ss"].build(2))))
+    field_eval(sol, (0.3, 0.2))
+    with pytest.raises(ValueError, match="read-only"):
+        sol.dofs[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.dofs = np.zeros_like(sol.dofs)

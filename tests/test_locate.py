@@ -26,7 +26,7 @@ from triplate import (CASES, MRElement, Model, OutsideElement, OutsideModel,
                       element_load_point, field_eval, grid_indices,
                       moment_eval, node_position, solve_system,
                       subtriangle_partition)
-from triplate.assembly import _owning_element
+from triplate.assembly import _element_stack, _owning_element
 from triplate.element import locate_subtriangle
 from triplate.geometry import barycentric, partition_corners
 
@@ -272,6 +272,10 @@ def element_probe_points(model):
     return pts
 
 
+def stacked_owning_element(model: Model, p):
+    return _owning_element(_element_stack(model.elements), p)
+
+
 def _owners(lookup, model, p):
     try:
         return lookup(model, p)
@@ -292,7 +296,7 @@ def test_stacked_element_lookup_matches_scan(name):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for p in pts:
-                got = _owners(_owning_element, mdl, p)
+                got = _owners(stacked_owning_element, mdl, p)
                 assert got == _owners(scan_owning_element, mdl, p)
                 seen.add(OutsideModel if got is OutsideModel else len(got))
         assert seen >= counts | {OutsideModel}

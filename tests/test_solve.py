@@ -141,9 +141,9 @@ class TestMomentEval:
         calls = []
         original = triplate.shapefn._eval_triangles
 
-        def counting(triangles, *args):
-            calls.append(len(triangles))
-            return original(triangles, *args)
+        def counting(domains, *args, **kwargs):
+            calls.append(len(domains[3]))
+            return original(domains, *args, **kwargs)
 
         monkeypatch.setattr(triplate.shapefn, "_eval_triangles", counting)
         # the centre is a node on the shared diagonal, where three cells of

@@ -26,9 +26,11 @@ _PAIR_TOL = 1e-10
 
 
 class BCKind(enum.Enum):
+    """Boundary kinds; each value is the kind's config name."""
+
     CLAMPED = "clamped"
     SIMPLY_SUPPORTED = "simply_supported"
-    SYMMETRY = "symmetry_normal_rotation_fixed"
+    SYMMETRY = "symmetry"
     FREE = "free"
 
 
@@ -37,7 +39,8 @@ class BoundaryCondition:
     """A kinematic condition applied to all nodes on a straight edge.
 
     edge: ((x1, y1), (x2, y2)) in global coordinates.  A zero-length edge
-    targets the nodes at that single point (useful to pin one node).
+    targets the nodes at that single point (useful to pin one node); a
+    symmetry edge needs nonzero length: it fixes the slope normal to it.
     hard applies only to SIMPLY_SUPPORTED: additionally fixes the
     tangential slope along the edge.
     """
@@ -52,6 +55,10 @@ class BoundaryCondition:
             raise DimensionMismatch("edge must be ((x1,y1),(x2,y2))")
         if isinstance(self.kind, str):
             self.kind = BCKind(self.kind)
+        if (self.kind == BCKind.SYMMETRY
+                and not np.linalg.norm(self.edge[1] - self.edge[0]) > 0):
+            raise DimensionMismatch(f"symmetry edge {self.edge.tolist()} has zero "
+                                    "length: its normal is undefined")
 
 
 @dataclass
@@ -89,17 +96,8 @@ def transformation_matrix(frames, node_counts) -> sp.csr_matrix:
 
 
 @dataclass
-class Constraint:
-    """One scalar constraint at a node: a fixed dof or a fixed rotation direction."""
-
-    node: int
-    component: str            # "w" | "rot"
-    direction: np.ndarray | None = None   # unit vector in (thx, thy) space
-
-
-@dataclass
 class GlobalSystem:
-    """Assembled model: node table, sparse stiffness, loads, constraints."""
+    """Assembled model: node table, sparse stiffness, loads, reduction."""
 
     model: Model
     node_coords: np.ndarray                 # (N, 2)
@@ -110,7 +108,6 @@ class GlobalSystem:
     C: sp.csr_matrix | None = None          # reduction: full = C @ reduced
     K_red: sp.csr_matrix | None = None
     rhs_red: np.ndarray | None = None
-    constraints: list[Constraint] = field(default_factory=list)
 
     @cached_property
     def element_stack(self) -> tuple:
@@ -297,81 +294,76 @@ def assemble(model: Model) -> GlobalSystem:
     return system
 
 
-def _edge_constraints(bc: BoundaryCondition, node_ids: np.ndarray) -> list[Constraint]:
-    p1, p2 = bc.edge
-    d = p2 - p1
+def _fixed_directions(bc: BoundaryCondition) -> np.ndarray:
+    """Unit (thx, thy) directions (k, 2) of the rotations bc fixes at each
+    of its nodes: (1, 0) and (0, 1) on a clamped edge, the edge's unit
+    tangent t on a symmetry edge (normal slope (thx, thy) . t = 0) and
+    (ty, -tx) on a hard simply supported edge (tangential slope = 0)."""
+    d = bc.edge[1] - bc.edge[0]
     L = float(np.linalg.norm(d))
-    t = d / L if L > 0 else np.array([1.0, 0.0])
-    out: list[Constraint] = []
-    for n in node_ids:
-        n = int(n)
-        if bc.kind == BCKind.CLAMPED:
-            out.append(Constraint(n, "w"))
-            out.append(Constraint(n, "rot", np.array([1.0, 0.0])))
-            out.append(Constraint(n, "rot", np.array([0.0, 1.0])))
-        elif bc.kind == BCKind.SIMPLY_SUPPORTED:
-            out.append(Constraint(n, "w"))
-            if bc.hard and L > 0:
-                # kill the tangential slope dw/dt = (thx, thy) . (ty, -tx)
-                out.append(Constraint(n, "rot", np.array([t[1], -t[0]])))
-        elif bc.kind == BCKind.SYMMETRY:
-            # kill the normal slope dw/dn = (thx, thy) . t
-            out.append(Constraint(n, "rot", t.copy()))
-        elif bc.kind == BCKind.FREE:
-            pass
-    return out
+    if bc.kind == BCKind.CLAMPED:
+        dirs = [(1.0, 0.0), (0.0, 1.0)]
+    elif bc.kind == BCKind.SYMMETRY:
+        dirs = [d / L]
+    elif bc.kind == BCKind.SIMPLY_SUPPORTED and bc.hard and L > 0:
+        t = d / L
+        dirs = [(t[1], -t[0])]
+    else:
+        dirs = []
+    units = [v / np.linalg.norm(v) for v in np.array(dirs, dtype=float)]
+    return np.array(units).reshape(-1, 2)
 
 
 def apply_boundary_conditions(system: GlobalSystem,
                               bcs: list[BoundaryCondition] | None = None) -> GlobalSystem:
-    """Eliminate constrained dofs; returns a system with K_red installed."""
+    """Eliminate constrained dofs; returns a system with K_red installed.
+
+    The reduction matrix C (full = C @ reduced) gives each node, in node
+    order, these columns:
+    - w, unless a clamped or simply supported edge holds the node;
+    - of the rotation pair (thx, thy), 2 columns when no edge fixes a
+      rotation direction at the node; 1 column, the unit normal to the
+      first fixed direction, when every fixed direction is parallel to
+      that one within _PAIR_TOL; 0 columns when two of them cross.
+    The fixed directions of each condition come from `_fixed_directions`.
+    """
     bcs = system.model.bcs if bcs is None else bcs
-    constraints: list[Constraint] = []
+    free_w = np.ones(system.n_nodes, dtype=bool)
+    # one row per (node, fixed direction), in condition, node, direction order
+    nodes, dirs = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 2))]
     for bc in bcs:
         dist = _segment_distance(system.node_coords, bc.edge[0], bc.edge[1])
-        ids = np.nonzero(dist <= system.merge_tol)[0]
+        ids = np.flatnonzero(dist <= system.merge_tol)
         if len(ids) == 0:
             raise EmptyEdge(f"no nodes found on edge {bc.edge.tolist()}")
-        constraints.extend(_edge_constraints(bc, ids))
+        if bc.kind in (BCKind.CLAMPED, BCKind.SIMPLY_SUPPORTED):
+            free_w[ids] = False
+        units = _fixed_directions(bc)
+        nodes.append(np.repeat(ids, len(units)))
+        dirs.append(np.tile(units, (len(ids), 1)))
+    nodes, dirs = np.concatenate(nodes), np.concatenate(dirs)
+    # a node with a direction not parallel to its first one is fully fixed
+    held, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+    cos = np.einsum("ij,ij->i", dirs, dirs[first][inverse])
+    crossing = np.abs(np.abs(cos) - 1.0) > _PAIR_TOL
+    n_rot = np.full(system.n_nodes, 2)
+    n_rot[held] = 1
+    n_rot[nodes[crossing]] = 0
 
-    fix_w = set()
-    rot_dirs: dict[int, list[np.ndarray]] = {}
-    for c in constraints:
-        if c.component == "w":
-            fix_w.add(c.node)
-        else:
-            dirs = rot_dirs.setdefault(c.node, [])
-            u = c.direction / np.linalg.norm(c.direction)
-            # parallel directions are the same constraint; keep one
-            if not any(abs(abs(u @ v) - 1.0) <= _PAIR_TOL for v in dirs):
-                dirs.append(u)
-
-    rows, cols, vals = [], [], []
-    col = 0
-    for n in range(system.n_nodes):
-        if n not in fix_w:
-            rows.append(3 * n)
-            cols.append(col)
-            vals.append(1.0)
-            col += 1
-        dirs = rot_dirs.get(n, [])
-        if len(dirs) == 0:
-            for comp in (1, 2):
-                rows.append(3 * n + comp)
-                cols.append(col)
-                vals.append(1.0)
-                col += 1
-        elif len(dirs) == 1:
-            u = dirs[0]
-            free_dir = np.array([-u[1], u[0]])
-            rows.extend([3 * n + 1, 3 * n + 2])
-            cols.extend([col, col])
-            vals.extend([free_dir[0], free_dir[1]])
-            col += 1
-        # two independent directions: rotation pair fully fixed
-
-    C = sp.coo_matrix((vals, (rows, cols)), shape=(system.n_dofs, col)).tocsr()
+    n_cols = free_w + n_rot
+    w_col = np.cumsum(n_cols) - n_cols
+    rot_col = w_col + free_w
+    w, pair = np.flatnonzero(free_w), np.flatnonzero(n_rot == 2)
+    one = n_rot[held] == 1
+    single, u = held[one], dirs[first[one]]
+    rows = np.concatenate([3 * w, 3 * pair + 1, 3 * pair + 2,
+                           3 * single + 1, 3 * single + 2])
+    cols = np.concatenate([w_col[w], rot_col[pair], rot_col[pair] + 1,
+                           rot_col[single], rot_col[single]])
+    vals = np.concatenate([np.ones(len(w) + 2 * len(pair)), -u[:, 1], u[:, 0]])
+    # one entry per row, so the CSR does not depend on the order above
+    C = sp.coo_matrix((vals, (rows, cols)),
+                      shape=(system.n_dofs, int(n_cols.sum()))).tocsr()
     K_red = (C.T @ system.K @ C).tocsr()
     rhs_red = C.T @ system.rhs
-    return replace(system, C=C, K_red=K_red, rhs_red=rhs_red,
-                   constraints=constraints)
+    return replace(system, C=C, K_red=K_red, rhs_red=rhs_red)

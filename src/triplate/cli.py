@@ -166,13 +166,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-_BC_KINDS = {
-    "clamped": BCKind.CLAMPED,
-    "simply_supported": BCKind.SIMPLY_SUPPORTED,
-    "symmetry": BCKind.SYMMETRY,
-    "free": BCKind.FREE,
-}
-
 #: bench command shorthands for groups of registry cases
 CASE_ALIASES = {
     "square": ("square-ss", "square-clamped"),
@@ -217,7 +210,7 @@ def build_model(cfg: dict, hard_ss: bool = False) -> Model:
                    for p in loads.get("point_loads", [])]
     bcs = [
         BoundaryCondition(edge=np.asarray(b["edge"], dtype=float),
-                          kind=_BC_KINDS[b["kind"]],
+                          kind=BCKind(b["kind"]),
                           hard=b.get("hard", False) or (
                               hard_ss and b["kind"] == "simply_supported"))
         for b in cfg.get("bcs", [])

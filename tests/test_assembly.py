@@ -1,4 +1,5 @@
 """Multi-element models: splicing, constraints, transformations, balance."""
+import itertools
 import math
 import re
 import tracemalloc
@@ -9,17 +10,18 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from triplate import (BCKind, BoundaryCondition, EmptyEdge, MRElement, Model,
-                      NodeMismatch, OutsideDomain, OutsideModel, QuadratureFailure,
+from triplate import (BCKind, BoundaryCondition, DimensionMismatch, EmptyEdge,
+                      MRElement, Model, NodeMismatch, OutsideDomain, OutsideModel, QuadratureFailure,
                       apply_boundary_conditions, assemble, bending_rigidity,
                       node_ordinal, reactions, solve_system)
 import triplate.assembly
 import triplate.element
 import triplate.shapefn
 from triplate import PlateMaterial, benchmark_case, build_equivalent_mono, triangle_rule
-from triplate.assembly import (_element_stack, _merge_nodes, _owning_element,
-                               node_rotation, _segment_distance)
+from triplate.assembly import (_PAIR_TOL, _element_stack, _merge_nodes,
+                               _owning_element, node_rotation, _segment_distance)
 from triplate.bench import CASES
+from triplate.cli import CONFIG_SCHEMA
 from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
                               _cells_B, _fill_basis, element_load_point,
                               element_load_uniform, element_stiffness)
@@ -429,6 +431,170 @@ class TestConstraints:
         assert system.C.shape == (27, 3)
         # reduction matrix columns are unit vectors onto free dofs
         assert_allclose(np.asarray(abs(system.C).sum(axis=0)).ravel(), 1.0)
+
+
+    @pytest.mark.parametrize("kind, free", [
+        (BCKind.SIMPLY_SUPPORTED, 27 - 1), (BCKind.FREE, 27)])
+    def test_zero_length_edge_pins_w_or_nothing(self, unit_material, kind, free):
+        for hard in (False, True):
+            model = square_model(2, unit_material, kind=kind,
+                                 edges=[((0, 0), (0, 0))], hard=hard)
+            assert apply_boundary_conditions(assemble(model)).n_free == free
+
+    def test_zero_length_symmetry_edge_rejected(self):
+        # its normal, the slope a symmetry edge fixes, is undefined
+        with pytest.raises(DimensionMismatch, match="zero length"):
+            BoundaryCondition(np.array([(0.5, 0.5), (0.5, 0.5)]), BCKind.SYMMETRY)
+        with pytest.raises(DimensionMismatch, match="zero length"):
+            BoundaryCondition([(0, 0), (0, 0)], "symmetry")
+
+    def test_kinds_take_their_config_names(self):
+        names = CONFIG_SCHEMA["properties"]["bcs"]["items"]["properties"]["kind"]["enum"]
+        assert sorted(kind.value for kind in BCKind) == sorted(names)
+        for name in names:
+            bc = BoundaryCondition([(0, 0), (1, 0)], name)
+            assert bc.kind is BCKind(name) and bc.kind.value == name
+
+    def test_parallel_directions_keep_one_rotation(self, unit_material):
+        # at the corner (0, 0) the symmetry edge fixes (1, 0) and the hard
+        # simply supported edge (0, -1) -> (-1, 0): parallel, so the node
+        # keeps one rotation column, the unit normal to the first direction
+        system = assemble(square_model(2, unit_material))
+        corner = int(np.argmin(np.linalg.norm(system.node_coords, axis=1)))
+        sym = BoundaryCondition([(0, 0), (1, 0)], BCKind.SYMMETRY)
+        hard = BoundaryCondition([(0, 1), (0, 0)], BCKind.SIMPLY_SUPPORTED, hard=True)
+        for bcs, normal in (([sym, hard], (0.0, 1.0)), ([hard, sym], (0.0, -1.0))):
+            C = apply_boundary_conditions(system, bcs).C
+            rows = C[3 * corner:3 * corner + 3].toarray()
+            # w is held: the node has exactly one column, on its rotations
+            cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
+            assert len(cols) == 1
+            assert rows[:, cols[0]].tolist() == [0.0, *normal]
+
+    def test_circle_radius_nodes_keep_normal_rotation(self):
+        # symmetry on both radius edges: a node on one of them keeps w and
+        # the rotation normal to the edge's tangent; at the centre the two
+        # tangents cross and both rotations are fixed
+        system = apply_boundary_conditions(assemble(CASES["circle-ss"].build(3)))
+        coords, C = system.node_coords, system.C.toarray()
+        x, y, tol = coords[:, 0], coords[:, 1], system.merge_tol
+        on_x = np.flatnonzero((np.abs(y) <= tol) & (x > tol) & (x < 0.99))
+        on_y = np.flatnonzero((np.abs(x) <= tol) & (y > tol) & (y < 0.99))
+        assert len(on_x) == len(on_y) == 2
+        for nodes, thx_thy in ((on_x, (-0.0, 1.0)), (on_y, (-1.0, 0.0))):
+            for n in nodes:
+                rows = C[3 * n:3 * n + 3]
+                cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
+                assert len(cols) == 2
+                assert rows[:, cols[0]].tolist() == [1.0, 0.0, 0.0]
+                assert rows[1:, cols[1]].tolist() == list(thx_thy)
+        centre = int(np.argmin(np.linalg.norm(coords, axis=1)))
+        assert C[3 * centre].tolist().count(1.0) == 1
+        assert not C[3 * centre + 1:3 * centre + 3].any()
+
+
+def _reference_reduction(system, bcs):
+    """C, K_red and rhs_red by the per-node loop the arrays replaced: one
+    constraint tuple per node and fixed dof or rotation direction, a
+    greedy drop of directions parallel to one already kept, then one
+    Python pass over the nodes."""
+    constraints = []
+    for bc in bcs:
+        dist = _segment_distance(system.node_coords, bc.edge[0], bc.edge[1])
+        p1, p2 = bc.edge
+        d = p2 - p1
+        L = float(np.linalg.norm(d))
+        t = d / L if L > 0 else np.array([1.0, 0.0])
+        for n in np.nonzero(dist <= system.merge_tol)[0]:
+            n = int(n)
+            if bc.kind == BCKind.CLAMPED:
+                constraints += [(n, "w", None), (n, "rot", np.array([1.0, 0.0])),
+                                (n, "rot", np.array([0.0, 1.0]))]
+            elif bc.kind == BCKind.SIMPLY_SUPPORTED:
+                constraints.append((n, "w", None))
+                if bc.hard and L > 0:
+                    constraints.append((n, "rot", np.array([t[1], -t[0]])))
+            elif bc.kind == BCKind.SYMMETRY:
+                constraints.append((n, "rot", t.copy()))
+    fix_w, rot_dirs = set(), {}
+    for n, component, direction in constraints:
+        if component == "w":
+            fix_w.add(n)
+        else:
+            dirs = rot_dirs.setdefault(n, [])
+            u = direction / np.linalg.norm(direction)
+            if not any(abs(abs(u @ v) - 1.0) <= _PAIR_TOL for v in dirs):
+                dirs.append(u)
+    rows, cols, vals = [], [], []
+    col = 0
+    for n in range(system.n_nodes):
+        if n not in fix_w:
+            rows.append(3 * n)
+            cols.append(col)
+            vals.append(1.0)
+            col += 1
+        dirs = rot_dirs.get(n, [])
+        if len(dirs) == 0:
+            for comp in (1, 2):
+                rows.append(3 * n + comp)
+                cols.append(col)
+                vals.append(1.0)
+                col += 1
+        elif len(dirs) == 1:
+            u = dirs[0]
+            rows.extend([3 * n + 1, 3 * n + 2])
+            cols.extend([col, col])
+            vals.extend([-u[1], u[0]])
+            col += 1
+    C = sp.coo_matrix((vals, (rows, cols)), shape=(system.n_dofs, col)).tocsr()
+    return C, (C.T @ system.K @ C).tocsr(), C.T @ system.rhs
+
+
+def _csr_bytes(A):
+    return (A.shape, A.indptr.dtype.str, A.indices.dtype.str, A.data.dtype.str,
+            A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes())
+
+
+def _assert_reduction_bytes(system, bcs):
+    reduced = apply_boundary_conditions(system, bcs)
+    C, K_red, rhs_red = _reference_reduction(system, bcs)
+    assert _csr_bytes(reduced.C) == _csr_bytes(C)
+    assert _csr_bytes(reduced.K_red) == _csr_bytes(K_red)
+    assert reduced.rhs_red.tobytes() == rhs_red.tobytes()
+
+
+class TestReductionBytes:
+    """The array reduction against the per-node loop kept above."""
+
+    @pytest.mark.parametrize("hard_ss", [False, True])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_registry_cases(self, name, hard_ss):
+        case = CASES[name]
+        for m in sorted({1, 3} | {m for m in case.default_ms if m <= 16}):
+            system = assemble(case.build(m, hard_ss=hard_ss))
+            _assert_reduction_bytes(system, system.model.bcs)
+
+    def test_mixed_edge_pairs(self, unit_material):
+        kinds = [(BCKind.CLAMPED, False), (BCKind.SIMPLY_SUPPORTED, False),
+                 (BCKind.SIMPLY_SUPPORTED, True), (BCKind.SYMMETRY, False),
+                 (BCKind.FREE, False)]
+        bottom, left, diagonal = ((0, 0), (1, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 1))
+        edge_pairs = [(bottom, left), (bottom, bottom[::-1]), (bottom, diagonal),
+                      (diagonal, ((1, 1), (1, 1))), (((0, 0), (0, 0)), left),
+                      (((0, 0), (0.5, 0)), ((1, 0), (1, 1)))]
+        system = assemble(square_model(3, unit_material))
+        checked = 0
+        for edges in edge_pairs:
+            for pair in itertools.product(kinds, repeat=2):
+                if any(k == BCKind.SYMMETRY and e[0] == e[1]
+                       for e, (k, _) in zip(edges, pair)):
+                    continue
+                bcs = [BoundaryCondition(np.array(e, dtype=float), k, hard=hard)
+                       for e, (k, hard) in zip(edges, pair)]
+                _assert_reduction_bytes(system, bcs)
+                checked += 1
+        assert checked == 6 * 25 - 2 * 5
+        _assert_reduction_bytes(system, [])
 
 
 class TestObjectivity:

@@ -123,6 +123,24 @@ class TestSolve:
             assert cli.main(["solve", config_path(cfg)]) == 2
         assert "lies outside every element" in capsys.readouterr().err
 
+    def test_every_kind_name_solves(self, config_path, capsys):
+        bcs = [dict(b, kind=kind) for b, kind in zip(
+            SQUARE_CONFIG["bcs"], ["clamped", "symmetry", "free", "simply_supported"])]
+        cfg = dict(SQUARE_CONFIG, bcs=bcs)
+        assert cli.main(["solve", config_path(cfg), "--format", "json"]) == 0
+        # bottom: 3 nodes fully fixed; right (symmetry) and left (simply
+        # supported): 2 more nodes each lose their normal slope or their w
+        report = json.loads(capsys.readouterr().out)
+        assert report["dof_counts"]["free"] == 27 - 9 - 2 - 2
+
+    def test_zero_length_symmetry_edge_exits_2(self, config_path, capsys):
+        cfg = dict(SQUARE_CONFIG, bcs=SQUARE_CONFIG["bcs"] + [
+            {"edge": [[0.0, 0.0], [0.0, 0.0]], "kind": "symmetry"}])
+        assert cli.main(["solve", config_path(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: symmetry edge [[0.0, 0.0], [0.0, 0.0]]")
+        assert "zero length" in err
+
     def test_unconstrained_load_exits_2(self, config_path, capsys):
         cfg = dict(SQUARE_CONFIG, bcs=[])
         assert cli.main(["solve", config_path(cfg)]) == 2

@@ -200,8 +200,9 @@ def _element_stack(elements):
             barycentric_coeffs(np.array([frame.local_vertices() for frame in frames])))
 
 
-def _owning_element(stack, p) -> list[int]:
-    """Every element whose closure holds the global point p, in model order.
+def _owning_element(stack, p) -> tuple[list[int], np.ndarray]:
+    """Every element whose closure holds the global point p, in model order,
+    and p in each one's local axes (k, 2).
 
     All elements of the `_element_stack` (which each system keeps) take
     one stacked closure test of p in their local axes, each rounded as
@@ -214,9 +215,9 @@ def _owning_element(stack, p) -> list[int]:
         origins, R, coeffs = stack
         local = np.matmul((p - origins)[:, None], R)[:, 0]
         L = barycentric_at(coeffs, local)
-        found = np.flatnonzero(np.all(L >= -CONTAIN_TOL, axis=1)).tolist()
-        if found:
-            return found
+        found = np.flatnonzero(np.all(L >= -CONTAIN_TOL, axis=1))
+        if len(found):
+            return found.tolist(), local[found]
     raise OutsideModel(f"point {p.tolist()} lies outside every element")
 
 
@@ -285,9 +286,10 @@ def assemble(model: Model) -> GlobalSystem:
     gdofs = np.split(gdof, 3 * starts)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(system.element_stack, p)[0]
+        owners, local = _owning_element(system.element_stack, p)
+        e = owners[0]
         elem = model.elements[e]
-        F_loc = element_load_point(elem, P, elem.frame.to_local(p))
+        F_loc = element_load_point(elem, P, local[0])
         T = transformation_matrix([elem.frame], [elem.node_count])
         rhs[gdofs[e]] += T.T @ F_loc
     _check_edge_conformity(system)

@@ -137,7 +137,8 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
     stack = _element_stack(model.elements) if model.point_loads else None
     for x, y, P in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(stack, p)[0]
+        owners, _ = _owning_element(stack, p)
+        e = owners[0]
         elem = model.elements[e]
         f[e] += element_load_point(elem, P, elem.frame.to_local(p))
 

@@ -12,6 +12,7 @@ so the nodal dw/dy, -dw/dx interpretation survives the scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,10 +118,14 @@ _FACTOR_INDEX = np.moveaxis(
 _HESS_CHANNELS = [7, 1, 2, 1, 8, 3, 2, 3, 9]
 
 
+#: the rows 0, 1, 2 that head every domain's factor table
+_TABLE_HEAD = np.array([0.0, 1.0, 2.0])[:, None, None]
+
 #: per (grad, hess) asked for, the channels evaluated (value and the
 #: ((coef * x) * y) * z channels first, the gradient's next): their
 #: _FACTOR_INDEX rows and the places of the _HESS_CHANNELS among them
-_PLANS = {(g, h): (_FACTOR_INDEX[..., ch], [ch.index(c) for c in _HESS_CHANNELS if h])
+_PLANS = {(g, h): (_FACTOR_INDEX[..., ch],
+                   np.array([ch.index(c) for c in _HESS_CHANNELS if h], dtype=np.intp))
           for g in (False, True) for h in (False, True)
           for ch in [[0] + [1, 2, 3] * h + [4, 5, 6] * g + [7, 8, 9] * h]}
 
@@ -149,6 +154,15 @@ def _domains(triangles: np.ndarray, i0: np.ndarray) -> tuple:
     return a0, bb, cc, twoA, i0, _coefficients(i0, bb, cc)[..., None, None]
 
 
+@lru_cache(maxsize=64)
+def _table_offsets(c: int) -> np.ndarray:
+    """First row (c, 1, 1, 1) of each of c domains in the kernel's factor
+    table; read-only."""
+    offsets = 6 * 3 * np.arange(c)[:, None, None, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
                     grad: bool = True, hess: bool = True):
     """The basis kernel: the (N, Nx, Ny) families of c stacked domain
@@ -173,13 +187,13 @@ def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
 
     Lt = L.transpose(0, 2, 1)
     table = np.empty((c, 6, 3, n))
-    table[:, :3] = np.array([0.0, 1.0, 2.0])[:, None, None]
+    table[:, :3] = _TABLE_HEAD
     table[:, 3] = Lt
     np.multiply(Lt, Lt, out=table[:, 4])
     np.multiply(2.0, Lt, out=table[:, 5])
     factor_index, at_hess = _PLANS[grad, hess]
     j = 1 + 3 * hess            # channels of the first form; the gradient's next
-    rows = factor_index[:, i0] + 6 * 3 * np.arange(c)[:, None, None, None]
+    rows = factor_index[:, i0] + _table_offsets(c)
     x, y, z = table.reshape(-1, n).take(rows, axis=0)
     terms = np.empty(x.shape)
     np.multiply((coef * x[..., :j, :]) * y[..., :j, :], z[..., :j, :],
@@ -283,6 +297,15 @@ def _scale_factors(m):
     return np.where(_IS_N, 1.0, 1.0 / m), grad, m * grad
 
 
+@lru_cache(maxsize=64)
+def _resolution_scale(m: int) -> tuple:
+    """`_scale_factors` of one resolution m, each (3,); read-only."""
+    factors = _scale_factors(m)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
 def _scale_triple(triple, m: int) -> BasisTriple:
     """Apply resolution scaling to raw node-relative evaluations."""
     return BasisTriple(*(ShapeEval(f.value * vf, f.grad * gf, f.hess * hf)
@@ -307,23 +330,37 @@ def _cell_domains(frames, down: np.ndarray) -> tuple:
     orientations down (k,), as the frames keep them.
 
     They depend on a frame's shape (a, h, b) alone, as the kernel takes
-    node-relative points scaled by m.  A frame keeps both orientations'
-    under its shape, at its row of the arrays built for all frames of one
-    call; a call whose frames do not all read one such set builds it anew
-    for them, so the constants cannot go stale.
+    node-relative points scaled by m.  A frame keeps, under its shape, the
+    orientations asked of it (a one-cell element asks only for the up
+    cell), at its rows of arrays built for all frames of one call.  A call
+    that asks a frame for an orientation it lacks, or whose frames do not
+    all read one such set, builds one anew for its frames with the
+    orientations asked and kept, so the constants cannot go stale.
     """
     first = frames[0]._kernel[1]
-    if any(f._kernel[0] != (f.a, f.h, f.b) or f._kernel[1] is not first for f in frames):
-        new = list({id(f): f for f in frames}.values())
-        # the node offsets u = (a, 0) and v = apex of each frame
-        uv = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f in new])[:, None, None, None]
-        triangles = domain_triangles_of(_CELL_UV, uv[..., 0, :], uv[..., 1, :])
+    if any(f._kernel[0] != (f.a, f.h, f.b) or f._kernel[1] is not first
+           or f._kernel[2][d] < 0 for f, d in zip(frames, down)):
+        # per frame, the orientations asked and those it keeps under its shape
+        wanted = {}
+        for f, d in zip(frames, down):
+            have = f._kernel[2] if f._kernel[0] == (f.a, f.h, f.b) else (-1, -1)
+            wanted.setdefault(id(f), (f, [r >= 0 for r in have]))[1][d] = True
+        jobs = [(f, d) for f, asked in wanted.values() for d in (0, 1) if asked[d]]
+        orientation = [d for _, d in jobs]
+        # the node offsets u = (a, 0) and v = apex of each job's frame
+        uv = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f, _ in jobs])[:, None, None]
+        triangles = domain_triangles_of(_CELL_UV[orientation], uv[..., 0, :],
+                                        uv[..., 1, :])
         kept = tuple(a.reshape((-1, 3) + a.shape[1:]) for a in _domains(
-            triangles.reshape(-1, 3, 2), np.tile(_CELL_I0.ravel(), len(new))))
-        for j, f in enumerate(new):
-            f._kernel = ((f.a, f.h, f.b), kept, 2 * j)
-    rows = np.array([f._kernel[2] for f in frames]) + down
-    return tuple(a[rows].reshape((-1,) + a.shape[2:]) for a in frames[0]._kernel[1])
+            triangles.reshape(-1, 3, 2), _CELL_I0[orientation].ravel()))
+        rows = {id(f): [-1, -1] for f, _ in jobs}
+        for j, (f, d) in enumerate(jobs):
+            rows[id(f)][d] = j
+        for f, _ in wanted.values():
+            f._kernel = ((f.a, f.h, f.b), kept, rows[id(f)])
+    rows = np.array([f._kernel[2][d] for f, d in zip(frames, down)])
+    return tuple(a.take(rows, axis=0).reshape((-1,) + a.shape[2:])
+                 for a in frames[0]._kernel[1])
 
 
 def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
@@ -331,26 +368,28 @@ def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
     """Scaled (N, Nx, Ny) families of the three corners of k cells, each
     from within its own cell, in one kernel call.
 
-    frames, ms: the element frame and resolution of each cell; vertices
-    (k, 3, 2): the cells' corner positions, in corner order; down (k,):
-    each cell's orientation; points (k, n, 2): element-local points of
-    each cell.  Returns value (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess
-    (k, 3, 3, n, 3), indexed [cell, corner, family, point]; grad or hess
-    set False comes back as None.  Evaluation is forced onto the hexagon
-    sub-domain each corner presents to its cell, so points on cell edges
-    get that cell's polynomial; a point outside it raises OutsideDomain.
-    The kernel reads the constants each frame keeps under its shape
-    (`_cell_domains`), and its results do not depend on how many domains
-    share a call: each cell gets the bits of evaluating it alone.
+    frames: the element frame of each cell; ms: the resolution of each
+    cell (k,), or one resolution of all; vertices (k, 3, 2): the cells'
+    corner positions, in corner order; down (k,): each cell's orientation;
+    points (k, n, 2): element-local points of each cell.  Returns value
+    (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess (k, 3, 3, n, 3), indexed
+    [cell, corner, family, point]; grad or hess set False comes back as
+    None.  Evaluation is forced onto the hexagon sub-domain each corner
+    presents to its cell, so points on cell edges get that cell's
+    polynomial; a point outside it raises OutsideDomain.  The kernel reads
+    the constants each frame keeps under its shape (`_cell_domains`), and
+    its results do not depend on how many domains share a call: each cell
+    gets the bits of evaluating it alone.
     """
     points = np.asarray(points, dtype=float)
     k, n = points.shape[:2]
     ms = np.asarray(ms)
     down = np.asarray(down, dtype=np.intp)
-    rel = ms[:, None, None, None] * (points[:, None] - vertices[:, :, None])
+    rel = ms[..., None, None, None] * (points[:, None] - vertices[:, :, None])
     value, g, h = _eval_triangles(_cell_domains(frames, down), rel.reshape(3 * k, n, 2),
                                   _CELL_NAMES[down].ravel(), grad=grad, hess=hess)
-    vf, gf, hf = (f[:, None, :, None] for f in _scale_factors(ms))
+    scale = _scale_factors(ms) if ms.ndim else _resolution_scale(int(ms))
+    vf, gf, hf = (f[..., None, :, None] for f in scale)
     return (value.reshape(k, 3, 3, n) * vf,
             g if g is None else g.reshape(k, 3, 3, n, 2) * gf[..., None],
             h if h is None else h.reshape(k, 3, 3, n, 3) * hf[..., None])
@@ -365,7 +404,7 @@ def subtriangle_basis(frame: LocalFrame, m: int, vertices, down: bool, p, *,
     to this cell, so points on cell edges get that cell's polynomial.
     """
     pts, scalar = _as_points(p)
-    value, grad, hess = cells_basis([frame], [m], np.asarray(vertices)[None], [down],
+    value, grad, hess = cells_basis([frame], m, np.asarray(vertices)[None], [down],
                                     pts[None], grad=grad, hess=hess)
     at = 0 if scalar else slice(None)
     skipped = [[None] * 3] * 3

@@ -15,6 +15,10 @@ from .shapefn import subtriangle_basis
 
 _RESIDUAL_BOUND = 1e-10
 _PIVOT_RATIO_BOUND = 1e-14
+#: the moment matrix [[Mx, Mxy], [Mxy, My]] from (Mx, My, Mxy), and back
+#: from the flattened matrix
+_MOMENT_MATRIX = np.array([[0, 2], [2, 1]])
+_MOMENT_TRIPLE = np.array([0, 3, 1])
 
 
 @dataclass
@@ -32,7 +36,8 @@ class Solution:
 
     The probes read each element's frame-local dofs, built on the first
     probe and kept; the solution is frozen and its dofs are read-only
-    (writing into them raises), so those cannot go stale.
+    (writing into them raises), so those cannot go stale.  It also keeps
+    the site of the last point probed (`_site`).
     """
 
     system: GlobalSystem
@@ -99,6 +104,37 @@ def reactions(sol: Solution) -> np.ndarray:
     return sol.system.K @ sol.dofs - sol.system.rhs
 
 
+def _site(sol: Solution, p) -> tuple:
+    """Where the global point p lies: its owning elements, p in each one's
+    local axes (`_owning_element`) and a dict, filled on first use, of the
+    cells that hold p in each owning element (`_cells`).
+
+    Each solution keeps the site of the last point it probed, keyed by the
+    point's float64 bytes, so a moment after a field at one point, or a
+    second moment there, looks it up and locates it once.  The key is the
+    whole point and the model is fixed with the system, so a site cannot
+    go stale; a point that no element holds raises and is not kept.
+    """
+    p = np.asarray(p, dtype=float).reshape(2)
+    key = p.tobytes()
+    site = sol.__dict__.get("_site")
+    if site is None or site[0] != key:
+        site = (key, *_owning_element(sol.system.element_stack, p), {})
+        sol.__dict__["_site"] = site
+    return site[1:]
+
+
+def _cells(sol: Solution, cells: dict, e: int, p_loc: np.ndarray) -> tuple:
+    """Vertices (k, 3, 2), element dofs (k, 9) and down mask (k,) of the
+    cells `locate_subtriangle` finds at the local point p_loc of element
+    e, kept in the site's cells."""
+    if e not in cells:
+        elem = sol.system.model.elements[e]
+        vertices, corners, down = locate_subtriangle(elem, p_loc)
+        cells[e] = vertices, _corner_dofs(elem.m, corners), down
+    return cells[e]
+
+
 def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     """Deflection and rotations (w, thx, thy) at a global point.
 
@@ -106,22 +142,20 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     thy = -dw/dx) and reported in global axes.  On shared edges the first
     containing element is used; the deflection field is continuous there.
     """
-    p = np.asarray(p, dtype=float)
-    e = _owning_element(sol.system.element_stack, p)[0]
+    owners, local, cells = _site(sol, p)
+    e, p_loc = owners[0], local[0]
     elem = sol.system.model.elements[e]
     a = sol._local_dofs[e]
-    p_loc = elem.frame.to_local(p)
-    vertices, corners, down = locate_subtriangle(elem, p_loc)
+    vertices, dofs, down = _cells(sol, cells, e, p_loc)
     triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_loc,
                                 hess=False)
-    a_cell = a[_corner_dofs(elem.m, corners[:1])[0]].tolist()
+    a_cell = a[dofs[0]].tolist()
     w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
     for coef, f in zip(a_cell, [f for t in triples for f in t.functions()]):
         gx, gy = f.grad.tolist()
         w, dwdx, dwdy = w + coef * float(f.value), dwdx + coef * gx, dwdy + coef * gy
     th_loc = np.array([dwdy, -dwdx])
-    R = elem.frame.rotation_matrix()
-    th_glob = R @ th_loc
+    th_glob = sol.system.element_stack[1][e] @ th_loc
     return float(w), float(th_glob[0]), float(th_glob[1])
 
 
@@ -131,26 +165,22 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
     Curvatures are discontinuous across cells; at points on cell edges or
     nodes the moment is averaged per element over all cells whose closure
     contains the point, then across the containing elements.  One basis
-    kernel call per element evaluates all its incident cells.
+    kernel call per element evaluates all its incident cells, and one
+    stacked product per step rounds each cell as its own products would.
     """
-    p = np.asarray(p, dtype=float)
+    owners, local, cells = _site(sol, p)
     collected = []
-    for e in _owning_element(sol.system.element_stack, p):
+    for e, p_loc in zip(owners, local):
         elem = sol.system.model.elements[e]
         D = bending_rigidity(elem.material)
         a = sol._local_dofs[e]
-        p_loc = elem.frame.to_local(p)
-        vertices, corners, down = locate_subtriangle(elem, p_loc)
-        R = elem.frame.rotation_matrix()
-        per_elem = []
-        for B, dofs in zip(_cells_B(elem, vertices, down, p_loc)[:, 0],
-                           _corner_dofs(elem.m, corners)):
-            kappa = B @ a[dofs]
-            m_loc = D @ kappa
-            Mmat = np.array([[m_loc[0], m_loc[2]], [m_loc[2], m_loc[1]]])
-            Mg = R @ Mmat @ R.T
-            per_elem.append(np.array([Mg[0, 0], Mg[1, 1], Mg[0, 1]]))
-        collected.append(np.mean(per_elem, axis=0))
+        vertices, dofs, down = _cells(sol, cells, e, p_loc)
+        R = sol.system.element_stack[1][e]
+        B = _cells_B(elem, vertices, down, p_loc)[:, 0]
+        kappa = np.matmul(B, a[dofs][:, :, None])
+        m_loc = np.matmul(D, kappa)[:, :, 0]
+        Mg = R @ m_loc.take(_MOMENT_MATRIX, axis=1) @ R.T
+        collected.append(np.mean(Mg.reshape(-1, 4).take(_MOMENT_TRIPLE, axis=1), axis=0))
     mx, my, mxy = np.mean(collected, axis=0)
     return MomentTriple(float(mx), float(my), float(mxy))
 

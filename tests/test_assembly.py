@@ -23,8 +23,9 @@ from triplate.assembly import (_PAIR_TOL, _element_stack, _merge_nodes,
 from triplate.bench import CASES
 from triplate.cli import CONFIG_SCHEMA
 from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
-                              _cells_B, _fill_basis, element_load_point,
-                              element_load_uniform, element_stiffness)
+                              _cells_B, _fill_basis, _partition_dofs, _per_cell,
+                              element_load_point, element_load_uniform,
+                              element_stiffness)
 from triplate.geometry import LocalFrame, grid_positions, partition_corners
 from triplate.shapefn import cells_basis, subtriangle_basis
 
@@ -132,7 +133,8 @@ def per_element_assemble(model):
                                                 QUADRATURE_DEGREE)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
-        e = _owning_element(_element_stack(model.elements), p)[0]
+        owners, _ = _owning_element(_element_stack(model.elements), p)
+        e = owners[0]
         elem = model.elements[e]
         rhs[gdofs[e]] += transformation(elem).T @ element_load_point(
             elem, P, elem.frame.to_local(p))
@@ -275,13 +277,45 @@ class TestMatchesPerElementAssembly:
         with pytest.raises(OutsideDomain, match="sub-domain D[246]$"):
             cells_basis([elem.frame] * 2, [2, 2], cells, [False, True], pts)
 
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 9])
+    def test_cell_stiffness_bytes_equal_einsum(self, degree):
+        # element_stiffness sums w_q B_qai D_ab B_qbj over (q, a, b) as
+        # explicit products; the four-operand einsum it replaced is the
+        # byte reference
+        elements = []
+        for case in CASES.values():
+            model = case.build(3)
+            elements += model.elements + build_equivalent_mono(model).model.elements
+            elements += [MRElement(el.frame, 48, el.material) for el in model.elements]
+
+        def einsum_stiffness(elem):
+            D = bending_rigidity(elem.material)
+
+            def cell_stiffness(wq, N, B):
+                kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
+                return 0.5 * (kc + kc.T)
+
+            kc = _per_cell(elem, degree, cell_stiffness)
+            _, _, slot, indices, indptr = _partition_dofs(elem.m)
+            n = elem.dof_count
+            return sp.csr_matrix((np.bincount(slot, weights=kc.ravel()), indices,
+                                  indptr), shape=(n, n))
+
+        for elem in elements:
+            got, want = element_stiffness(elem, degree), einsum_stiffness(elem)
+            for g, w in ((got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
     def test_twin_assembly_memory_is_bounded(self):
         # the basis kernel holds about 1.2 KB per (domain, point) in each of
         # several temporaries, so kernel calls are kept to a few cells.  The
         # square-ss m = 32 twin (2048 one-cell elements) peaked at 14.6 MB
-        # under tracemalloc, and at 17.7 MB once every cell frame kept its
-        # kernel constants (about 1.5 KB a frame); 128 cells per call took
-        # 24 MB and all 2048 in one call 288 MB
+        # under tracemalloc, at 17.7 MB once every cell frame kept its
+        # kernel constants of both orientations (about 1.5 KB a frame) and
+        # at 16.6 MB once a frame kept only its up cell's, the one a one-cell
+        # element asks for; 128 cells per call took 24 MB and all 2048 in
+        # one call 288 MB
         mono = build_equivalent_mono(benchmark_case("square-ss").build(32)).model
         assert len(mono.elements) == 2048
         tracemalloc.start()

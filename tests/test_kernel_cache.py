@@ -1,7 +1,7 @@
 """Constants that the probes and the basis filler keep between calls.
 
-Each frame keeps the kernel constants of its cell corner domains
-(`shapefn._cell_domains`), each assembled system its element stack
+Each frame keeps the kernel constants of its cell corner domains, for the
+orientations asked of it (`shapefn._cell_domains`), each assembled system its element stack
 (`GlobalSystem.element_stack`) and each solution its elements' frame-local
 dofs (`Solution._local_dofs`).  The kept constants must give the bits of
 building them anew, be built once, and never be shared where they differ.
@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import triplate.assembly
+import triplate.element
 import triplate.shapefn
 from triplate import (CASES, Solution, apply_boundary_conditions, assemble,
-                      benchmark_case, canonicalize_triangle, field_eval, moment_eval,
-                      solve_system, subtriangle_partition)
+                      benchmark_case, build_equivalent_mono, canonicalize_triangle,
+                      field_eval, moment_eval, solve_system, subtriangle_partition)
 from triplate.geometry import _CELL_SHAPES, partition_corners
 from triplate.shapefn import (_domains, _eval_triangles, _scale_factors, cells_basis,
                               subtriangle_basis)
@@ -147,6 +148,35 @@ def test_frames_of_other_shape_get_other_constants():
     assert a._kernel[1] is not kept[1]
     assert_same_bytes(got, fresh_cells_basis([a], [3], cells, [False],
                                              cells.mean(axis=1)[:, None]))
+
+
+def test_frames_keep_only_the_orientations_asked(rng):
+    # a one-cell element only ever asks for its up cell
+    twin = build_equivalent_mono(CASES["skew-60"].build(2)).model
+    assemble(twin)
+    for elem in twin.elements:
+        shape, kept, rows = elem.frame._kernel
+        assert rows[0] >= 0 and rows[1] == -1
+        assert len(kept[0]) <= triplate.element._CHUNK
+    # a frame asked for the down cell after the up cell builds both once,
+    # with the bits of building each alone
+    frame = canonicalize_triangle(*random_triangle(rng))
+    cells = subtriangle_partition(frame, 3)[[0, 3]]
+    _, down = partition_corners(3)
+    assert down[[0, 3]].tolist() == [False, True]
+    points = cell_points(cells, rng)
+    sets = []
+    for pick in ([0], [1], [0], [1, 0], [0, 1]):
+        got = cells_basis([frame] * len(pick), 3, cells[pick], down[[0, 3]][pick],
+                          points[pick])
+        assert_same_bytes(got, fresh_cells_basis([frame] * len(pick), [3] * len(pick),
+                                                 cells[pick], down[[0, 3]][pick],
+                                                 points[pick]))
+        sets.append(frame._kernel[1])
+        assert [r >= 0 for r in frame._kernel[2]] == [True, len(sets) > 1]
+    assert sets[0] is not sets[1]
+    assert all(kept is sets[1] for kept in sets[1:])
+    assert len(sets[1][0]) == 2
 
 
 def probe_points(sol, rng, count):

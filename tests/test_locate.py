@@ -7,7 +7,8 @@ incident cells), on cell edges, inside cells, in the 1e-9 tolerance band
 just outside the element and outside it, on random, skewed (b > h) and
 rotated frames.  `assembly._owning_element` tests every element of a
 model in one stacked closure test; it must return the elements the
-per-element scan it replaced returns.
+per-element scan it replaced returns, and the point in each one's local
+axes with the bits of that element's `to_local`.
 """
 import dataclasses
 import math
@@ -273,7 +274,12 @@ def element_probe_points(model):
 
 
 def stacked_owning_element(model: Model, p):
-    return _owning_element(_element_stack(model.elements), p)
+    owners, local = _owning_element(_element_stack(model.elements), p)
+    assert len(local) == len(owners)
+    for e, p_loc in zip(owners, local):
+        want = model.elements[e].frame.to_local(p)
+        assert (p_loc.shape, p_loc.tobytes()) == (want.shape, want.tobytes())
+    return owners
 
 
 def _owners(lookup, model, p):

@@ -1,0 +1,166 @@
+"""The probe site: each solution keeps where it last probed.
+
+`field_eval` and `moment_eval` keep, per solution, the site of the last
+point probed (`solve._site`): the point's owning elements, its local
+coordinates in each and, filled on first use, the cells located there.
+A probe must give the bytes it gives with the site cleared before every
+call, raise where it raised, and look a point up and locate it once per
+point, not once per probe call.
+"""
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import triplate.solve
+from triplate import (CASES, MomentTriple, OutsideModel, Solution,
+                      apply_boundary_conditions, assemble, field_eval, moment_eval,
+                      solve_system)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import LATTICE, PROBE_CASE, PROBE_M, probe_pool  # noqa: E402
+
+
+def solved(name, m):
+    return solve_system(apply_boundary_conditions(assemble(CASES[name].build(m))))
+
+
+def outcome(call, sol, p, clear=False):
+    """The bytes of call(sol, p), or the type and message it raised; with
+    clear, the solution's site is dropped first."""
+    if clear:
+        sol.__dict__.pop("_site", None)
+    try:
+        out = call(sol, p)
+    except OutsideModel as exc:
+        return type(exc), str(exc)
+    if isinstance(out, MomentTriple):
+        out = (out.mx, out.my, out.mxy)
+    assert all(type(v) is float for v in out)
+    return np.array(out).tobytes()
+
+
+def pair_outcomes(sol, points, clear):
+    return [outcome(call, sol, p, clear) for p in points
+            for call in (field_eval, moment_eval)]
+
+
+def case_points(model):
+    """Global element nodes (corners among them), cell centroids and cell
+    edge midpoints of every element, a NaN and an outside point."""
+    pts = []
+    for elem in model.elements:
+        cells = elem.partition()
+        local = [*elem.node_positions_local(), *cells.mean(axis=1),
+                 *(0.5 * (cells + cells[:, [1, 2, 0]])).reshape(-1, 2)]
+        pts += list(elem.frame.to_global(np.array(local)))
+    return pts + [np.array([np.nan, 0.2]), np.array([50.0, -3.0])]
+
+
+def test_pool_bytes_equal_cleared_site():
+    sol = solved(PROBE_CASE, PROBE_M)
+    pool = probe_pool()
+    points = [(x / LATTICE, y / LATTICE) for kind in ("node", "edge", "interior")
+              for x, y in pool[kind]]
+    assert len(points) == 1369
+    assert pair_outcomes(sol, points, False) == pair_outcomes(sol, points, True)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_registry_bytes_equal_cleared_site(name):
+    sol = solved(name, 3)
+    points = case_points(sol.system.model)
+    got = pair_outcomes(sol, points, False)
+    assert got == pair_outcomes(sol, points, True)
+    assert sum(isinstance(o, tuple) for o in got) == 4
+
+
+def test_interleavings_bytes_equal_cleared_site():
+    sol = solved("square-ss", 4)
+    reference = Solution(sol.system, sol.dofs, sol.residual)
+    # inside a cell, a node on the shared diagonal and a point on it
+    p, q, r = (0.31, 0.12), (0.5, 0.5), (0.3, 0.3)
+    sequences = [[(field_eval, p), (moment_eval, p), (field_eval, q), (moment_eval, q),
+                  (field_eval, p), (moment_eval, p)],
+                 [(moment_eval, p), (field_eval, p)],
+                 [(moment_eval, q), (field_eval, q), (moment_eval, r), (field_eval, r)],
+                 [(moment_eval, q)] * 3,
+                 [(field_eval, r)] * 2 + [(moment_eval, r)]]
+    for seq in sequences:
+        for call, point in seq:
+            assert outcome(call, sol, point) == outcome(call, reference, point, True)
+
+
+def test_other_solution_never_reads_the_site():
+    sol = solved("square-ss", 3)
+    twice = Solution(sol.system, 2.0 * sol.dofs, sol.residual)
+    for p in [(0.31, 0.12), (0.5, 0.5), (0.0, 0.0)]:
+        w, mom = field_eval(sol, p), moment_eval(sol, p)
+        # a site that would fail any probe reading it: no owning element
+        key = np.asarray(p, dtype=float).tobytes()
+        sol.__dict__["_site"] = (key, [], np.zeros((0, 2)), {})
+        # doubling the dofs doubles every product and sum exactly
+        assert field_eval(twice, p) == tuple(2.0 * v for v in w)
+        assert moment_eval(twice, p) == MomentTriple(2.0 * mom.mx, 2.0 * mom.my,
+                                                     2.0 * mom.mxy)
+        assert twice.__dict__["_site"][0] == key
+        with pytest.raises(IndexError):
+            field_eval(sol, p)
+        sol.__dict__.pop("_site")
+
+
+def test_point_is_its_two_coordinates():
+    sol = solved("square-ss", 3)
+    want = [outcome(call, sol, (0.3, 0.2)) for call in (field_eval, moment_eval)]
+    for p in ([0.3, 0.2], np.array([[0.3, 0.2]]), np.array([[0.3], [0.2]])):
+        assert [outcome(call, sol, p, True) for call in (field_eval, moment_eval)] == want
+    for call in (field_eval, moment_eval):
+        with pytest.raises(ValueError):
+            call(sol, (0.3, 0.2, 0.1))
+
+
+@pytest.mark.parametrize("p", [(np.nan, 0.2), (0.2, np.inf), (50.0, -3.0), (-0.5, 0.5)])
+def test_point_outside_raises_and_keeps_nothing(p):
+    sol = solved("square-ss", 3)
+    for call in (field_eval, moment_eval):
+        with pytest.raises(OutsideModel):
+            call(sol, p)
+        assert "_site" not in sol.__dict__
+    field_eval(sol, (0.3, 0.2))
+    kept = sol.__dict__["_site"]
+    for call in (field_eval, moment_eval):
+        with pytest.raises(OutsideModel):
+            call(sol, p)
+        assert sol.__dict__["_site"] is kept
+
+
+@pytest.mark.parametrize("p, owners", [((0.31, 0.12), 1), ((0.5, 0.5), 2),
+                                       ((0.3, 0.3), 2), ((1.0, 0.0), 1)])
+def test_one_lookup_per_pair_one_locate_per_element(p, owners, monkeypatch):
+    sol = solved("square-ss", 4)
+    lookups, locates = [], Counter()
+    lookup, locate = triplate.solve._owning_element, triplate.solve.locate_subtriangle
+
+    def counting_lookup(*args):
+        lookups.append(1)
+        return lookup(*args)
+
+    def counting_locate(elem, p_loc):
+        locates[id(elem)] += 1
+        return locate(elem, p_loc)
+
+    monkeypatch.setattr(triplate.solve, "_owning_element", counting_lookup)
+    monkeypatch.setattr(triplate.solve, "locate_subtriangle", counting_locate)
+    field_eval(sol, p)
+    # a field reads the first owning element alone
+    assert (len(lookups), sum(locates.values())) == (1, 1)
+    moment_eval(sol, p)
+    moment_eval(sol, p)
+    field_eval(sol, p)
+    assert len(lookups) == 1
+    assert len(locates) == owners and set(locates.values()) == {1}
+    # a new point is looked up and located anew
+    moment_eval(sol, (0.7, 0.1))
+    assert len(lookups) == 2 and sum(locates.values()) == owners + 1

@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (GlobalSystem, _owning_element, apply_boundary_conditions,
                        node_rotation)
-from .element import _cells_B, _corner_dofs, bending_rigidity, locate_subtriangle
+from .element import (_cells_B, _corner_dofs, _curvatures, bending_rigidity,
+                      locate_subtriangle)
 from .errors import NotConverged, SingularSystem
 from .shapefn import subtriangle_basis
 
@@ -34,10 +35,10 @@ class MomentTriple:
 class Solution:
     """Solved dof vector (full, global components) plus solve metadata.
 
-    The probes read each element's frame-local dofs, built on the first
-    probe and kept; the solution is frozen and its dofs are read-only
-    (writing into them raises), so those cannot go stale.  It also keeps
-    the site of the last point probed (`_site`).
+    The probes read each element's frame-local dofs and bending rigidity,
+    built on the first probe and kept; the solution is frozen and its dofs
+    are read-only (writing into them raises), so those cannot go stale.
+    It also keeps the site of the last point probed (`_site`).
     """
 
     system: GlobalSystem
@@ -57,6 +58,12 @@ class Solution:
         by_node = self.dofs.reshape(-1, 3)
         return [(by_node[nodes] @ node_rotation(elem.frame).T).ravel() for elem, nodes
                 in zip(self.system.model.elements, self.system.element_nodes)]
+
+    @cached_property
+    def _rigidity(self) -> list[np.ndarray]:
+        """Each element's bending rigidity matrix D, built on the first
+        moment probe."""
+        return [bending_rigidity(elem.material) for elem in self.system.model.elements]
 
 
 def solve_system(system: GlobalSystem) -> Solution:
@@ -107,13 +114,15 @@ def reactions(sol: Solution) -> np.ndarray:
 def _site(sol: Solution, p) -> tuple:
     """Where the global point p lies: its owning elements, p in each one's
     local axes (`_owning_element`) and a dict, filled on first use, of the
-    cells that hold p in each owning element (`_cells`).
+    cells that hold p in each owning element and of their curvature
+    matrices at p evaluated so far (`_cells`).
 
     Each solution keeps the site of the last point it probed, keyed by the
     point's float64 bytes, so a moment after a field at one point, or a
-    second moment there, looks it up and locates it once.  The key is the
-    whole point and the model is fixed with the system, so a site cannot
-    go stale; a point that no element holds raises and is not kept.
+    second moment there, looks it up, locates it and evaluates each cell's
+    basis once.  The key is the whole point and the model is fixed with
+    the system, so a site cannot go stale; a point that no element holds
+    raises and is not kept.
     """
     p = np.asarray(p, dtype=float).reshape(2)
     key = p.tobytes()
@@ -127,11 +136,12 @@ def _site(sol: Solution, p) -> tuple:
 def _cells(sol: Solution, cells: dict, e: int, p_loc: np.ndarray) -> tuple:
     """Vertices (k, 3, 2), element dofs (k, 9) and down mask (k,) of the
     cells `locate_subtriangle` finds at the local point p_loc of element
-    e, kept in the site's cells."""
+    e, kept in the site's cells with a dict, filled by the probes, of the
+    cells' curvature matrices (3, 9) at p_loc by cell index."""
     if e not in cells:
         elem = sol.system.model.elements[e]
         vertices, corners, down = locate_subtriangle(elem, p_loc)
-        cells[e] = vertices, _corner_dofs(elem.m, corners), down
+        cells[e] = vertices, _corner_dofs(elem.m, corners), down, {}
     return cells[e]
 
 
@@ -141,17 +151,20 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     Rotations are read from the interpolant gradient (thx = dw/dy,
     thy = -dw/dx) and reported in global axes.  On shared edges the first
     containing element is used; the deflection field is continuous there.
+    The one basis call also returns the cell's Hessians, whose curvature
+    matrix the site keeps for a moment probe at the same point.
     """
     owners, local, cells = _site(sol, p)
     e, p_loc = owners[0], local[0]
     elem = sol.system.model.elements[e]
     a = sol._local_dofs[e]
-    vertices, dofs, down = _cells(sol, cells, e, p_loc)
-    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_loc,
-                                hess=False)
+    vertices, dofs, down, kept = _cells(sol, cells, e, p_loc)
+    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_loc)
+    functions = [f for t in triples for f in t.functions()]
+    kept[0] = _curvatures(np.array([f.hess for f in functions]).reshape(1, 3, 3, 1, 3))[0, 0]
     a_cell = a[dofs[0]].tolist()
     w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
-    for coef, f in zip(a_cell, [f for t in triples for f in t.functions()]):
+    for coef, f in zip(a_cell, functions):
         gx, gy = f.grad.tolist()
         w, dwdx, dwdy = w + coef * float(f.value), dwdx + coef * gx, dwdy + coef * gy
     th_loc = np.array([dwdy, -dwdx])
@@ -165,20 +178,26 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
     Curvatures are discontinuous across cells; at points on cell edges or
     nodes the moment is averaged per element over all cells whose closure
     contains the point, then across the containing elements.  One basis
-    kernel call per element evaluates all its incident cells, and one
-    stacked product per step rounds each cell as its own products would.
+    kernel call per element evaluates the incident cells whose curvature
+    matrices the site does not keep yet, and the site keeps them; a cell's
+    Hessians do not depend on its batch or on whether the gradient is
+    asked for, so kept and fresh matrices have the same bits.  One stacked
+    product per step rounds each cell as its own products would.
     """
     owners, local, cells = _site(sol, p)
     collected = []
     for e, p_loc in zip(owners, local):
         elem = sol.system.model.elements[e]
-        D = bending_rigidity(elem.material)
         a = sol._local_dofs[e]
-        vertices, dofs, down = _cells(sol, cells, e, p_loc)
+        vertices, dofs, down, kept = _cells(sol, cells, e, p_loc)
+        missing = [i for i in range(len(vertices)) if i not in kept]
+        if missing:
+            kept.update(zip(missing, _cells_B(elem, vertices[missing], down[missing],
+                                              p_loc)[:, 0]))
+        B = np.stack([kept[i] for i in range(len(vertices))])
         R = sol.system.element_stack[1][e]
-        B = _cells_B(elem, vertices, down, p_loc)[:, 0]
         kappa = np.matmul(B, a[dofs][:, :, None])
-        m_loc = np.matmul(D, kappa)[:, :, 0]
+        m_loc = np.matmul(sol._rigidity[e], kappa)[:, :, 0]
         Mg = R @ m_loc.take(_MOMENT_MATRIX, axis=1) @ R.T
         collected.append(np.mean(Mg.reshape(-1, 4).take(_MOMENT_TRIPLE, axis=1), axis=0))
     mx, my, mxy = np.mean(collected, axis=0)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import triplate.shapefn
 from triplate import (MRElement, PlateMaterial, canonicalize_triangle,
                       subtriangle_partition)
 from triplate.geometry import partition_corners
@@ -35,6 +36,21 @@ def partition_cells(frame, m):
     return list(zip(subtriangle_partition(frame, m),
                     [tuple(map(tuple, c)) for c in corners.tolist()],
                     down.tolist()))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The domain count of each basis-kernel call (`shapefn._eval_triangles`)
+    made from here on, in call order."""
+    calls = []
+    original = triplate.shapefn._eval_triangles
+
+    def counting(domains, *args, **kwargs):
+        calls.append(len(domains[3]))
+        return original(domains, *args, **kwargs)
+
+    monkeypatch.setattr(triplate.shapefn, "_eval_triangles", counting)
+    return calls
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from triplate import (BCKind, BoundaryCondition, DimensionMismatch, EmptyEdge,
                       node_ordinal, reactions, solve_system)
 import triplate.assembly
 import triplate.element
-import triplate.shapefn
 from triplate import PlateMaterial, benchmark_case, build_equivalent_mono, triangle_rule
 from triplate.assembly import (_PAIR_TOL, _element_stack, _merge_nodes,
                                _owning_element, node_rotation, _segment_distance)
@@ -197,7 +196,8 @@ class TestMatchesPerElementAssembly:
             [len(ids) for ids in element_nodes]
 
     @pytest.mark.parametrize("twin", [False, True])
-    def test_one_basis_call_per_element_orientation(self, twin, monkeypatch):
+    def test_one_basis_call_per_element_orientation(self, twin, monkeypatch,
+                                                    kernel_calls):
         # every (element, orientation) basis is evaluated once, inside one
         # basis-kernel call per chunk of them: no per-element
         # subtriangle_basis call, ceil(jobs / chunk) kernel calls of three
@@ -205,16 +205,10 @@ class TestMatchesPerElementAssembly:
         model = benchmark_case("skew-60").build(8)
         if twin:
             model = build_equivalent_mono(model).model
-        one_cell_calls, domains = [], []
-        original = triplate.shapefn._eval_triangles
-
-        def counting(kernel_domains, *args, **kwargs):
-            domains.append(len(kernel_domains[3]))
-            return original(kernel_domains, *args, **kwargs)
-
+        one_cell_calls, domains = [], kernel_calls
         monkeypatch.setattr(triplate.element, "subtriangle_basis",
                             lambda *args: one_cell_calls.append(args))
-        monkeypatch.setattr(triplate.shapefn, "_eval_triangles", counting)
+        domains.clear()
         assemble(model)
         jobs = sum(2 if el.m > 1 else 1 for el in model.elements)
         assert jobs == (128 if twin else 4)

@@ -5,7 +5,8 @@ point probed (`solve._site`): the point's owning elements, its local
 coordinates in each and, filled on first use, the cells located there.
 A probe must give the bytes it gives with the site cleared before every
 call, raise where it raised, and look a point up and locate it once per
-point, not once per probe call.
+point, not once per probe call, and evaluate each cell's basis at the
+point once: the field's kernel call also gives the moment its curvatures.
 """
 import sys
 from collections import Counter
@@ -80,14 +81,20 @@ def test_registry_bytes_equal_cleared_site(name):
 def test_interleavings_bytes_equal_cleared_site():
     sol = solved("square-ss", 4)
     reference = Solution(sol.system, sol.dofs, sol.residual)
-    # inside a cell, a node on the shared diagonal and a point on it
-    p, q, r = (0.31, 0.12), (0.5, 0.5), (0.3, 0.3)
+    # inside a cell, a node on the shared diagonal, a point on it and a
+    # second point in p's cell
+    p, q, r, s = (0.31, 0.12), (0.5, 0.5), (0.3, 0.3), (0.33, 0.14)
     sequences = [[(field_eval, p), (moment_eval, p), (field_eval, q), (moment_eval, q),
                   (field_eval, p), (moment_eval, p)],
                  [(moment_eval, p), (field_eval, p)],
                  [(moment_eval, q), (field_eval, q), (moment_eval, r), (field_eval, r)],
                  [(moment_eval, q)] * 3,
-                 [(field_eval, r)] * 2 + [(moment_eval, r)]]
+                 [(field_eval, r)] * 2 + [(moment_eval, r)],
+                 # kept curvatures serve neither another point of the cell
+                 # nor another owning element
+                 [(field_eval, p), (moment_eval, s)],
+                 [(field_eval, r), (moment_eval, r)],
+                 [(field_eval, p), (field_eval, s), (moment_eval, p)]]
     for seq in sequences:
         for call, point in seq:
             assert outcome(call, sol, point) == outcome(call, reference, point, True)
@@ -164,3 +171,39 @@ def test_one_lookup_per_pair_one_locate_per_element(p, owners, monkeypatch):
     # a new point is looked up and located anew
     moment_eval(sol, (0.7, 0.1))
     assert len(lookups) == 2 and sum(locates.values()) == owners + 1
+
+
+@pytest.mark.parametrize("p, field, moment", [((0.31, 0.12), [3], []),
+                                              ((0.5, 0.5), [3], [6, 9])])
+def test_field_kernel_call_serves_the_moment(p, field, moment, kernel_calls):
+    # three domains per cell: inside a cell the moment reads the field's
+    # cell; at the diagonal node it evaluates owner 0's two other cells,
+    # then owner 1's three
+    sol = solved("square-ss", 4)
+    kernel_calls.clear()
+    field_eval(sol, p)
+    assert kernel_calls == field
+    moment_eval(sol, p)
+    assert kernel_calls == field + moment
+
+
+def test_moment_first_then_field_then_no_call(kernel_calls):
+    sol = solved("square-ss", 4)
+    kernel_calls.clear()
+    moment_eval(sol, (0.5, 0.5))
+    assert kernel_calls == [9, 9]
+    field_eval(sol, (0.5, 0.5))
+    assert kernel_calls == [9, 9, 3]
+    moment_eval(sol, (0.5, 0.5))
+    moment_eval(sol, (0.5, 0.5))
+    assert kernel_calls == [9, 9, 3]
+
+
+@pytest.mark.parametrize("p", [(0.31, 0.12), (0.5, 0.5), (0.3, 0.3)])
+def test_repeated_moments_make_no_call(p, kernel_calls):
+    sol = solved("square-ss", 4)
+    first = moment_eval(sol, p)
+    kernel_calls.clear()
+    assert moment_eval(sol, p) == first
+    assert moment_eval(sol, p) == first
+    assert kernel_calls == []

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import triplate.shapefn
 from triplate import (BCKind, OutsideModel, PlateMaterial, SingularSystem,
                       apply_boundary_conditions, assemble, benchmark_case, field_eval,
                       moment_eval, normalize_coefficient, solve_system)
@@ -136,16 +135,10 @@ class TestMomentEval:
                 seen.add(len(vertices))
         assert seen == {1, 2, 3, 6}
 
-    def test_one_kernel_call_per_containing_element(self, unit_material, monkeypatch):
+    def test_one_kernel_call_per_containing_element(self, unit_material, kernel_calls):
         sol = solved_square(4, unit_material)
-        calls = []
-        original = triplate.shapefn._eval_triangles
-
-        def counting(domains, *args, **kwargs):
-            calls.append(len(domains[3]))
-            return original(domains, *args, **kwargs)
-
-        monkeypatch.setattr(triplate.shapefn, "_eval_triangles", counting)
+        calls = kernel_calls
+        calls.clear()
         # the centre is a node on the shared diagonal, where three cells of
         # each element meet: one call per element, three domains per cell
         moment_eval(sol, (0.5, 0.5))

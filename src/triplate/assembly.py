@@ -20,7 +20,8 @@ from scipy.spatial import cKDTree
 from .element import (QUADRATURE_DEGREE, MRElement, _fill_basis, element_load_point,
                       element_load_uniform, element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
-from .geometry import CONTAIN_TOL, LocalFrame, barycentric_at, barycentric_coeffs
+from .geometry import (CONTAIN_TOL, FrameStack, LocalFrame, barycentric_at,
+                       barycentric_coeffs, grid_index_arrays, grid_positions)
 
 _PAIR_TOL = 1e-10
 
@@ -82,13 +83,18 @@ def node_rotation(frame: LocalFrame) -> np.ndarray:
     ])
 
 
-def transformation_matrix(frames, node_counts) -> sp.csr_matrix:
+def transformation_matrix(R: np.ndarray, node_counts) -> sp.csr_matrix:
     """Block-diagonal global-to-local transformation of stacked element dofs.
 
     One 3x3 `node_rotation` block per node, for node_counts[e] nodes of
-    each frames[e] in turn, stored whole in CSR.
+    each frame in turn, stored whole in CSR; R (E, 2, 2) holds the frames'
+    rotation matrices (`FrameStack.R`), whose transpose is the block's
+    rotation part.
     """
-    lam = np.array([node_rotation(frame).ravel() for frame in frames])
+    lam = np.zeros((len(R), 3, 3))
+    lam[:, 0, 0] = 1.0
+    lam[:, 1:, 1:] = R.transpose(0, 2, 1)
+    lam = lam.reshape(-1, 9)
     n = 3 * int(np.sum(node_counts))
     cols = np.repeat(np.arange(0, n, 3), 9) + np.tile([0, 1, 2], n)
     return sp.csr_matrix((np.repeat(lam, node_counts, axis=0).ravel(), cols,
@@ -158,9 +164,10 @@ def _segment_distance(points: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.
     return np.linalg.norm(points - (p1 + t[..., None] * d), axis=-1)
 
 
-def _check_edge_conformity(system: GlobalSystem):
+def _check_edge_conformity(system: GlobalSystem, corners: np.ndarray):
     """Reject hanging nodes: every node on an element side must be one of
     that element's own side nodes (same grid on both sides of a splice).
+    corners (E, 3, 2) are the elements' global vertices.
 
     A k-d tree lists the nodes within reach of each side's midpoint, and
     the exact segment distance keeps those on the side, so memory grows
@@ -169,7 +176,6 @@ def _check_edge_conformity(system: GlobalSystem):
     """
     coords = system.node_coords
     tol = system.merge_tol
-    corners = np.array([elem.frame.global_vertices() for elem in system.model.elements])
     p1 = corners.reshape(-1, 2)
     p2 = corners[:, [1, 2, 0]].reshape(-1, 2)
     reach = 0.5 * np.linalg.norm(p2 - p1, axis=1) * (1.0 + 1e-9) + tol
@@ -194,10 +200,8 @@ def _check_edge_conformity(system: GlobalSystem):
 def _element_stack(elements):
     """Origins (E, 2), rotations (E, 2, 2) and the `barycentric_coeffs` of
     the local vertices of the elements, stacked for `_owning_element`."""
-    frames = [elem.frame for elem in elements]
-    return (np.array([frame.origin for frame in frames]),
-            np.array([frame.rotation_matrix() for frame in frames]),
-            barycentric_coeffs(np.array([frame.local_vertices() for frame in frames])))
+    frames = FrameStack.of([elem.frame for elem in elements])
+    return frames.origin, frames.R, barycentric_coeffs(frames.local_vertices())
 
 
 def _owning_element(stack, p) -> tuple[list[int], np.ndarray]:
@@ -211,11 +215,11 @@ def _owning_element(stack, p) -> tuple[list[int], np.ndarray]:
     """
     p = np.asarray(p, dtype=float)
     # skip a non-finite point: its local coordinates would be NaN
-    if np.all(np.isfinite(p)):
+    if np.isfinite(p).all():
         origins, R, coeffs = stack
         local = np.matmul((p - origins)[:, None], R)[:, 0]
         L = barycentric_at(coeffs, local)
-        found = np.flatnonzero(np.all(L >= -CONTAIN_TOL, axis=1))
+        found = (L >= -CONTAIN_TOL).all(axis=1).nonzero()[0]
         if len(found):
             return found.tolist(), local[found]
     raise OutsideModel(f"point {p.tolist()} lies outside every element")
@@ -233,21 +237,42 @@ def _block_diagonal(mats) -> sp.csr_matrix:
          np.concatenate(indptr)), shape=(offsets[-1], offsets[-1]))
 
 
+def _node_coords(frames: FrameStack, ms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Global positions of the grid nodes of elements with the frames, the
+    resolutions ms (E,) and node counts (E,), element by element, each in
+    `grid_indices` order: every element's `node_positions_global`, from
+    one stacked product per resolution."""
+    starts = np.cumsum(counts) - counts
+    coords = np.empty((int(counts.sum()), 2))
+    for m in np.unique(ms).tolist():
+        rows = np.flatnonzero(ms == m)
+        part = frames.take(rows)
+        r, s, _ = np.broadcast_arrays(*grid_index_arrays(m), part.a)
+        at = starts[rows, None] + np.arange(r.shape[1])
+        coords[at.ravel()] = part.to_global(grid_positions(part, m, r, s)).reshape(-1, 2)
+    return coords
+
+
 def assemble(model: Model) -> GlobalSystem:
     """Merge nodes, transform and accumulate element matrices and loads.
 
-    Every element's per-orientation basis is evaluated first, a chunk of
-    elements per kernel call (`element._fill_basis`); `element_stiffness`
-    and `element_load_uniform` are then called once per element and read
-    it from the element's cache.  All element matrices are rotated to
-    global axes by one block-diagonal product T^T K T, and all uniform
-    loads by one T^T f; the result has the bits of rotating each element
-    alone, and every global entry sums its element contributions in
-    element order.
+    The cell integrals are computed first, once per group of elements of
+    equal shape, m and material (`element._fill_basis`); `element_stiffness`
+    and `element_load_uniform` are then called once per element and only
+    scatter them.  Node positions, the transformation and the side
+    vertices of the conformity check come from the stacked frames
+    (`FrameStack`), not from one call per element.  All element matrices
+    are rotated to global axes by one block-diagonal product T^T K T, and
+    all uniform loads by one T^T f; the result has the bits of rotating
+    each element alone, and every global entry sums its element
+    contributions in element order.
     """
     if not model.elements:
         raise ValueError("model has no elements")
-    all_coords = np.vstack([el.node_positions_global() for el in model.elements])
+    frames = FrameStack.of([el.frame for el in model.elements])
+    ms = np.array([el.m for el in model.elements])
+    node_counts = (ms + 1) * (ms + 2) // 2
+    all_coords = _node_coords(frames, ms, node_counts)
     if model.merge_tolerance is not None:
         tol = model.merge_tolerance
     else:
@@ -257,14 +282,13 @@ def assemble(model: Model) -> GlobalSystem:
     reps = _merge_nodes(all_coords, tol)
     uniq, inverse = np.unique(reps, return_inverse=True)
     node_coords = all_coords[uniq]
-    node_counts = [el.node_count for el in model.elements]
     starts = np.cumsum(node_counts)[:-1]
     element_nodes = np.split(inverse, starts)
     gdof = (3 * inverse[:, None] + np.arange(3)).ravel()
     n_dofs = 3 * len(node_coords)
 
     _fill_basis(model.elements, QUADRATURE_DEGREE)
-    T = transformation_matrix([el.frame for el in model.elements], node_counts)
+    T = transformation_matrix(frames.R, node_counts)
     K_loc = _block_diagonal([element_stiffness(el) for el in model.elements])
     # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
     # differently, and the large-m solves amplify that.  Each row of the
@@ -283,16 +307,16 @@ def assemble(model: Model) -> GlobalSystem:
     system = GlobalSystem(model=model, node_coords=node_coords,
                           element_nodes=element_nodes, K=K, rhs=rhs, merge_tol=tol)
 
-    gdofs = np.split(gdof, 3 * starts)
+    gdofs = np.split(gdof, 3 * starts) if model.point_loads else None
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
         owners, local = _owning_element(system.element_stack, p)
         e = owners[0]
         elem = model.elements[e]
         F_loc = element_load_point(elem, P, local[0])
-        T = transformation_matrix([elem.frame], [elem.node_count])
+        T = transformation_matrix(frames.R[e:e + 1], [elem.node_count])
         rhs[gdofs[e]] += T.T @ F_loc
-    _check_edge_conformity(system)
+    _check_edge_conformity(system, frames.to_global(frames.local_vertices()))
     return system
 
 

@@ -7,8 +7,10 @@ moment-curvature law is M = D_b kappa with the isotropic bending matrix.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +42,7 @@ from .shapefn import cells_basis, subtriangle_basis
 #: element has always used, so its bits stay as they were.
 QUADRATURE_DEGREE = 5
 
-#: (element, orientation) pairs per basis-kernel call of `_fill_basis`:
+#: (group, orientation) pairs per basis-kernel call of `_fill_basis`:
 #: keeps the kernel's temporaries near 2 MB, as `oracle._CHUNK` does
 _CHUNK = 16
 
@@ -81,7 +83,8 @@ class MRElement:
     frame: LocalFrame
     m: int
     material: PlateMaterial
-    #: (weights, N, B) of each (orientation, degree), see `_fill_basis`
+    #: the `CellIntegrals` of each quadrature degree, shared with every
+    #: element of equal `_basis_key` (see `_fill_basis`)
     _basis: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -170,10 +173,11 @@ def _corner_dofs(m: int, corners: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
-    """`_corner_dofs` of the whole partition, its down-cell mask, and the
-    CSR pattern of the element stiffness: the slot of each cell-matrix
-    entry among the distinct (row, col) pairs in row-major order, their
-    column indices, and the row pointers.  All read-only."""
+    """`_corner_dofs` of the whole partition, the orientation (0 up,
+    1 down) of each cell, and the CSR pattern of the element stiffness:
+    the slot of each cell-matrix entry among the distinct (row, col) pairs
+    in row-major order, their column indices, and the row pointers, both
+    in the int32 a CSR of this size keeps.  All read-only."""
     corners, down = partition_corners(m)
     dofs = _corner_dofs(m, corners)
     n = 3 * grid_size(m)
@@ -181,7 +185,8 @@ def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
     uniq, slot = np.unique(key, return_inverse=True)
     row, indices = np.divmod(uniq, n)
     indptr = np.searchsorted(row, np.arange(n + 1))
-    arrays = dofs, down, slot, indices, indptr
+    arrays = (dofs, down.astype(np.intp), slot, indices.astype(np.int32),
+              indptr.astype(np.int32))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -191,20 +196,64 @@ def _partition_dofs(m: int) -> tuple[np.ndarray, ...]:
 _FIRST_CELLS = cell_corners(np.array([0, 1]), np.array([0, 0]), np.array([False, True]))
 
 
-def _fill_basis(elements, degree: int) -> None:
-    """Keep (weights, N, B) of every cell orientation of the elements.
+class CellIntegrals(NamedTuple):
+    """What an element keeps per quadrature degree (`_fill_basis`), one row
+    per cell orientation: up, then down when m > 1.  Read-only."""
 
-    Cells of equal orientation are translates of each other, so they share
-    the first such cell's rule weights, deflection rows N (npts, 9) and
-    curvature matrices B (npts, 3, 9).  Each element keeps them in
-    `_basis` under (down, degree), so its stiffness and load evaluate the
-    basis once per orientation between them.  The first cells of the
-    (element, orientation) pairs not kept yet go through `cells_basis`
-    `_CHUNK` at a time: one kernel call per chunk, not one per pair.
+    key: tuple             # the `_basis_key` the arrays belong to
+    wq: np.ndarray         # (o, npts) rule weights of the cell
+    N: np.ndarray          # (o, npts, 9) deflection rows
+    B: np.ndarray          # (o, npts, 3, 9) curvature matrices
+    K: np.ndarray          # (o, 9, 9) cell stiffness
+    f: np.ndarray          # (o, 9) load row wq @ N of a unit pressure
+
+
+def _basis_key(elem: MRElement) -> tuple:
+    """Everything an element's `CellIntegrals` depend on: the float64 bits
+    of its frame's shape (a, h, b) and of its material's E, t and nu, and
+    its resolution m."""
+    f, mat = elem.frame, elem.material
+    return struct.pack("6d", f.a, f.h, f.b, mat.E, mat.t, mat.nu), elem.m
+
+
+def _cell_stiffness(wq: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """9x9 stiffness (k, 9, 9) of k cells with rule weights wq (k, npts),
+    curvature matrices B (k, npts, 3, 9) and rigidity D (k, 3, 3).
+
+    w_q B_qai D_ab B_qbj is summed over (q, a, b) in that order, with the
+    bits of einsum("q,qai,ab,qbj->ij") per cell at half its cost.
     """
-    jobs = [(elem, down) for elem in elements
-            for down in ((False, True) if elem.m > 1 else (False,))
-            if (down, degree) not in elem._basis]
+    wB = (wq[:, :, None, None] * B)[:, :, :, None, :] * D[:, None, :, :, None]
+    kc = (wB[..., None] * B[:, :, None, :, None, :]).reshape(len(B), -1, 81).sum(axis=1)
+    kc = kc.reshape(-1, 9, 9)
+    return 0.5 * (kc + kc.transpose(0, 2, 1))
+
+
+def _fill_basis(elements, degree: int) -> None:
+    """Keep the `CellIntegrals` of the elements at the quadrature degree.
+
+    Cells of equal orientation are translates of each other, so an element
+    needs the rule, N and B of its first up cell and (m > 1) its first down
+    cell only.  These depend on the frame's shape (a, h, b) and m alone,
+    and the cell stiffness also on the material, so elements of equal
+    `_basis_key` get equal arrays, bit for bit: the elements whose
+    integrals are missing or kept under another key are grouped by key,
+    and each group is computed once and kept on all its elements.  The
+    first element of each group is evaluated through `cells_basis`,
+    `_CHUNK` (group, orientation) pairs per kernel call, and the 9x9 cell
+    stiffness (`_cell_stiffness`) and the load row wq @ N of each pair
+    come from one stacked product per call, each with the bits of
+    computing it alone.
+    """
+    groups = {}
+    for elem in elements:
+        key = _basis_key(elem)
+        kept = elem._basis.get(degree)
+        if kept is None or kept.key != key:
+            groups.setdefault(key, []).append(elem)
+    jobs = [(members[0], down) for members in groups.values()
+            for down in ((False, True) if members[0].m > 1 else (False,))]
+    parts = []
     for start in range(0, len(jobs), _CHUNK):
         chunk = jobs[start:start + _CHUNK]
         down = [d for _, d in chunk]
@@ -215,31 +264,33 @@ def _fill_basis(elements, degree: int) -> None:
         value, _, hess = cells_basis([elem.frame for elem, _ in chunk],
                                      [elem.m for elem, _ in chunk], vertices, down, pts,
                                      grad=False)
-        for (elem, d), w, N, B in zip(chunk, wq, _values(value), _curvatures(hess)):
-            elem._basis[(d, degree)] = w, N, B
+        N, B = _values(value), _curvatures(hess)
+        D = np.array([bending_rigidity(elem.material) for elem, _ in chunk])
+        parts.append((wq, N, B, _cell_stiffness(wq, B, D), np.matmul(wq[:, None], N)[:, 0]))
+    if not parts:
+        return
+    arrays = [np.concatenate(a) for a in zip(*parts)]
+    for a in arrays:
+        a.flags.writeable = False
+    row = 0
+    for key, members in groups.items():
+        o = 2 if members[0].m > 1 else 1
+        kept = CellIntegrals(key, *(a[row:row + o] for a in arrays))
+        row += o
+        for elem in members:
+            elem._basis[degree] = kept
 
 
-def _orientation_basis(elem: MRElement, down: bool, degree: int):
-    """(weights, N, B) of one cell orientation at its quadrature points,
-    as `_fill_basis` keeps them."""
-    key = (down, degree)
-    if key not in elem._basis:
-        _fill_basis([elem], degree)
-    return elem._basis[key]
-
-
-def _per_cell(elem: MRElement, degree: int | None, integral) -> np.ndarray:
-    """integral(weights, N, B) of every cell, stacked in partition order.
-
-    The integral is computed once per orientation; degree None means
-    `QUADRATURE_DEGREE`.
-    """
+def _integrals(elem: MRElement, degree: int | None) -> CellIntegrals:
+    """The element's `CellIntegrals` at the degree (None means
+    `QUADRATURE_DEGREE`), filled when missing or kept under another key,
+    as after a change of material."""
     degree = QUADRATURE_DEGREE if degree is None else degree
-    down = _partition_dofs(elem.m)[1]
-    orientations = (False, True) if elem.m > 1 else (False,)
-    per_orientation = [integral(*_orientation_basis(elem, d, degree))
-                       for d in orientations]
-    return np.stack(per_orientation)[down.astype(np.intp)]
+    kept = elem._basis.get(degree)
+    if kept is None or kept.key != _basis_key(elem):
+        _fill_basis([elem], degree)
+        kept = elem._basis[degree]
+    return kept
 
 
 def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
@@ -247,41 +298,33 @@ def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matr
 
     The integrand per cell is quadratic (second derivatives of cubics),
     so the default `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
-    matrices (up and down) come from the basis kept by
-    `_orientation_basis`, shared with `element_load_uniform`, and are
-    scattered through the pattern `_partition_dofs` keeps per m.  Each
-    entry is summed over its cells in partition order.
+    matrices (up and down) are the ones `_fill_basis` keeps, shared by
+    the elements of equal shape, m and material; this only scatters them
+    through the pattern `_partition_dofs` keeps per m, whose read-only
+    index arrays the matrix shares.  Each entry is summed over its cells
+    in partition order.
     """
-    D = bending_rigidity(elem.material)
-
-    def cell_stiffness(wq, N, B):
-        # w_q B_qai D_ab B_qbj summed over (q, a, b) in that order, with the
-        # bits of einsum("q,qai,ab,qbj->ij") at half its cost
-        wB = (wq[:, None, None] * B)[:, :, None, :] * D[None, :, :, None]
-        kc = (wB[..., None] * B[:, None, :, None, :]).reshape(-1, 81).sum(axis=0)
-        kc = kc.reshape(9, 9)
-        return 0.5 * (kc + kc.T)
-
-    kc = _per_cell(elem, degree, cell_stiffness)
-    _, _, slot, indices, indptr = _partition_dofs(elem.m)
+    kc = _integrals(elem, degree).K
+    _, orientation, slot, indices, indptr = _partition_dofs(elem.m)
     n = elem.dof_count
     # bincount adds in input order; the cell matrices are exactly
     # symmetric, so K is too
-    return sp.csr_matrix((np.bincount(slot, weights=kc.ravel()), indices, indptr),
-                         shape=(n, n))
+    return sp.csr_matrix((np.bincount(slot, weights=kc[orientation].ravel()),
+                          indices, indptr), shape=(n, n))
 
 
 def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
     """Consistent load vector for a uniform transverse pressure q.
 
-    Reads the same per-orientation basis as `element_stiffness`.
+    Scatters the cell load rows `_fill_basis` keeps beside the cell
+    stiffness.
     """
     n = elem.dof_count
     if q == 0.0:
         return np.zeros(n)
-    fc = _per_cell(elem, degree, lambda wq, N, B: q * (wq @ N))
-    dofs = _partition_dofs(elem.m)[0]
-    return np.bincount(dofs.ravel(), weights=fc.ravel(), minlength=n)
+    f = _integrals(elem, degree).f
+    dofs, orientation = _partition_dofs(elem.m)[:2]
+    return np.bincount(dofs.ravel(), weights=(q * f)[orientation].ravel(), minlength=n)
 
 
 #: base-node offsets (dr, ds), orientations and corner offsets of the up and
@@ -327,7 +370,7 @@ def locate_subtriangle(elem: MRElement, p_local):
     down = _WINDOW_DOWN[keep]
     corners = base + _WINDOW_CORNERS[keep]
     vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
-    hits = np.all(barycentric(vertices, p) >= -CONTAIN_TOL, axis=1)
+    hits = (barycentric(vertices, p) >= -CONTAIN_TOL).all(axis=1)
     if not hits.any():
         raise OutsideElement(f"point {p} lies outside the element")
     return vertices[hits], corners[hits], down[hits]

@@ -176,6 +176,47 @@ def canonicalize_triangle(v1, v2, v3) -> LocalFrame:
     raise NoValidLabeling("no cyclic labeling gives a valid canonical frame")
 
 
+class FrameStack(NamedTuple):
+    """Frames stacked for array code, each row with the bits of its frame.
+
+    a, h and b are (E, 1) columns, so that `grid_positions` takes a stack
+    for its frame with grid indices of shape (E, n); origin is (E, 2) and
+    R (E, 2, 2) holds each frame's `rotation_matrix`, built from the same
+    math.cos and math.sin values (np.cos can differ from them by one ulp).
+    """
+
+    a: np.ndarray
+    h: np.ndarray
+    b: np.ndarray
+    origin: np.ndarray
+    R: np.ndarray
+
+    @classmethod
+    def of(cls, frames) -> "FrameStack":
+        n = len(frames)
+        a, h, b = np.array([(f.a, f.h, f.b) for f in frames],
+                           dtype=float).reshape(n, 3).T[:, :, None]
+        c, s = np.array([(math.cos(f.rotation), math.sin(f.rotation))
+                         for f in frames]).reshape(n, 2).T
+        origin = np.array([f.origin for f in frames], dtype=float).reshape(n, 2)
+        return cls(a, h, b, origin, np.stack([c, -s, s, c], axis=-1).reshape(n, 2, 2))
+
+    def take(self, rows) -> "FrameStack":
+        return FrameStack(*(x[rows] for x in self))
+
+    def local_vertices(self) -> np.ndarray:
+        """Each frame's `local_vertices`, (E, 3, 2)."""
+        v = np.zeros((len(self.a), 3, 2))
+        v[:, 1, 0] = self.a[:, 0]
+        v[:, 2, 0] = (self.a * (1.0 - self.h / self.b))[:, 0]
+        v[:, 2, 1] = self.h[:, 0]
+        return v
+
+    def to_global(self, p_local: np.ndarray) -> np.ndarray:
+        """Each frame's `to_global` of its local points (E, n, 2)."""
+        return np.matmul(p_local, self.R.transpose(0, 2, 1)) + self.origin[:, None]
+
+
 # (p1, p2, p3) of the three cyclic labelings of a triangle
 _CYCLIC_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
@@ -257,7 +298,8 @@ def node_ordinal(m: int, idx: tuple[int, int]) -> int:
 
 def grid_positions(frame: LocalFrame, m: int, r, s) -> np.ndarray:
     """Local coordinates (..., 2) of grid nodes (r, s), unchecked; r and s
-    may be integer arrays of one shape.  The one node-position expression."""
+    may be integer arrays of one shape, (E, n) for a `FrameStack` of E
+    frames.  The one node-position expression."""
     out = np.empty(np.shape(r) + (2,))
     out[..., 0] = (frame.a / m) * (r - s * frame.h / frame.b)
     out[..., 1] = (s / m) * frame.h

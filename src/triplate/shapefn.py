@@ -179,7 +179,7 @@ def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
     L = (a0[:, None] + points[..., :1] * bb[:, None]
          + points[..., 1:] * cc[:, None]) / twoA[:, None, None]
     if names is not None:
-        outside = np.any(L < -CONTAIN_TOL, axis=(1, 2))
+        outside = (L < -CONTAIN_TOL).any(axis=(1, 2))
         if outside.any():
             raise OutsideDomain(
                 f"point outside sub-domain {names[int(np.argmax(outside))]}")

@@ -194,14 +194,15 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
         if missing:
             kept.update(zip(missing, _cells_B(elem, vertices[missing], down[missing],
                                               p_loc)[:, 0]))
-        B = np.stack([kept[i] for i in range(len(vertices))])
+        B = np.array([kept[i] for i in range(len(vertices))])
         R = sol.system.element_stack[1][e]
         kappa = np.matmul(B, a[dofs][:, :, None])
         m_loc = np.matmul(sol._rigidity[e], kappa)[:, :, 0]
         Mg = R @ m_loc.take(_MOMENT_MATRIX, axis=1) @ R.T
-        collected.append(np.mean(Mg.reshape(-1, 4).take(_MOMENT_TRIPLE, axis=1), axis=0))
-    mx, my, mxy = np.mean(collected, axis=0)
-    return MomentTriple(float(mx), float(my), float(mxy))
+        collected.append(Mg.reshape(-1, 4).take(_MOMENT_TRIPLE, axis=1).sum(axis=0)
+                         / len(Mg))
+    mx, my, mxy = (np.array(collected).sum(axis=0) / len(collected)).tolist()
+    return MomentTriple(mx, my, mxy)
 
 
 def normalize_coefficient(value: float, kind: str, L: float, q: float,

@@ -22,7 +22,7 @@ from triplate.assembly import (_PAIR_TOL, _element_stack, _merge_nodes,
 from triplate.bench import CASES
 from triplate.cli import CONFIG_SCHEMA
 from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
-                              _cells_B, _fill_basis, _partition_dofs, _per_cell,
+                              _cells_B, _fill_basis, _partition_dofs,
                               element_load_point, element_load_uniform,
                               element_stiffness)
 from triplate.geometry import LocalFrame, grid_positions, partition_corners
@@ -198,10 +198,12 @@ class TestMatchesPerElementAssembly:
     @pytest.mark.parametrize("twin", [False, True])
     def test_one_basis_call_per_element_orientation(self, twin, monkeypatch,
                                                     kernel_calls):
-        # every (element, orientation) basis is evaluated once, inside one
-        # basis-kernel call per chunk of them: no per-element
-        # subtriangle_basis call, ceil(jobs / chunk) kernel calls of three
-        # domains per pair
+        # the basis is evaluated once per distinct (shape bits, m,
+        # orientation), inside one basis-kernel call per chunk of them: no
+        # per-element subtriangle_basis call, ceil(jobs / chunk) kernel
+        # calls of three domains per pair.  The skew-60 m = 8 twin has 128
+        # one-cell elements of 33 bitwise-distinct shapes; the elements of
+        # one shape (and material) share one set of kept arrays
         model = benchmark_case("skew-60").build(8)
         if twin:
             model = build_equivalent_mono(model).model
@@ -210,13 +212,22 @@ class TestMatchesPerElementAssembly:
                             lambda *args: one_cell_calls.append(args))
         domains.clear()
         assemble(model)
-        jobs = sum(2 if el.m > 1 else 1 for el in model.elements)
-        assert jobs == (128 if twin else 4)
+        shapes = {(np.array([el.frame.a, el.frame.h, el.frame.b]).tobytes(), el.m)
+                  for el in model.elements}
+        jobs = sum(2 if m > 1 else 1 for _, m in shapes)
+        assert (len(model.elements), len(shapes), jobs) == \
+            ((128, 33, 33) if twin else (2, 2, 4))
         assert one_cell_calls == []
         assert len(domains) == math.ceil(jobs / triplate.element._CHUNK) \
-            == (8 if twin else 1)
-        assert sum(domains) == 3 * jobs
-        assert all(len(el._basis) == (2 if el.m > 1 else 1) for el in model.elements)
+            == (3 if twin else 1)
+        assert sum(domains) == 3 * jobs == (99 if twin else 12)
+        kept = [el._basis[QUADRATURE_DEGREE] for el in model.elements]
+        assert len({id(k) for k in kept}) == len(shapes)
+        assert all(len(k.K) == (2 if el.m > 1 else 1)
+                   for el, k in zip(model.elements, kept))
+        domains.clear()
+        assemble(model)
+        assert domains == []
 
     @pytest.mark.parametrize("degree", [2, 5])
     def test_batched_basis_bytes_equal_one_cell_evaluation(self, degree):
@@ -226,6 +237,7 @@ class TestMatchesPerElementAssembly:
         assert {el.m for el in elements} == {1, 3, 8}
         _fill_basis(elements, degree)
         for elem in elements:
+            kept = elem._basis[degree]
             cells = elem.partition()
             corners, down_mask = partition_corners(elem.m)
             for down in ((False, True) if elem.m > 1 else (False,)):
@@ -246,7 +258,8 @@ class TestMatchesPerElementAssembly:
                 N = np.stack([f.value for f in fs], axis=-1)
                 B = np.stack([f.hess for f in fs], axis=-1) \
                     * np.array([-1.0, -1.0, -2.0])[:, None]
-                for got, want in zip(elem._basis[(down, degree)], (wq, N, B)):
+                o = int(down)
+                for got, want in zip((kept.wq[o], kept.N[o], kept.B[o]), (wq, N, B)):
                     assert (got.dtype, got.shape, got.tobytes()) == \
                         (want.dtype, want.shape, want.tobytes())
 
@@ -283,20 +296,20 @@ class TestMatchesPerElementAssembly:
             elements += [MRElement(el.frame, 48, el.material) for el in model.elements]
 
         def einsum_stiffness(elem):
+            # from the rule and curvature matrices kept for each orientation
             D = bending_rigidity(elem.material)
-
-            def cell_stiffness(wq, N, B):
-                kc = np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
-                return 0.5 * (kc + kc.T)
-
-            kc = _per_cell(elem, degree, cell_stiffness)
-            _, _, slot, indices, indptr = _partition_dofs(elem.m)
+            kept = elem._basis[degree]
+            kc = np.array([np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
+                           for wq, B in zip(kept.wq, kept.B)])
+            kc = 0.5 * (kc + kc.transpose(0, 2, 1))
+            _, orientation, slot, indices, indptr = _partition_dofs(elem.m)
             n = elem.dof_count
-            return sp.csr_matrix((np.bincount(slot, weights=kc.ravel()), indices,
-                                  indptr), shape=(n, n))
+            return sp.csr_matrix((np.bincount(slot, weights=kc[orientation].ravel()),
+                                  indices, indptr), shape=(n, n))
 
         for elem in elements:
-            got, want = element_stiffness(elem, degree), einsum_stiffness(elem)
+            got = element_stiffness(elem, degree)
+            want = einsum_stiffness(elem)
             for g, w in ((got.data, want.data), (got.indices, want.indices),
                          (got.indptr, want.indptr)):
                 assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
@@ -306,10 +319,11 @@ class TestMatchesPerElementAssembly:
         # several temporaries, so kernel calls are kept to a few cells.  The
         # square-ss m = 32 twin (2048 one-cell elements) peaked at 14.6 MB
         # under tracemalloc, at 17.7 MB once every cell frame kept its
-        # kernel constants of both orientations (about 1.5 KB a frame) and
-        # at 16.6 MB once a frame kept only its up cell's, the one a one-cell
-        # element asks for; 128 cells per call took 24 MB and all 2048 in
-        # one call 288 MB
+        # kernel constants of both orientations (about 1.5 KB a frame), at
+        # 16.6 MB once a frame kept only its up cell's, the one a one-cell
+        # element asks for, and at 11.4 MB once only the first element of
+        # each of its 334 distinct shapes is evaluated and keeps them; 128
+        # cells per call took 24 MB and all 2048 in one call 288 MB
         mono = build_equivalent_mono(benchmark_case("square-ss").build(32)).model
         assert len(mono.elements) == 2048
         tracemalloc.start()
@@ -329,14 +343,64 @@ class TestMatchesPerElementAssembly:
         ]
         check = triplate.assembly._check_edge_conformity
         monkeypatch.setattr(triplate.assembly, "_check_edge_conformity",
-                            lambda system: None)
+                            lambda system, corners: None)
         system = assemble(Model(elements=elements, uniform_q=1.0))
         e, i, foreign = edge_conformity_scan(system)
         with pytest.raises(NodeMismatch) as err:
-            check(system)
+            check(system, np.array([el.frame.global_vertices() for el in elements]))
         assert str(err.value) == (
             f"element {e} side {i}: nodes {foreign} lie on the side but do not "
             "match its grid (differing m across a shared edge?)")
+
+
+def same_bytes(*pairs):
+    return all((g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+               for g, w in pairs)
+
+
+class TestSharedCellIntegrals:
+    """Elements share kept cell integrals only when every input of them is
+    bitwise equal: frame shape, m and material."""
+
+    @pytest.mark.parametrize("name", ["square-ss", "skew-60", "circle-ss"])
+    def test_shared_twin_bytes_equal_each_filled_alone(self, name):
+        model = CASES[name].build(4)
+        shared = build_equivalent_mono(model).model
+        alone = build_equivalent_mono(model).model
+        for elem in alone.elements:
+            _fill_basis([elem], QUADRATURE_DEGREE)
+        got, want = assemble(shared), assemble(alone)
+
+        def kept(twin):
+            return {id(el._basis[QUADRATURE_DEGREE]) for el in twin.elements}
+
+        assert len(kept(alone)) == len(alone.elements) > len(kept(shared))
+        assert same_bytes((got.K.data, want.K.data), (got.K.indices, want.K.indices),
+                          (got.K.indptr, want.K.indptr), (got.rhs, want.rhs))
+
+    def test_equal_shapes_of_other_material_keep_their_own(self, unit_material):
+        frame = LocalFrame(1.0, 0.8, 1.1)
+        soft = PlateMaterial(E=3.0, t=0.5, nu=0.2)
+        elements = [MRElement(frame, 3, mat) for mat in (unit_material, soft, unit_material)]
+        _fill_basis(elements, QUADRATURE_DEGREE)
+        kept = [el._basis[QUADRATURE_DEGREE] for el in elements]
+        assert kept[0] is kept[2] and kept[1] is not kept[0]
+        alone = MRElement(LocalFrame(1.0, 0.8, 1.1), 3, soft)
+        assert same_bytes((element_stiffness(elements[1]).data,
+                           element_stiffness(alone).data))
+        assert not np.array_equal(kept[0].K, kept[1].K)
+
+    def test_shapes_one_ulp_apart_keep_their_own(self, unit_material):
+        frames = [LocalFrame(a, 0.8, 1.1) for a in (1.0, np.nextafter(1.0, 2.0))]
+        elements = [MRElement(frame, 1, unit_material) for frame in frames]
+        _fill_basis(elements, QUADRATURE_DEGREE)
+        assert elements[0]._basis[QUADRATURE_DEGREE] is not \
+            elements[1]._basis[QUADRATURE_DEGREE]
+        for elem, frame in zip(elements, frames):
+            alone = MRElement(LocalFrame(frame.a, frame.h, frame.b), 1, unit_material)
+            assert same_bytes((element_stiffness(elem).data,
+                               element_stiffness(alone).data))
+        assert not np.array_equal(*(el._basis[QUADRATURE_DEGREE].K for el in elements))
 
 
 class TestSplicing:

@@ -94,6 +94,24 @@ class TestStiffness:
         assert not np.array_equal(element_stiffness(elem, 2).data,
                                   element_stiffness(elem, 5).data)
 
+    def test_new_material_gives_its_own_stiffness(self, element_factory):
+        # the kept cell matrices depend on D: a material reassigned, or
+        # changed in place, after a stiffness call must not read them
+        elem = element_factory(m=3)
+        element_stiffness(elem)
+        element_load_uniform(elem, 1.0)
+        for change in ("reassign", "in place"):
+            if change == "reassign":
+                elem.material = PlateMaterial(E=3.0, t=0.5, nu=0.2)
+            else:
+                elem.material.nu = 0.25
+            fresh = MRElement(elem.frame, elem.m, PlateMaterial(
+                elem.material.E, elem.material.t, elem.material.nu))
+            assert element_stiffness(elem).data.tobytes() == \
+                element_stiffness(fresh).data.tobytes()
+            assert element_load_uniform(elem, 1.0).tobytes() == \
+                element_load_uniform(fresh, 1.0).tobytes()
+
     def test_degree_one_rule_rejected(self, element_factory):
         # the curvature integrand is quadratic: a degree-1 rule is inexact
         elem = element_factory(m=2)

@@ -1,7 +1,8 @@
 """Constants that the probes and the basis filler keep between calls.
 
 Each frame keeps the kernel constants of its cell corner domains, for the
-orientations asked of it (`shapefn._cell_domains`), each assembled system its element stack
+orientations asked of it (`shapefn._cell_domains`); in an assembly only
+the first element of each distinct shape asks.  Each assembled system keeps its element stack
 (`GlobalSystem.element_stack`) and each solution its elements' frame-local
 dofs (`Solution._local_dofs`).  The kept constants must give the bits of
 building them anew, be built once, and never be shared where they differ.
@@ -151,13 +152,24 @@ def test_frames_of_other_shape_get_other_constants():
 
 
 def test_frames_keep_only_the_orientations_asked(rng):
-    # a one-cell element only ever asks for its up cell
-    twin = build_equivalent_mono(CASES["skew-60"].build(2)).model
+    # a one-cell element only ever asks for its up cell, and only the
+    # first element of each distinct shape is evaluated, so only its frame
+    # keeps constants
+    twin = build_equivalent_mono(CASES["skew-60"].build(4)).model
     assemble(twin)
+    first = {}
+    for elem in twin.elements:
+        first.setdefault(np.array([elem.frame.a, elem.frame.h, elem.frame.b]).tobytes(),
+                         elem)
+    assert len(first) < len(twin.elements)
+    representatives = {id(elem) for elem in first.values()}
     for elem in twin.elements:
         shape, kept, rows = elem.frame._kernel
-        assert rows[0] >= 0 and rows[1] == -1
-        assert len(kept[0]) <= triplate.element._CHUNK
+        if id(elem) in representatives:
+            assert rows[0] >= 0 and rows[1] == -1
+            assert len(kept[0]) <= triplate.element._CHUNK
+        else:
+            assert kept is None and rows == (-1, -1)
     # a frame asked for the down cell after the up cell builds both once,
     # with the bits of building each alone
     frame = canonicalize_triangle(*random_triangle(rng))

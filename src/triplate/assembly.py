@@ -9,7 +9,6 @@ single direction of the rotation pair (hard simple support, symmetry).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -20,7 +19,7 @@ from scipy.spatial import cKDTree
 from .element import (QUADRATURE_DEGREE, MRElement, _fill_basis, element_load_point,
                       element_load_uniform, element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
-from .geometry import (CONTAIN_TOL, FrameStack, LocalFrame, barycentric_at,
+from .geometry import (CONTAIN_TOL, FrameStack, barycentric_at,
                        barycentric_coeffs, grid_index_arrays, grid_positions)
 
 _PAIR_TOL = 1e-10
@@ -73,28 +72,24 @@ class Model:
     merge_tolerance: float | None = None
 
 
-def node_rotation(frame: LocalFrame) -> np.ndarray:
-    """3x3 per-node map from global (w, thx, thy) to frame-local components."""
-    c, s = math.cos(frame.rotation), math.sin(frame.rotation)
-    return np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, c, s],
-        [0.0, -s, c],
-    ])
+def node_rotations(R: np.ndarray) -> np.ndarray:
+    """3x3 per-node maps (E, 3, 3) from global (w, thx, thy) to the
+    frame-local components of frames with rotation matrices R (E, 2, 2)
+    (`FrameStack.R`): 1 for w, and R's transpose for the rotations."""
+    lam = np.zeros((len(R), 3, 3))
+    lam[:, 0, 0] = 1.0
+    lam[:, 1:, 1:] = R.transpose(0, 2, 1)
+    return lam
 
 
 def transformation_matrix(R: np.ndarray, node_counts) -> sp.csr_matrix:
     """Block-diagonal global-to-local transformation of stacked element dofs.
 
-    One 3x3 `node_rotation` block per node, for node_counts[e] nodes of
+    One 3x3 `node_rotations` block per node, for node_counts[e] nodes of
     each frame in turn, stored whole in CSR; R (E, 2, 2) holds the frames'
-    rotation matrices (`FrameStack.R`), whose transpose is the block's
-    rotation part.
+    rotation matrices.
     """
-    lam = np.zeros((len(R), 3, 3))
-    lam[:, 0, 0] = 1.0
-    lam[:, 1:, 1:] = R.transpose(0, 2, 1)
-    lam = lam.reshape(-1, 9)
+    lam = node_rotations(R).reshape(-1, 9)
     n = 3 * int(np.sum(node_counts))
     cols = np.repeat(np.arange(0, n, 3), 9) + np.tile([0, 1, 2], n)
     return sp.csr_matrix((np.repeat(lam, node_counts, axis=0).ravel(), cols,

@@ -201,9 +201,6 @@ class CellIntegrals(NamedTuple):
     per cell orientation: up, then down when m > 1.  Read-only."""
 
     key: tuple             # the `_basis_key` the arrays belong to
-    wq: np.ndarray         # (o, npts) rule weights of the cell
-    N: np.ndarray          # (o, npts, 9) deflection rows
-    B: np.ndarray          # (o, npts, 3, 9) curvature matrices
     K: np.ndarray          # (o, 9, 9) cell stiffness
     f: np.ndarray          # (o, 9) load row wq @ N of a unit pressure
 
@@ -229,6 +226,20 @@ def _cell_stiffness(wq: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
     return 0.5 * (kc + kc.transpose(0, 2, 1))
 
 
+def _first_cells(jobs, degree: int) -> tuple[np.ndarray, ...]:
+    """Rule weights wq (k, npts), deflection rows N (k, npts, 9) and
+    curvature matrices B (k, npts, 3, 9) of the first up or down cell of
+    k (element, down) jobs, from one `cells_basis` call."""
+    down = [d for _, d in jobs]
+    vertices = np.array([grid_positions(elem.frame, elem.m, *_FIRST_CELLS[int(d)].T)
+                         for elem, d in jobs])
+    pts, wq = _cell_quadrature(vertices, degree)
+    value, _, hess = cells_basis([elem.frame for elem, _ in jobs],
+                                 [elem.m for elem, _ in jobs], vertices, down, pts,
+                                 grad=False)
+    return wq, _values(value), _curvatures(hess)
+
+
 def _fill_basis(elements, degree: int) -> None:
     """Keep the `CellIntegrals` of the elements at the quadrature degree.
 
@@ -239,11 +250,11 @@ def _fill_basis(elements, degree: int) -> None:
     `_basis_key` get equal arrays, bit for bit: the elements whose
     integrals are missing or kept under another key are grouped by key,
     and each group is computed once and kept on all its elements.  The
-    first element of each group is evaluated through `cells_basis`,
-    `_CHUNK` (group, orientation) pairs per kernel call, and the 9x9 cell
-    stiffness (`_cell_stiffness`) and the load row wq @ N of each pair
-    come from one stacked product per call, each with the bits of
-    computing it alone.
+    first element of each group is evaluated through `cells_basis`
+    (`_first_cells`), `_CHUNK` (group, orientation) pairs per kernel call,
+    and the 9x9 cell stiffness (`_cell_stiffness`) and the load row wq @ N
+    of each pair come from one stacked product per call, each with the
+    bits of computing it alone.  Only those two are kept.
     """
     groups = {}
     for elem in elements:
@@ -256,17 +267,9 @@ def _fill_basis(elements, degree: int) -> None:
     parts = []
     for start in range(0, len(jobs), _CHUNK):
         chunk = jobs[start:start + _CHUNK]
-        down = [d for _, d in chunk]
-        vertices = np.array([grid_positions(elem.frame, elem.m,
-                                            *_FIRST_CELLS[int(d)].T)
-                             for elem, d in chunk])
-        pts, wq = _cell_quadrature(vertices, degree)
-        value, _, hess = cells_basis([elem.frame for elem, _ in chunk],
-                                     [elem.m for elem, _ in chunk], vertices, down, pts,
-                                     grad=False)
-        N, B = _values(value), _curvatures(hess)
+        wq, N, B = _first_cells(chunk, degree)
         D = np.array([bending_rigidity(elem.material) for elem, _ in chunk])
-        parts.append((wq, N, B, _cell_stiffness(wq, B, D), np.matmul(wq[:, None], N)[:, 0]))
+        parts.append((_cell_stiffness(wq, B, D), np.matmul(wq[:, None], N)[:, 0]))
     if not parts:
         return
     arrays = [np.concatenate(a) for a in zip(*parts)]
@@ -300,9 +303,13 @@ def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matr
     so the default `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
     matrices (up and down) are the ones `_fill_basis` keeps, shared by
     the elements of equal shape, m and material; this only scatters them
-    through the pattern `_partition_dofs` keeps per m, whose read-only
-    index arrays the matrix shares.  Each entry is summed over its cells
-    in partition order.
+    through the pattern `_partition_dofs` keeps per m.  Each entry is
+    summed over its cells in partition order.
+
+    The matrix's ``indices`` and ``indptr`` are that pattern's arrays,
+    shared by every element matrix of the same m and read-only: an
+    in-place edit of them (``eliminate_zeros``, writing into ``indices``)
+    raises ValueError.  Copy the matrix (``.copy()``) before such edits.
     """
     kc = _integrals(elem, degree).K
     _, orientation, slot, indices, indptr = _partition_dofs(elem.m)

@@ -112,8 +112,7 @@ class LocalFrame:
         return np.array([self.apex_x, self.h])
 
     def rotation_matrix(self) -> np.ndarray:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        return np.array([[c, -s], [s, c]])
+        return rotation_matrices([self.rotation])[0]
 
     def to_global(self, p_local) -> np.ndarray:
         p = np.asarray(p_local, dtype=float)
@@ -141,6 +140,14 @@ class LocalFrame:
     def domain_center_vertex(self, domain: HexDomain) -> int:
         """Local vertex index (1-based) occupied by the node at the origin."""
         return _DOMAIN_TABLE[domain][1]
+
+
+def rotation_matrices(angles) -> np.ndarray:
+    """Rotation matrices R (E, 2, 2) of the frame rotation angles (E,),
+    global = origin + R @ local, from math.cos and math.sin (np.cos can
+    differ from them by one ulp).  The one local-to-global rotation."""
+    c, s = np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2).T
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
 
 
 def canonicalize_triangle(v1, v2, v3) -> LocalFrame:
@@ -181,8 +188,7 @@ class FrameStack(NamedTuple):
 
     a, h and b are (E, 1) columns, so that `grid_positions` takes a stack
     for its frame with grid indices of shape (E, n); origin is (E, 2) and
-    R (E, 2, 2) holds each frame's `rotation_matrix`, built from the same
-    math.cos and math.sin values (np.cos can differ from them by one ulp).
+    R (E, 2, 2) holds each frame's `rotation_matrix`.
     """
 
     a: np.ndarray
@@ -196,10 +202,8 @@ class FrameStack(NamedTuple):
         n = len(frames)
         a, h, b = np.array([(f.a, f.h, f.b) for f in frames],
                            dtype=float).reshape(n, 3).T[:, :, None]
-        c, s = np.array([(math.cos(f.rotation), math.sin(f.rotation))
-                         for f in frames]).reshape(n, 2).T
         origin = np.array([f.origin for f in frames], dtype=float).reshape(n, 2)
-        return cls(a, h, b, origin, np.stack([c, -s, s, c], axis=-1).reshape(n, 2, 2))
+        return cls(a, h, b, origin, rotation_matrices([f.rotation for f in frames]))
 
     def take(self, rows) -> "FrameStack":
         return FrameStack(*(x[rows] for x in self))

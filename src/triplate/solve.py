@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import (GlobalSystem, _owning_element, apply_boundary_conditions,
-                       node_rotation)
+                       node_rotations)
 from .element import (_cells_B, _corner_dofs, _curvatures, bending_rigidity,
                       locate_subtriangle)
 from .errors import NotConverged, SingularSystem
@@ -56,8 +56,9 @@ class Solution:
         """Each element's dof vector in frame-local components, cell-scatter
         order, built on the first probe."""
         by_node = self.dofs.reshape(-1, 3)
-        return [(by_node[nodes] @ node_rotation(elem.frame).T).ravel() for elem, nodes
-                in zip(self.system.model.elements, self.system.element_nodes)]
+        blocks = node_rotations(self.system.element_stack[1])
+        return [(by_node[nodes] @ lam.T).ravel()
+                for lam, nodes in zip(blocks, self.system.element_nodes)]
 
     @cached_property
     def _rigidity(self) -> list[np.ndarray]:

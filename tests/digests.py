@@ -18,9 +18,8 @@ Run it once per tree and compare the outputs::
 
     PYTHONPATH=src python tests/digests.py > digests.txt
 
-``--case`` and ``--m`` (both repeatable) restrict the cases and scales, and
-``--no-pool`` skips the probe pool; the digests of one item do not depend on
-which others are printed.
+``--case`` and ``--m`` (both repeatable) restrict the cases and scales; the
+digests of one item do not depend on which others are printed.
 """
 from __future__ import annotations
 
@@ -145,7 +144,6 @@ def main(argv=None) -> int:
                     help="a registry case (default: all)")
     ap.add_argument("--m", action="append", type=int,
                     help="a scale (default: each case's scales, see above)")
-    ap.add_argument("--no-pool", action="store_true", help="skip the probe pool")
     args = ap.parse_args(argv)
     names = args.case or list(CASES)
 
@@ -156,8 +154,7 @@ def main(argv=None) -> int:
         for m in args.m or case_scales(name):
             for item, value in model_digests(name, m):
                 emit(item, value)
-    if not args.no_pool:
-        emit("probe-grid pool", pool_digest())
+    emit("probe-grid pool", pool_digest())
     for name in names:
         ms = args.m or CASES[name].default_ms
         emit(f"run_case {name} m={list(ms)}", digest(json.dumps(run_case(name, ms))))

@@ -18,11 +18,11 @@ import triplate.assembly
 import triplate.element
 from triplate import PlateMaterial, benchmark_case, build_equivalent_mono, triangle_rule
 from triplate.assembly import (_PAIR_TOL, _element_stack, _merge_nodes,
-                               _owning_element, node_rotation, _segment_distance)
+                               _owning_element, _segment_distance)
 from triplate.bench import CASES
 from triplate.cli import CONFIG_SCHEMA
 from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
-                              _cells_B, _fill_basis, _partition_dofs,
+                              _cells_B, _fill_basis, _first_cells, _partition_dofs,
                               element_load_point, element_load_uniform,
                               element_stiffness)
 from triplate.geometry import LocalFrame, grid_positions, partition_corners
@@ -30,6 +30,13 @@ from triplate.shapefn import cells_basis, subtriangle_basis
 
 SQUARE_EDGES = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
                 ((1, 1), (0, 1)), ((0, 1), (0, 0))]
+
+
+def node_rotation(frame):
+    """One frame's 3x3 global-to-local node block, written out from
+    math.cos and math.sin: the reference the stacked blocks must match."""
+    c, s = math.cos(frame.rotation), math.sin(frame.rotation)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
 
 def square_model(m, unit_material, kind=BCKind.SIMPLY_SUPPORTED, q=1.0,
@@ -231,13 +238,19 @@ class TestMatchesPerElementAssembly:
 
     @pytest.mark.parametrize("degree", [2, 5])
     def test_batched_basis_bytes_equal_one_cell_evaluation(self, degree):
-        # one filler call over the elements of every byte model at once:
+        # the elements of every byte model in the chunks the filler takes:
         # mixed m, frames and materials share kernel calls
         elements = [el for build in _BYTE_MODELS.values() for el in build().elements]
         assert {el.m for el in elements} == {1, 3, 8}
-        _fill_basis(elements, degree)
+        jobs = [(elem, down) for elem in elements
+                for down in ((False, True) if elem.m > 1 else (False,))]
+        chunk = triplate.element._CHUNK
+        assert len(jobs) > chunk
+        batched = [_first_cells(jobs[i:i + chunk], degree)
+                   for i in range(0, len(jobs), chunk)]
+        batched = dict(zip(((id(elem), down) for elem, down in jobs),
+                           zip(*(np.concatenate(a) for a in zip(*batched)))))
         for elem in elements:
-            kept = elem._basis[degree]
             cells = elem.partition()
             corners, down_mask = partition_corners(elem.m)
             for down in ((False, True) if elem.m > 1 else (False,)):
@@ -258,8 +271,7 @@ class TestMatchesPerElementAssembly:
                 N = np.stack([f.value for f in fs], axis=-1)
                 B = np.stack([f.hess for f in fs], axis=-1) \
                     * np.array([-1.0, -1.0, -2.0])[:, None]
-                o = int(down)
-                for got, want in zip((kept.wq[o], kept.N[o], kept.B[o]), (wq, N, B)):
+                for got, want in zip(batched[id(elem), down], (wq, N, B)):
                     assert (got.dtype, got.shape, got.tobytes()) == \
                         (want.dtype, want.shape, want.tobytes())
 
@@ -296,11 +308,13 @@ class TestMatchesPerElementAssembly:
             elements += [MRElement(el.frame, 48, el.material) for el in model.elements]
 
         def einsum_stiffness(elem):
-            # from the rule and curvature matrices kept for each orientation
+            # from the rule and curvature matrices of each orientation's
+            # first cell, as the filler evaluates them
             D = bending_rigidity(elem.material)
-            kept = elem._basis[degree]
+            orientations = (False, True) if elem.m > 1 else (False,)
+            wqs, _, Bs = _first_cells([(elem, down) for down in orientations], degree)
             kc = np.array([np.einsum("q,qai,ab,qbj->ij", wq, B, D, B)
-                           for wq, B in zip(kept.wq, kept.B)])
+                           for wq, B in zip(wqs, Bs)])
             kc = 0.5 * (kc + kc.transpose(0, 2, 1))
             _, orientation, slot, indices, indptr = _partition_dofs(elem.m)
             n = elem.dof_count
@@ -321,9 +335,10 @@ class TestMatchesPerElementAssembly:
         # under tracemalloc, at 17.7 MB once every cell frame kept its
         # kernel constants of both orientations (about 1.5 KB a frame), at
         # 16.6 MB once a frame kept only its up cell's, the one a one-cell
-        # element asks for, and at 11.4 MB once only the first element of
-        # each of its 334 distinct shapes is evaluated and keeps them; 128
-        # cells per call took 24 MB and all 2048 in one call 288 MB
+        # element asks for, at 11.4 MB once only the first element of each
+        # of its 334 distinct shapes is evaluated and keeps them, and at
+        # 10.6 MB once each shape keeps only its cell stiffness and load
+        # row; 128 cells per call took 24 MB and all 2048 in one call 288 MB
         mono = build_equivalent_mono(benchmark_case("square-ss").build(32)).model
         assert len(mono.elements) == 2048
         tracemalloc.start()

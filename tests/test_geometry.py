@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from triplate import (CollinearVertices, HexDomain, IndexOutOfGrid,
-                      barycentric, canonicalize_triangle, grid_indices,
+from triplate import (CASES, CollinearVertices, HexDomain, IndexOutOfGrid,
+                      barycentric, build_equivalent_mono, canonicalize_triangle,
+                      grid_indices,
                       grid_size, node_ordinal, node_position,
                       subtriangle_partition)
-from triplate.geometry import (_CELL_SHAPES, _DOMAIN_TABLE, barycentric_coeffs,
+from triplate.geometry import (_CELL_SHAPES, _DOMAIN_TABLE, FrameStack,
+                               barycentric_coeffs,
                                canonicalize_triangles, classify_points,
                                grid_index_arrays, grid_ordinal,
                                hexagon_domain_of, partition_corners,
@@ -101,6 +103,40 @@ class TestStackedCanonicalFrames:
                         dtype=float)
         with pytest.raises(CollinearVertices):
             canonicalize_triangles(tris)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestFrameStack:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rows_bytes_equal_frame_methods(self, name, rng):
+        # assemble takes node positions, transformation blocks and side
+        # vertices from the stack: each row must have the bits of its
+        # frame's own methods, on the model and its conventional twin
+        model = CASES[name].build(4)
+        frames = [el.frame for el in
+                  model.elements + build_equivalent_mono(model).model.elements]
+        stack = FrameStack.of(frames)
+        local = stack.local_vertices()
+        corners = stack.to_global(local)
+        pts = rng.uniform(-2.0, 2.0, (len(frames), 5, 2))
+        moved = stack.to_global(pts)
+        for e, f in enumerate(frames):
+            c, s = math.cos(f.rotation), math.sin(f.rotation)
+            for got, want in ((stack.R[e], np.array([[c, -s], [s, c]])),
+                              (stack.R[e], f.rotation_matrix()),
+                              (stack.origin[e], f.origin),
+                              ([stack.a[e, 0], stack.h[e, 0], stack.b[e, 0]],
+                               [f.a, f.h, f.b]),
+                              (local[e], f.local_vertices()),
+                              (corners[e], f.global_vertices()),
+                              (moved[e], f.to_global(pts[e]))):
+                assert _bits(got) == _bits(want)
+        # rotated frames, and more than the quarter turns, are covered
+        assert len({f.rotation % (math.pi / 2) for f in frames}) > 1
 
 
 class TestGrid:

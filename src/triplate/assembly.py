@@ -9,6 +9,7 @@ single direction of the rotation pair (hard simple support, symmetry).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -127,6 +128,17 @@ class GlobalSystem:
     @property
     def n_free(self) -> int:
         return self.C.shape[1] if self.C is not None else self.n_dofs
+
+
+def _merge_tolerance(model: Model, coords: np.ndarray) -> float:
+    """The model's merge tolerance, or 1e-9 of the diagonal of the box
+    around the node coords (n, 2) when it sets none."""
+    tol = model.merge_tolerance
+    if tol is None:
+        return 1e-9 * float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
+    if not 0 < tol < math.inf:
+        raise ValueError(f"merge_tolerance must be a finite number > 0, got {tol!r}")
+    return tol
 
 
 def _merge_nodes(coords: np.ndarray, tol: float) -> np.ndarray:
@@ -268,12 +280,7 @@ def assemble(model: Model) -> GlobalSystem:
     ms = np.array([el.m for el in model.elements])
     node_counts = (ms + 1) * (ms + 2) // 2
     all_coords = _node_coords(frames, ms, node_counts)
-    if model.merge_tolerance is not None:
-        tol = model.merge_tolerance
-    else:
-        lo, hi = all_coords.min(axis=0), all_coords.max(axis=0)
-        tol = 1e-9 * float(np.linalg.norm(hi - lo))
-
+    tol = _merge_tolerance(model, all_coords)
     reps = _merge_nodes(all_coords, tol)
     uniq, inverse = np.unique(reps, return_inverse=True)
     node_coords = all_coords[uniq]

@@ -7,6 +7,7 @@ moment-curvature law is M = D_b kappa with the isotropic bending matrix.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,8 +57,8 @@ class PlateMaterial:
     nu: float
 
     def __post_init__(self):
-        if self.E <= 0 or self.t <= 0:
-            raise ValueError("material requires E > 0 and t > 0")
+        if not (0 < self.E < math.inf and 0 < self.t < math.inf):
+            raise ValueError("material requires finite E > 0 and t > 0")
         if not 0 <= self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
 
@@ -89,7 +90,11 @@ class MRElement:
                          compare=False)
 
     def __post_init__(self):
-        if self.m < 1:
+        try:
+            m = operator.index(self.m)
+        except TypeError:
+            raise ValueError(f"resolution m must be an integer, got {self.m!r}") from None
+        if m < 1:
             raise ValueError("resolution m must be >= 1")
 
     @classmethod

@@ -81,10 +81,6 @@ class LocalFrame:
     b: float
     origin: np.ndarray = field(default_factory=lambda: np.zeros(2))
     rotation: float = 0.0
-    #: (shape (a, h, b), kernel constants, row of the up and the down cell or
-    #: -1) kept by `shapefn._cell_domains`
-    _kernel: tuple = field(default=(None, None, (-1, -1)), init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)

@@ -27,7 +27,8 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .assembly import (GlobalSystem, Model, _element_stack, _merge_nodes,
-                       _owning_element, apply_boundary_conditions, assemble)
+                       _merge_tolerance, _owning_element, apply_boundary_conditions,
+                       assemble)
 from .element import QUADRATURE_DEGREE, MRElement, bending_rigidity, element_load_point
 from .errors import PermutationNotFound
 from .geometry import CanonicalFrames, LocalFrame, canonicalize_triangles
@@ -121,10 +122,7 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
                       np.stack([a, zero], axis=-1),
                       np.stack([a * (1.0 - h / b), h], axis=-1)], axis=1)
     coords = verts.reshape(-1, 2)
-    if model.merge_tolerance is not None:
-        tol = model.merge_tolerance
-    else:
-        tol = 1e-9 * float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
+    tol = _merge_tolerance(model, coords)
     first, ids = np.unique(_merge_nodes(coords, tol), return_inverse=True)
     node_coords = coords[first]
     node_ids = ids.reshape(n, 3)

@@ -325,42 +325,35 @@ def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTripl
     return BasisTriple(*_squeeze(scaled.functions(), scalar))
 
 
+@lru_cache(maxsize=1024)
+def _shape_domains(a: float, h: float, b: float) -> tuple:
+    """`_domains` (6, ...) of the corner domains of the up cell, then the
+    down cell, of a frame of shape (a, h, b); read-only.
+
+    They depend on the shape alone, as the kernel takes node-relative
+    points scaled by m.  A `LocalFrame` has a, h > 0 and a finite b, so
+    two keys compare equal exactly when their bits do.
+    """
+    u = np.array([a, 0.0])
+    v = np.array([a * (1.0 - h / b), h])
+    domains = _domains(domain_triangles_of(_CELL_UV, u, v).reshape(6, 3, 2),
+                       _CELL_I0.ravel())
+    for d in domains:
+        d.flags.writeable = False
+    return domains
+
+
 def _cell_domains(frames, down: np.ndarray) -> tuple:
     """`_domains` (3k, ...) of the corners of k cells of the frames with
-    orientations down (k,), as the frames keep them.
-
-    They depend on a frame's shape (a, h, b) alone, as the kernel takes
-    node-relative points scaled by m.  A frame keeps, under its shape, the
-    orientations asked of it (a one-cell element asks only for the up
-    cell), at its rows of arrays built for all frames of one call.  A call
-    that asks a frame for an orientation it lacks, or whose frames do not
-    all read one such set, builds one anew for its frames with the
-    orientations asked and kept, so the constants cannot go stale.
-    """
-    first = frames[0]._kernel[1]
-    if any(f._kernel[0] != (f.a, f.h, f.b) or f._kernel[1] is not first
-           or f._kernel[2][d] < 0 for f, d in zip(frames, down)):
-        # per frame, the orientations asked and those it keeps under its shape
-        wanted = {}
-        for f, d in zip(frames, down):
-            have = f._kernel[2] if f._kernel[0] == (f.a, f.h, f.b) else (-1, -1)
-            wanted.setdefault(id(f), (f, [r >= 0 for r in have]))[1][d] = True
-        jobs = [(f, d) for f, asked in wanted.values() for d in (0, 1) if asked[d]]
-        orientation = [d for _, d in jobs]
-        # the node offsets u = (a, 0) and v = apex of each job's frame
-        uv = np.array([((f.a, 0.0), (f.apex_x, f.h)) for f, _ in jobs])[:, None, None]
-        triangles = domain_triangles_of(_CELL_UV[orientation], uv[..., 0, :],
-                                        uv[..., 1, :])
-        kept = tuple(a.reshape((-1, 3) + a.shape[1:]) for a in _domains(
-            triangles.reshape(-1, 3, 2), _CELL_I0[orientation].ravel()))
-        rows = {id(f): [-1, -1] for f, _ in jobs}
-        for j, (f, d) in enumerate(jobs):
-            rows[id(f)][d] = j
-        for f, _ in wanted.values():
-            f._kernel = ((f.a, f.h, f.b), kept, rows[id(f)])
-    rows = np.array([f._kernel[2][d] for f, d in zip(frames, down)])
-    return tuple(a.take(rows, axis=0).reshape((-1,) + a.shape[2:])
-                 for a in frames[0]._kernel[1])
+    orientations down (k,), read from the `_shape_domains` of each
+    distinct frame shape of the call: corner c of a cell of the j-th shape
+    is row 6 j + 3 down + c of their concatenation."""
+    shapes = {}
+    rows = np.array([6 * shapes.setdefault((f.a, f.h, f.b), len(shapes)) + 3 * d + c
+                     for f, d in zip(frames, down.tolist()) for c in range(3)])
+    kept = [_shape_domains(*shape) for shape in shapes]
+    domains = kept[0] if len(kept) == 1 else [np.concatenate(d) for d in zip(*kept)]
+    return tuple(d.take(rows, axis=0) for d in domains)
 
 
 def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
@@ -377,8 +370,8 @@ def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
     None.  Evaluation is forced onto the hexagon sub-domain each corner
     presents to its cell, so points on cell edges get that cell's
     polynomial; a point outside it raises OutsideDomain.  The kernel reads
-    the constants each frame keeps under its shape (`_cell_domains`), and
-    its results do not depend on how many domains share a call: each cell
+    the constants kept once per frame shape (`_shape_domains`), and its
+    results do not depend on how many domains share a call: each cell
     gets the bits of evaluating it alone.
     """
     points = np.asarray(points, dtype=float)

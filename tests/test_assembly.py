@@ -338,7 +338,9 @@ class TestMatchesPerElementAssembly:
         # element asks for, at 11.4 MB once only the first element of each
         # of its 334 distinct shapes is evaluated and keeps them, and at
         # 10.6 MB once each shape keeps only its cell stiffness and load
-        # row; 128 cells per call took 24 MB and all 2048 in one call 288 MB
+        # row, and at 11.1 MB once one table keeps the kernel constants of
+        # both orientations per shape in place of the frames; 128 cells per
+        # call took 24 MB and all 2048 in one call 288 MB
         mono = build_equivalent_mono(benchmark_case("square-ss").build(32)).model
         assert len(mono.elements) == 2048
         tracemalloc.start()
@@ -495,6 +497,22 @@ def test_merge_joins_chains_to_lowest_index():
                        [5.5, 0.0], [9.0, 0.0]])
     assert _merge_nodes(coords, 1.0).tolist() == [0, 1, 1, 1, 0, 5]
     assert _merge_nodes(coords, 0.1).tolist() == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_merge_tolerance_not_finite_positive_rejected(tol, unit_material):
+    # -1 and inf would merge every node into one, NaN none
+    model = square_model(2, unit_material)
+    model.merge_tolerance = tol
+    with pytest.raises(ValueError, match="merge_tolerance"):
+        assemble(model)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_merge_tolerance_none_or_positive_merges_shared_nodes(tol, unit_material):
+    model = square_model(2, unit_material)
+    model.merge_tolerance = tol
+    assert assemble(model).n_nodes == 9
 
 
 class TestConstraints:

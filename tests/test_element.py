@@ -183,12 +183,21 @@ class TestConstruction:
         with pytest.raises(CollinearVertices):
             MRElement.from_vertices([0, 0], [1, 1], [2, 2], 2, unit_material)
 
-    def test_resolution_below_one_rejected(self, unit_material):
+    @pytest.mark.parametrize("m", [0, -1, np.int64(0), 2.5, 2.0, np.float64(3.0), "2"])
+    def test_resolution_below_one_rejected(self, m, unit_material):
         with pytest.raises(ValueError):
-            MRElement.from_vertices([0, 0], [1, 0], [0, 1], 0, unit_material)
+            MRElement.from_vertices([0, 0], [1, 0], [0, 1], m, unit_material)
+
+    @pytest.mark.parametrize("m", [np.int64(2), np.int32(3)])
+    def test_numpy_integer_resolution_accepted(self, m, unit_material):
+        elem = MRElement.from_vertices([0, 0], [1, 0], [0, 1], m, unit_material)
+        assert elem.node_count == (m + 1) * (m + 2) // 2
+        assert element_stiffness(elem).shape == (3 * elem.node_count,) * 2
 
     @pytest.mark.parametrize("E, t, nu", [
         (-1.0, 1.0, 0.3), (1.0, 0.0, 0.3), (1.0, 1.0, 0.5), (1.0, 1.0, -0.1),
+        (np.nan, 1.0, 0.3), (1.0, np.nan, 0.3), (1.0, 1.0, np.nan),
+        (np.inf, 1.0, 0.3), (1.0, np.inf, 0.3), (1.0, 1.0, np.inf),
     ])
     def test_material_validation(self, E, t, nu):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """Constants that the probes and the basis filler keep between calls.
 
-Each frame keeps the kernel constants of its cell corner domains, for the
-orientations asked of it (`shapefn._cell_domains`); in an assembly only
-the first element of each distinct shape asks.  Each assembled system keeps its element stack
-(`GlobalSystem.element_stack`) and each solution its elements' frame-local
-dofs (`Solution._local_dofs`).  The kept constants must give the bits of
-building them anew, be built once, and never be shared where they differ.
+The kernel constants of a cell's corner domains depend on the frame's
+shape (a, h, b) alone, and one bounded table keeps them per shape
+(`shapefn._shape_domains`), both orientations together; frames keep none.
+Each assembled system keeps its element stack (`GlobalSystem.element_stack`)
+and each solution its elements' frame-local dofs (`Solution._local_dofs`).
+The kept constants must give the bits of building them anew, be built
+once, and never be shared where they differ.
 """
 import dataclasses
 
@@ -13,14 +14,13 @@ import numpy as np
 import pytest
 
 import triplate.assembly
-import triplate.element
 import triplate.shapefn
 from triplate import (CASES, Solution, apply_boundary_conditions, assemble,
                       benchmark_case, build_equivalent_mono, canonicalize_triangle,
                       field_eval, moment_eval, solve_system, subtriangle_partition)
 from triplate.geometry import _CELL_SHAPES, partition_corners
-from triplate.shapefn import (_domains, _eval_triangles, _scale_factors, cells_basis,
-                              subtriangle_basis)
+from triplate.shapefn import (_domains, _eval_triangles, _scale_factors, _shape_domains,
+                              cells_basis, subtriangle_basis)
 
 from conftest import random_triangle
 
@@ -33,8 +33,7 @@ FRAME_VERTICES = [
 
 def fresh_cells_basis(frames, ms, vertices, down, points):
     """`cells_basis` with its domain constants built anew from the
-    `domain_triangles` of each corner's hexagon domain, as before the
-    frames kept them."""
+    `domain_triangles` of each corner's hexagon domain, with nothing kept."""
     k, n = points.shape[:2]
     ms = np.asarray(ms)
     domains = [_CELL_SHAPES[int(d)][1] for d in down]
@@ -87,8 +86,8 @@ def test_cached_constants_bytes_equal_fresh_triangles(rng):
     points = cell_points(vertices, rng)
     assert set(ms) == {1, 3, 8} and set(down) == {False, True}
     want = fresh_cells_basis(frames, ms, vertices, down, points)
-    # first call builds the constants of every frame in one pass, the second
-    # reads them; one cell at a time reads them with other cells absent
+    # first call builds the constants of every shape, the second reads
+    # them; one cell at a time reads them with other cells absent
     for _ in range(2):
         assert_same_bytes(cells_basis(frames, ms, vertices, down, points), want)
     for i in range(0, len(frames), 7):
@@ -98,18 +97,20 @@ def test_cached_constants_bytes_equal_fresh_triangles(rng):
 
 
 def test_constants_from_several_passes_bytes_equal_fresh(rng):
-    # frames whose constants were built by separate calls get them built
-    # anew together when one call takes them all
+    # constants built by separate one-cell calls, read together by one call
+    # that takes every cell, give the bits of building them anew
     frames, ms, vertices, down = mixed_cells(rng)
     vertices = np.array(vertices)
     points = cell_points(vertices, rng)
+    _shape_domains.cache_clear()
     for i in range(0, len(frames), 4):
         cells_basis(frames[i:i + 1], ms[i:i + 1], vertices[i:i + 1], down[i:i + 1],
                     points[i:i + 1])
-    assert len({id(f._kernel[1]) for f in frames}) > 1
+    assert _shape_domains.cache_info().misses > 1
     assert_same_bytes(cells_basis(frames, ms, vertices, down, points),
                       fresh_cells_basis(frames, ms, vertices, down, points))
-    assert len({id(f._kernel[1]) for f in frames}) == 1
+    # each shape was built once, by whichever call met it first
+    assert _shape_domains.cache_info().misses == len({(f.a, f.h, f.b) for f in frames})
 
 
 @pytest.mark.parametrize("grad, hess", [(False, False), (True, False), (False, True)])
@@ -136,59 +137,56 @@ def test_kernel_bytes_do_not_depend_on_derivatives_asked(grad, hess, rng):
 
 def test_frames_of_other_shape_get_other_constants():
     a, b = (canonicalize_triangle(*v) for v in FRAME_VERTICES[:2])
+    _shape_domains.cache_clear()
     for frame in (a, b):
         cells = subtriangle_partition(frame, 3)[:1]
         cells_basis([frame], [3], cells, [False], cells.mean(axis=1)[:, None])
-    assert a._kernel[0] != b._kernel[0]
-    assert not np.array_equal(a._kernel[1][1], b._kernel[1][1])
-    # a frame given a new shape builds new constants instead of reading stale ones
-    kept = a._kernel
+    assert _shape_domains.cache_info().misses == 2
+    assert not np.array_equal(_shape_domains(a.a, a.h, a.b)[1],
+                              _shape_domains(b.a, b.h, b.b)[1])
+    # a frame given a new shape reads the entry of that shape, not its old one
     a.b = 3.0 * a.b
     cells = subtriangle_partition(a, 3)[:1]
     got = cells_basis([a], [3], cells, [False], cells.mean(axis=1)[:, None])
-    assert a._kernel[1] is not kept[1]
+    assert _shape_domains.cache_info().misses == 3
     assert_same_bytes(got, fresh_cells_basis([a], [3], cells, [False],
                                              cells.mean(axis=1)[:, None]))
 
 
-def test_frames_keep_only_the_orientations_asked(rng):
-    # a one-cell element only ever asks for its up cell, and only the
-    # first element of each distinct shape is evaluated, so only its frame
-    # keeps constants
+def test_kept_constants_are_read_only():
+    for kept in _shape_domains(1.0, 0.5, 2.0):
+        with pytest.raises(ValueError, match="read-only"):
+            kept.flat[0] = 1.0
+
+
+def test_twin_keeps_one_entry_per_distinct_shape(rng):
+    # only the first element of each distinct shape is evaluated, and its
+    # entry holds both orientations though a one-cell element asks for the
+    # up cell alone; the frames keep nothing
     twin = build_equivalent_mono(CASES["skew-60"].build(4)).model
+    shapes = {(el.frame.a, el.frame.h, el.frame.b) for el in twin.elements}
+    assert 1 < len(shapes) < len(twin.elements)
+    _shape_domains.cache_clear()
     assemble(twin)
-    first = {}
+    assert _shape_domains.cache_info().currsize == len(shapes)
+    assert _shape_domains.cache_info().misses == len(shapes)
     for elem in twin.elements:
-        first.setdefault(np.array([elem.frame.a, elem.frame.h, elem.frame.b]).tobytes(),
-                         elem)
-    assert len(first) < len(twin.elements)
-    representatives = {id(elem) for elem in first.values()}
-    for elem in twin.elements:
-        shape, kept, rows = elem.frame._kernel
-        if id(elem) in representatives:
-            assert rows[0] >= 0 and rows[1] == -1
-            assert len(kept[0]) <= triplate.element._CHUNK
-        else:
-            assert kept is None and rows == (-1, -1)
-    # a frame asked for the down cell after the up cell builds both once,
-    # with the bits of building each alone
+        assert set(vars(elem.frame)) == {"a", "h", "b", "origin", "rotation"}
+    # a frame asked for the up cell, the down cell or both, in any order,
+    # reads one entry, with the bits of building each cell alone
     frame = canonicalize_triangle(*random_triangle(rng))
     cells = subtriangle_partition(frame, 3)[[0, 3]]
     _, down = partition_corners(3)
     assert down[[0, 3]].tolist() == [False, True]
     points = cell_points(cells, rng)
-    sets = []
+    misses = _shape_domains.cache_info().misses
     for pick in ([0], [1], [0], [1, 0], [0, 1]):
         got = cells_basis([frame] * len(pick), 3, cells[pick], down[[0, 3]][pick],
                           points[pick])
         assert_same_bytes(got, fresh_cells_basis([frame] * len(pick), [3] * len(pick),
                                                  cells[pick], down[[0, 3]][pick],
                                                  points[pick]))
-        sets.append(frame._kernel[1])
-        assert [r >= 0 for r in frame._kernel[2]] == [True, len(sets) > 1]
-    assert sets[0] is not sets[1]
-    assert all(kept is sets[1] for kept in sets[1:])
-    assert len(sets[1][0]) == 2
+    assert _shape_domains.cache_info().misses == misses + 1
 
 
 def probe_points(sol, rng, count):
@@ -220,13 +218,15 @@ def test_probes_after_the_first_rebuild_nothing(rng, monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     pts = probe_points(sol, rng, 50)
     assert len(pts) == 50
+    misses = _shape_domains.cache_info().misses
     for p in pts:
         field_eval(sol, p)
         moment_eval(sol, p)
     assert built == []
+    assert _shape_domains.cache_info().misses == misses
     assert sol._local_dofs is local
     # the wrappers do count: a new system of the same elements (whose basis
-    # and frame constants are kept) builds its element stack, once
+    # and kernel constants are kept) builds its element stack, once
     again = solve_system(apply_boundary_conditions(assemble(model)))
     field_eval(again, p0)
     moment_eval(again, p0)

@@ -276,6 +276,10 @@ def assemble(model: Model) -> GlobalSystem:
     """
     if not model.elements:
         raise ValueError("model has no elements")
+    for name, value in [("uniform_q", model.uniform_q)] + [
+            (f"point load P at ({x}, {y})", P) for x, y, P in model.point_loads]:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     frames = FrameStack.of([el.frame for el in model.elements])
     ms = np.array([el.m for el in model.elements])
     node_counts = (ms + 1) * (ms + 2) // 2

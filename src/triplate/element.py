@@ -159,17 +159,6 @@ def _curvatures(hess: np.ndarray) -> np.ndarray:
     return hess * np.array([-1.0, -1.0, -2.0])[:, None]
 
 
-def _cells_B(elem: MRElement, vertices: np.ndarray, down, pts) -> np.ndarray:
-    """(k, npts, 3, 9) curvature matrices of k cells of the element, with
-    vertices (k, 3, 2) and orientations down (k,), at the same local points
-    (npts, 2), in one kernel call."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    k = len(vertices)
-    _, _, hess = cells_basis([elem.frame] * k, elem.m, vertices, down,
-                             np.broadcast_to(pts, (k,) + pts.shape), grad=False)
-    return _curvatures(hess)
-
-
 def _corner_dofs(m: int, corners: np.ndarray) -> np.ndarray:
     """(n_cells, 9) element dofs of cells with corner grid indices (n, 3, 2)."""
     k = grid_ordinal(m, corners[..., 0], corners[..., 1])
@@ -391,9 +380,8 @@ def locate_subtriangle(elem: MRElement, p_local):
 def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:
     """Consistent load vector for a transverse point load P at local p."""
     vertices, corners, down = locate_subtriangle(elem, p_local)
-    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_local,
-                                grad=False, hess=False)
-    N = np.array([f.value for triple in triples for f in triple.functions()])
+    N = subtriangle_basis(elem.frame, elem.m, vertices[:1], down[:1], p_local,
+                          grad=False, hess=False)[0]
     f = np.zeros(elem.dof_count)
-    f[_corner_dofs(elem.m, corners[:1])[0]] = P * N
+    f[_corner_dofs(elem.m, corners[:1])[0]] = P * N.ravel()
     return f

@@ -84,8 +84,8 @@ class LocalFrame:
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
-        if not (self.a > 0.0 and self.h > 0.0):
-            raise ValueError("frame requires a > 0 and h > 0")
+        if not (0.0 < self.a < math.inf and 0.0 < self.h < math.inf):
+            raise ValueError("frame requires finite a > 0 and h > 0")
         if not math.isfinite(self.b) or self.b < self.h * (1.0 - 1e-9):
             raise ValueError("frame requires finite b >= h")
 
@@ -152,6 +152,13 @@ def canonicalize_triangle(v1, v2, v3) -> LocalFrame:
     Vertices are cyclically relabeled until the far-sideline intercept
     satisfies b >= h.  Clockwise input is reversed first; node identity in
     an assembled model is positional, so the relabeling is unobservable.
+
+    x3 and h come from `np.dot`, a BLAS dot product, whose rounding can
+    differ from the plain products of `canonicalize_triangles` (skew-60's
+    second element: h 0x1.bb67ae8584cabp-1 here, ...cacp-1 there), so the
+    frozen benchmark values depend on the BLAS build.  One routine for both
+    moves the skew-60 m = 48 deflection by 1.5e-10 relative; it waits for a
+    reference refresh.
     """
     verts = [np.asarray(v, dtype=float) for v in (v1, v2, v3)]
     e1 = verts[1] - verts[0]

@@ -154,15 +154,6 @@ def _domains(triangles: np.ndarray, i0: np.ndarray) -> tuple:
     return a0, bb, cc, twoA, i0, _coefficients(i0, bb, cc)[..., None, None]
 
 
-@lru_cache(maxsize=64)
-def _table_offsets(c: int) -> np.ndarray:
-    """First row (c, 1, 1, 1) of each of c domains in the kernel's factor
-    table; read-only."""
-    offsets = 6 * 3 * np.arange(c)[:, None, None, None]
-    offsets.flags.writeable = False
-    return offsets
-
-
 def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
                     grad: bool = True, hess: bool = True):
     """The basis kernel: the (N, Nx, Ny) families of c stacked domain
@@ -193,7 +184,7 @@ def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
     np.multiply(2.0, Lt, out=table[:, 5])
     factor_index, at_hess = _PLANS[grad, hess]
     j = 1 + 3 * hess            # channels of the first form; the gradient's next
-    rows = factor_index[:, i0] + _table_offsets(c)
+    rows = factor_index[:, i0] + 6 * 3 * np.arange(c)[:, None, None, None]
     x, y, z = table.reshape(-1, n).take(rows, axis=0)
     terms = np.empty(x.shape)
     np.multiply((coef * x[..., :j, :]) * y[..., :j, :], z[..., :j, :],
@@ -297,15 +288,6 @@ def _scale_factors(m):
     return np.where(_IS_N, 1.0, 1.0 / m), grad, m * grad
 
 
-@lru_cache(maxsize=64)
-def _resolution_scale(m: int) -> tuple:
-    """`_scale_factors` of one resolution m, each (3,); read-only."""
-    factors = _scale_factors(m)
-    for f in factors:
-        f.flags.writeable = False
-    return factors
-
-
 def _scale_triple(triple, m: int) -> BasisTriple:
     """Apply resolution scaling to raw node-relative evaluations."""
     return BasisTriple(*(ShapeEval(f.value * vf, f.grad * gf, f.hess * hf)
@@ -372,7 +354,8 @@ def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
     polynomial; a point outside it raises OutsideDomain.  The kernel reads
     the constants kept once per frame shape (`_shape_domains`), and its
     results do not depend on how many domains share a call: each cell
-    gets the bits of evaluating it alone.
+    gets the bits of evaluating it alone.  `element._fill_basis` calls it
+    directly; the probes and point loads go through `subtriangle_basis`.
     """
     points = np.asarray(points, dtype=float)
     k, n = points.shape[:2]
@@ -381,28 +364,25 @@ def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
     rel = ms[..., None, None, None] * (points[:, None] - vertices[:, :, None])
     value, g, h = _eval_triangles(_cell_domains(frames, down), rel.reshape(3 * k, n, 2),
                                   _CELL_NAMES[down].ravel(), grad=grad, hess=hess)
-    scale = _scale_factors(ms) if ms.ndim else _resolution_scale(int(ms))
-    vf, gf, hf = (f[..., None, :, None] for f in scale)
+    vf, gf, hf = (f[..., None, :, None] for f in _scale_factors(ms))
     return (value.reshape(k, 3, 3, n) * vf,
             g if g is None else g.reshape(k, 3, 3, n, 2) * gf[..., None],
             h if h is None else h.reshape(k, 3, 3, n, 3) * hf[..., None])
 
 
-def subtriangle_basis(frame: LocalFrame, m: int, vertices, down: bool, p, *,
-                      grad: bool = True, hess: bool = True) -> list[BasisTriple]:
-    """Basis triples of the three corners of one cell, from within it:
-    `cells_basis` of the cell with vertices (3, 2) and orientation down.
-
-    Evaluation is forced onto the hexagon sub-domain each corner presents
-    to this cell, so points on cell edges get that cell's polynomial.
+def subtriangle_basis(frame: LocalFrame, m: int, vertices, down, p, *,
+                      grad: bool = True, hess: bool = True) -> tuple:
+    """`cells_basis` of k cells of one element, with vertices (k, 3, 2) and
+    orientations down (k,), all at the same local points p (n, 2), or at
+    one point (2,) as n = 1: value (k, 3, 3, n), grad (k, 3, 3, n, 2) and
+    hess (k, 3, 3, n, 3), or None for a derivative not asked for.  The
+    probes and the point loads reach the kernel through this entry; the
+    assembly calls `cells_basis` directly.
     """
-    pts, scalar = _as_points(p)
-    value, grad, hess = cells_basis([frame], m, np.asarray(vertices)[None], [down],
-                                    pts[None], grad=grad, hess=hess)
-    at = 0 if scalar else slice(None)
-    skipped = [[None] * 3] * 3
-    per_corner = (skipped if d is None else d[0, :, :, at] for d in (value, grad, hess))
-    return [BasisTriple(*map(ShapeEval, *fams)) for fams in zip(*per_corner)]
+    pts = np.atleast_2d(np.asarray(p, dtype=float))
+    k = len(vertices)
+    return cells_basis([frame] * k, m, np.asarray(vertices), down,
+                       np.broadcast_to(pts, (k,) + pts.shape), grad=grad, hess=hess)
 
 
 def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],

@@ -1,6 +1,7 @@
 """Direct solution of the assembled plate problem and field recovery."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -9,8 +10,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (GlobalSystem, _owning_element, apply_boundary_conditions,
                        node_rotations)
-from .element import (_cells_B, _corner_dofs, _curvatures, bending_rigidity,
-                      locate_subtriangle)
+from .element import _corner_dofs, _curvatures, bending_rigidity, locate_subtriangle
 from .errors import NotConverged, SingularSystem
 from .shapefn import subtriangle_basis
 
@@ -158,16 +158,13 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     owners, local, cells = _site(sol, p)
     e, p_loc = owners[0], local[0]
     elem = sol.system.model.elements[e]
-    a = sol._local_dofs[e]
     vertices, dofs, down, kept = _cells(sol, cells, e, p_loc)
-    triples = subtriangle_basis(elem.frame, elem.m, vertices[0], down[0], p_loc)
-    functions = [f for t in triples for f in t.functions()]
-    kept[0] = _curvatures(np.array([f.hess for f in functions]).reshape(1, 3, 3, 1, 3))[0, 0]
-    a_cell = a[dofs[0]].tolist()
+    value, grad, hess = subtriangle_basis(elem.frame, elem.m, vertices[:1], down[:1], p_loc)
+    kept[0] = _curvatures(hess)[0, 0]
     w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
-    for coef, f in zip(a_cell, functions):
-        gx, gy = f.grad.tolist()
-        w, dwdx, dwdy = w + coef * float(f.value), dwdx + coef * gx, dwdy + coef * gy
+    for coef, v, (gx, gy) in zip(sol._local_dofs[e][dofs[0]].tolist(),
+                                 value.ravel().tolist(), grad.reshape(9, 2).tolist()):
+        w, dwdx, dwdy = w + coef * v, dwdx + coef * gx, dwdy + coef * gy
     th_loc = np.array([dwdy, -dwdx])
     th_glob = sol.system.element_stack[1][e] @ th_loc
     return float(w), float(th_glob[0]), float(th_glob[1])
@@ -193,8 +190,9 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
         vertices, dofs, down, kept = _cells(sol, cells, e, p_loc)
         missing = [i for i in range(len(vertices)) if i not in kept]
         if missing:
-            kept.update(zip(missing, _cells_B(elem, vertices[missing], down[missing],
-                                              p_loc)[:, 0]))
+            hess = subtriangle_basis(elem.frame, elem.m, vertices[missing], down[missing],
+                                     p_loc, grad=False)[2]
+            kept.update(zip(missing, _curvatures(hess)[:, 0]))
         B = np.array([kept[i] for i in range(len(vertices))])
         R = sol.system.element_stack[1][e]
         kappa = np.matmul(B, a[dofs][:, :, None])
@@ -212,6 +210,8 @@ def normalize_coefficient(value: float, kind: str, L: float, q: float,
 
     deflection: 100 * w * D / (q L^4); moment: 10 * M / (q L^2).
     """
+    if not (math.isfinite(L) and math.isfinite(q)):
+        raise ValueError(f"normalization requires finite L and q, got L={L!r}, q={q!r}")
     if q == 0.0 or L <= 0.0:
         raise ZeroDivisionError("normalization requires q != 0 and L > 0")
     if kind == "deflection":

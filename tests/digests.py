@@ -7,6 +7,10 @@ Prints one line per item, ``<sha256>  <name>``, for:
   m = 48;
 * ``K`` and ``rhs`` of each of those models' conventional twin, assembled
   by ``assemble(build_equivalent_mono(model).model)`` (not at m = 48);
+* ``rhs``, solution and twin ``rhs`` of every registry model at m = 1 and
+  3 with its uniform load replaced by one point load, in turn inside a
+  cell, on a cell edge, at a grid node and on the edge its two elements
+  share (`point_load_sites`);
 * ``field_eval`` and ``moment_eval`` at every point of the probe-grid pool
   (``perfbench/workloads.py``), one digest for all;
 * the ``run_case`` rows of every case at its default scales;
@@ -16,15 +20,22 @@ Prints one line per item, ``<sha256>  <name>``, for:
 
 Run it once per tree and compare the outputs::
 
-    PYTHONPATH=src python tests/digests.py > digests.txt
+    PYTHONPATH=<other tree>/src python tests/digests.py > digests.txt
+    PYTHONPATH=src python tests/digests.py --against digests.txt
 
-``--case`` and ``--m`` (both repeatable) restrict the cases and scales; the
-digests of one item do not depend on which others are printed.
+``--against FILE`` prints, instead of the digests, each item whose digest
+differs from the one FILE holds for it (``differs:``), that FILE lacks
+(``new:``) or that FILE holds and this run does not print (``missing:``),
+then a count, and exits 1 if there is any; compare runs made with the same
+``--case`` and ``--m``.  Those two options (both repeatable) restrict the
+cases and scales; the digests of one item do not depend on which others
+are printed.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -86,6 +97,38 @@ def model_digests(name: str, m: int):
         yield f"{where} twin rhs", digest(twin.rhs)
 
 
+def point_load_sites(model) -> dict:
+    """Global points of each kind of point-load site of a two-element model:
+    inside the last cell, on an edge of the first cell and at a grid node
+    of the first element, and on the edge the two elements share."""
+    elem = model.elements[0]
+    frame, cells = elem.frame, elem.partition()
+    local = {"cell": np.array([0.2, 0.3, 0.5]) @ cells[-1],
+             "cell edge": 0.7 * cells[0][1] + 0.3 * cells[0][2],
+             "grid node": elem.node_positions_local()[elem.node_count // 2]}
+    sites = {kind: frame.to_global(p) for kind, p in local.items()}
+    first, second = (el.frame.to_global(el.frame.local_vertices())
+                     for el in model.elements[:2])
+    shared = [v for v in first if np.isclose(second, v).all(axis=1).any()]
+    sites["element edge"] = 0.6 * shared[0] + 0.4 * shared[1]
+    return sites
+
+
+def point_load_digests(name: str, m: int):
+    """(item, digest) of the rhs, the solution and the twin's rhs of one
+    registry model with one point load P = 0.7 at each `point_load_sites`
+    site in turn, and no uniform load."""
+    model = CASES[name].build(m)
+    for kind, (x, y) in point_load_sites(model).items():
+        loaded = dataclasses.replace(model, uniform_q=0.0, point_loads=[(x, y, 0.7)])
+        system = apply_boundary_conditions(assemble(loaded))
+        where = f"{name} m={m} point load on {kind}"
+        yield f"{where} rhs", digest(system.rhs)
+        yield f"{where} solution", digest(solve_system(system).dofs)
+        yield f"{where} twin rhs", \
+            digest(assemble(build_equivalent_mono(loaded).model).rhs)
+
+
 def pool_digest() -> str:
     """One digest of field_eval and moment_eval at every probe-grid pool
     point, in pool order; a probe that raises contributes its message."""
@@ -144,15 +187,30 @@ def main(argv=None) -> int:
                     help="a registry case (default: all)")
     ap.add_argument("--m", action="append", type=int,
                     help="a scale (default: each case's scales, see above)")
+    ap.add_argument("--against", metavar="FILE",
+                    help="print the items that differ from this saved run")
     args = ap.parse_args(argv)
     names = args.case or list(CASES)
+    saved = None
+    if args.against:
+        lines = Path(args.against).read_text().splitlines()
+        saved = {item: value for value, item in (line.split("  ", 1) for line in lines)}
+    differ, printed = [], set()
 
     def emit(item, value):
-        print(f"{value}  {item}", flush=True)
+        printed.add(item)
+        if saved is None:
+            print(f"{value}  {item}", flush=True)
+        elif saved.get(item) != value:
+            differ.append(item)
+            print(f"{'differs' if item in saved else 'new'}: {item}", flush=True)
 
     for name in names:
         for m in args.m or case_scales(name):
             for item, value in model_digests(name, m):
+                emit(item, value)
+        for m in args.m or [1, 3]:
+            for item, value in point_load_digests(name, m):
                 emit(item, value)
     emit("probe-grid pool", pool_digest())
     for name in names:
@@ -160,7 +218,14 @@ def main(argv=None) -> int:
         emit(f"run_case {name} m={list(ms)}", digest(json.dumps(run_case(name, ms))))
     for item, value in cli_digests(names, args.m or [1, 4]):
         emit(item, value)
-    return 0
+    if saved is None:
+        return 0
+    for item in [item for item in saved if item not in printed]:
+        differ.append(item)
+        print(f"missing: {item}")
+    print(f"{len(differ)} of {len(printed | saved.keys())} items differ "
+          f"from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from triplate.assembly import (_PAIR_TOL, _element_stack, _merge_nodes,
 from triplate.bench import CASES
 from triplate.cli import CONFIG_SCHEMA
 from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
-                              _cells_B, _fill_basis, _first_cells, _partition_dofs,
+                              _curvatures, _fill_basis, _first_cells, _partition_dofs,
                               element_load_point, element_load_uniform,
                               element_stiffness)
 from triplate.geometry import LocalFrame, grid_positions, partition_corners
@@ -85,7 +85,8 @@ def dense_path_stiffness(model):
         for vertices, nodes, d in zip(elem.partition(), corners.tolist(), down.tolist()):
             if d not in cell_k:
                 pts, wq = _cell_quadrature(vertices[None], degree)
-                B = _cells_B(elem, vertices[None], [d], pts[0])[0]
+                B = _curvatures(subtriangle_basis(elem.frame, elem.m, vertices[None], [d],
+                                                  pts[0], grad=False)[2])[0]
                 kc = np.einsum("q,qai,ab,qbj->ij", wq[0], B, D, B)
                 cell_k[d] = 0.5 * (kc + kc.T)
             dofs = [3 * node_ordinal(elem.m, tuple(idx)) + c
@@ -265,11 +266,10 @@ class TestMatchesPerElementAssembly:
                 pts = bary @ vertices
                 e1, e2 = vertices[1] - vertices[0], vertices[2] - vertices[0]
                 wq = w * (0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0]))
-                fs = [f for triple in subtriangle_basis(elem.frame, elem.m, vertices,
-                                                        down, pts)
-                      for f in triple.functions()]
-                N = np.stack([f.value for f in fs], axis=-1)
-                B = np.stack([f.hess for f in fs], axis=-1) \
+                value, _, hess = subtriangle_basis(elem.frame, elem.m, vertices[None],
+                                                   [down], pts)
+                N = value[0].reshape(9, -1).T
+                B = hess[0].reshape(9, -1, 3).transpose(1, 2, 0) \
                     * np.array([-1.0, -1.0, -2.0])[:, None]
                 for got, want in zip(batched[id(elem), down], (wq, N, B)):
                     assert (got.dtype, got.shape, got.tobytes()) == \
@@ -488,6 +488,23 @@ def test_non_finite_point_load_rejected_without_warning(x, y, unit_material):
         warnings.simplefilter("error")
         with pytest.raises(OutsideModel, match="outside every element"):
             assemble(model)
+
+
+@pytest.mark.parametrize("q, loads, named", [
+    (np.nan, [], "uniform_q must be finite, got nan"),
+    (np.inf, [], "uniform_q must be finite, got inf"),
+    (1.0, [(0.3, 0.2, np.nan)], r"point load P at \(0.3, 0.2\) must be finite, got nan"),
+    (0.0, [(0.3, 0.2, 1.0), (0.5, 0.5, -np.inf)], "got -inf"),
+])
+def test_non_finite_load_rejected_before_assembly(q, loads, named, unit_material,
+                                                  kernel_calls):
+    # without the check the solver would factor K and only then report
+    # non-finite values
+    model = square_model(2, unit_material, q=q)
+    model.point_loads = loads
+    with pytest.raises(ValueError, match=named):
+        assemble(model)
+    assert kernel_calls == []
 
 
 def test_merge_joins_chains_to_lowest_index():

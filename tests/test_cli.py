@@ -87,6 +87,15 @@ class TestSolve:
         assert cli.main(["solve", config_path(bad)]) == 2
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loads", [{"uniform_q": float("nan")},
+                                       {"point_loads": [{"x": 0.5, "y": 0.2,
+                                                         "P": float("inf")}]}])
+    def test_non_finite_load_exits_2(self, loads, config_path, capsys):
+        # json reads NaN and Infinity, and the schema's "number" admits them
+        cfg = {**SQUARE_CONFIG, "loads": loads}
+        assert cli.main(["solve", config_path(cfg)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from triplate import (CASES, CollinearVertices, HexDomain, IndexOutOfGrid,
                       grid_indices,
                       grid_size, node_ordinal, node_position,
                       subtriangle_partition)
-from triplate.geometry import (_CELL_SHAPES, _DOMAIN_TABLE, FrameStack,
+from triplate.geometry import (_CELL_SHAPES, _DOMAIN_TABLE, FrameStack, LocalFrame,
                                barycentric_coeffs,
                                canonicalize_triangles, classify_points,
                                grid_index_arrays, grid_ordinal,
@@ -69,6 +69,19 @@ class TestCanonicalFrame:
     def test_collinear_rejected(self, verts):
         with pytest.raises(CollinearVertices):
             canonicalize_triangle(*verts)
+
+    @pytest.mark.parametrize("a, h, b", [
+        (math.inf, 1.0, 2.0), (math.nan, 1.0, 2.0), (1.0, math.inf, math.inf),
+        (1.0, math.nan, 2.0), (0.0, 1.0, 2.0), (1.0, -1.0, 2.0),
+    ])
+    def test_non_finite_or_non_positive_sides_rejected(self, a, h, b):
+        with pytest.raises(ValueError, match="frame requires finite a > 0 and h > 0"):
+            LocalFrame(a, h, b)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan, 0.5])
+    def test_bad_intercept_rejected(self, b):
+        with pytest.raises(ValueError, match="frame requires finite b >= h"):
+            LocalFrame(1.0, 1.0, b)
 
 
 def assert_frames_match(triangles):

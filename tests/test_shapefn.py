@@ -42,19 +42,10 @@ def cell_interpolate(frame, m, cell, dofs, pts):
     """Value, grad, hess of the interpolant at points inside one cell
     (vertices, corners, down)."""
     vertices, corners, down = cell
-    pts = np.atleast_2d(pts)
-    val = np.zeros(len(pts))
-    grad = np.zeros((len(pts), 2))
-    hess = np.zeros((len(pts), 3))
-    triples = subtriangle_basis(frame, m, vertices, down, pts)
-    for corner, triple in zip(corners, triples):
-        k = node_ordinal(m, corner)
-        for comp, f in enumerate(triple.functions()):
-            c = dofs[3 * k + comp]
-            val += c * f.value
-            grad += c * f.grad
-            hess += c * f.hess
-    return val, grad, hess
+    value, grad, hess = (d[0].reshape(9, *d.shape[3:]) for d in
+                         subtriangle_basis(frame, m, vertices[None], [down], pts))
+    coef = dofs[[3 * node_ordinal(m, corner) + f for corner in corners for f in range(3)]]
+    return coef @ value, np.tensordot(coef, grad, 1), np.tensordot(coef, hess, 1)
 
 
 class TestNodalInterpolation:
@@ -158,27 +149,18 @@ class TestDerivativeConsistency:
     def test_against_finite_differences(self, rng):
         frame, m = FRAME, 2
         h = 1e-6
+        # the cell's centroid, then steps of +-h in x and in y
+        steps = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
         for vertices, _, down in partition_cells(frame, m)[:3]:
-            p = vertices.mean(axis=0)
-            for c in range(3):
-                def get(point, comp):
-                    triple = subtriangle_basis(frame, m, vertices, down,
-                                               point)[c].functions()[comp]
-                    return triple
-
-                for comp in range(3):
-                    f0 = get(p, comp)
-                    fx = get(p + [h, 0.0], comp)
-                    fmx = get(p - [h, 0.0], comp)
-                    fy = get(p + [0.0, h], comp)
-                    fmy = get(p - [0.0, h], comp)
-                    fd_grad = [(fx.value - fmx.value) / (2 * h),
-                               (fy.value - fmy.value) / (2 * h)]
-                    assert_allclose(f0.grad, fd_grad, atol=2e-6)
-                    fd_hess = [(fx.grad[0] - fmx.grad[0]) / (2 * h),
-                               (fy.grad[1] - fmy.grad[1]) / (2 * h),
-                               (fx.grad[1] - fmx.grad[1]) / (2 * h)]
-                    assert_allclose(f0.hess, fd_hess, atol=2e-5)
+            value, grad, hess = (d[0] for d in subtriangle_basis(
+                frame, m, vertices[None], [down], vertices.mean(axis=0) + steps))
+            fd_grad = np.stack([value[..., 1] - value[..., 2],
+                                value[..., 3] - value[..., 4]], axis=-1) / (2 * h)
+            assert_allclose(grad[:, :, 0], fd_grad, atol=2e-6)
+            fd_hess = np.stack([grad[..., 1, 0] - grad[..., 2, 0],
+                                grad[..., 3, 1] - grad[..., 4, 1],
+                                grad[..., 1, 1] - grad[..., 2, 1]], axis=-1) / (2 * h)
+            assert_allclose(hess[:, :, 0], fd_hess, atol=2e-5)
 
 
 class TestSupport:
@@ -242,13 +224,12 @@ class TestCellPathMatchesHexagonPath:
                 # barycentric coordinates >= 0.05: clear of the cell edges
                 lam = 0.05 + 0.85 * rng.dirichlet([1.0, 1.0, 1.0], size=6)
                 pts = lam @ vertices
-                cell = subtriangle_basis(frame, m, vertices, down, pts)
-                for idx, triple in zip(corners, cell):
+                cell = subtriangle_basis(frame, m, vertices[None], [down], pts)
+                for c, idx in enumerate(corners):
                     hexa = basis_eval(frame, m, idx, pts)
-                    for fc, fh in zip(triple.functions(), hexa.functions()):
-                        for a, b in ((fc.value, fh.value), (fc.grad, fh.grad),
-                                     (fc.hess, fh.hess)):
-                            assert_allclose(a, b, rtol=1e-12,
+                    for f, fh in enumerate(hexa.functions()):
+                        for a, b in zip(cell, (fh.value, fh.grad, fh.hess)):
+                            assert_allclose(a[0, c, f], b, rtol=1e-12,
                                             atol=1e-12 * np.abs(b).max())
 
 
@@ -424,10 +405,17 @@ def assert_same_bytes(got, want):
             assert a.tobytes() == b.tobytes()
 
 
-def assert_basis_same_bytes(got, want):
-    assert len(got) == len(want) == 3
-    for g, w in zip(got, want):
-        assert_same_bytes(g.functions(), w.functions())
+def assert_cell_same_bytes(got, seed):
+    """Same dtype, shape and bytes for `subtriangle_basis` arrays of one
+    cell and the seed's three BasisTriples, stacked as [cell, corner,
+    family, point]; a seed evaluation at one point (2,) has no point axis."""
+    assert len(got) == len(seed) == 3
+    for a, name in zip(got, ("value", "grad", "hess")):
+        b = np.array([[getattr(f, name) for f in t.functions()] for t in seed])[None]
+        if b.ndim < a.ndim:
+            b = np.expand_dims(b, 3)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def cell_point_sets(vertices, rng):
@@ -449,8 +437,8 @@ class TestSeedEvaluatorBytes:
             for cell in partition_cells(frame, m):
                 vertices, _, down = cell
                 for pts in cell_point_sets(vertices, rng):
-                    assert_basis_same_bytes(
-                        subtriangle_basis(frame, m, vertices, down, pts),
+                    assert_cell_same_bytes(
+                        subtriangle_basis(frame, m, vertices[None], [down], pts),
                         seed_subtriangle_basis(frame, m, cell, pts))
 
     def test_random_frames(self, rng, random_frame_factory):
@@ -462,8 +450,8 @@ class TestSeedEvaluatorBytes:
             vertices, _, down = cell
             pts = rng.dirichlet([1.0, 1.0, 1.0],
                                 size=int(rng.integers(1, 40))) @ vertices
-            assert_basis_same_bytes(subtriangle_basis(frame, m, vertices, down, pts),
-                                    seed_subtriangle_basis(frame, m, cell, pts))
+            assert_cell_same_bytes(subtriangle_basis(frame, m, vertices[None], [down], pts),
+                                   seed_subtriangle_basis(frame, m, cell, pts))
 
     def test_split_and_full_node_eval(self, rng, random_frame_factory):
         for frame in (FRAME, random_frame_factory(), random_frame_factory()):

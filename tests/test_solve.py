@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from triplate import (BCKind, OutsideModel, PlateMaterial, SingularSystem,
                       apply_boundary_conditions, assemble, benchmark_case, field_eval,
                       moment_eval, normalize_coefficient, solve_system)
-from triplate.element import _cells_B, locate_subtriangle
+import triplate.solve
+from triplate.element import locate_subtriangle
 from triplate.shapefn import subtriangle_basis
 
 from test_assembly import square_model
@@ -117,7 +118,7 @@ class TestMomentEval:
     @pytest.mark.parametrize("name, m", [("skew-60", 4), ("circle-ss", 3)])
     def test_incident_cells_bytes_equal_one_cell_evaluation(self, name, m):
         # one kernel call for all cells that meet a point gives each cell
-        # the curvature bits of evaluating it alone
+        # the bits of evaluating it alone
         seen = set()
         for elem in benchmark_case(name).build(m).elements:
             cells = elem.partition()
@@ -126,12 +127,11 @@ class TestMomentEval:
                    *(v.mean(axis=0) for v in cells[-4:])]
             for p in np.vstack(pts):
                 vertices, _, down = locate_subtriangle(elem, p)
-                got = _cells_B(elem, vertices, down, p)
-                want = np.stack([[f.hess for triple in subtriangle_basis(
-                    elem.frame, elem.m, v, d, p[None]) for f in triple.functions()]
-                    for v, d in zip(vertices, down)]).transpose(0, 2, 3, 1) \
-                    * np.array([-1.0, -1.0, -2.0])[:, None]
-                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+                got = subtriangle_basis(elem.frame, elem.m, vertices, down, p)
+                alone = [subtriangle_basis(elem.frame, elem.m, v[None], [d], p)
+                         for v, d in zip(vertices, down)]
+                for g, want in zip(got, map(np.concatenate, zip(*alone)), strict=True):
+                    assert (g.shape, g.tobytes()) == (want.shape, want.tobytes())
                 seen.add(len(vertices))
         assert seen == {1, 2, 3, 6}
 
@@ -143,6 +143,30 @@ class TestMomentEval:
         # each element meet: one call per element, three domains per cell
         moment_eval(sol, (0.5, 0.5))
         assert calls == [3 * 3, 3 * 3]
+
+    def test_probes_reach_the_kernel_through_subtriangle_basis(self, unit_material,
+                                                              monkeypatch):
+        # perfbench's tracer times the basis layer by wrapping the
+        # subtriangle_basis name of triplate.solve; the probes must call
+        # the kernel through it.  Cells evaluated per call at the centre
+        # node, where three cells of each element meet:
+        sol = solved_square(4, unit_material)
+        cells = []
+        original = triplate.solve.subtriangle_basis
+
+        def counting(frame, m, vertices, *args, **kwargs):
+            cells.append(len(vertices))
+            return original(frame, m, vertices, *args, **kwargs)
+
+        monkeypatch.setattr(triplate.solve, "subtriangle_basis", counting)
+        moment_eval(sol, (0.5, 0.5))
+        assert cells == [3, 3]
+        # at a new node, the field evaluates one cell and the moment the
+        # rest of each element's, which the field did not keep
+        cells.clear()
+        field_eval(sol, (0.25, 0.25))
+        moment_eval(sol, (0.25, 0.25))
+        assert cells == [1, 2, 3]
 
 
 class TestNormalization:
@@ -164,3 +188,10 @@ class TestNormalization:
             normalize_coefficient(1.0, "moment", L=0.0, q=1.0, rigidity=1.0)
         with pytest.raises(ValueError):
             normalize_coefficient(1.0, "torsion", L=1.0, q=1.0, rigidity=1.0)
+
+    @pytest.mark.parametrize("L, q", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                                      (1.0, -np.inf)])
+    def test_non_finite_length_or_load_rejected(self, L, q):
+        for kind in ("deflection", "moment"):
+            with pytest.raises(ValueError, match="requires finite L and q"):
+                normalize_coefficient(1.0, kind, L=L, q=q, rigidity=1.0)

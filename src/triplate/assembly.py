@@ -263,10 +263,11 @@ def _node_coords(frames: FrameStack, ms: np.ndarray, counts: np.ndarray) -> np.n
 def assemble(model: Model) -> GlobalSystem:
     """Merge nodes, transform and accumulate element matrices and loads.
 
-    The cell integrals are computed first, once per group of elements of
-    equal shape, m and material (`element._fill_basis`); `element_stiffness`
-    and `element_load_uniform` are then called once per element and only
-    scatter them.  Node positions, the transformation and the side
+    The cell integrals are looked up first, per key of frame shape, m and
+    material, in the table every model shares, and those of the keys it
+    lacks are computed in one pass (`element._fill_basis`);
+    `element_stiffness` and `element_load_uniform` are then called once
+    per element and only scatter them.  Node positions, the transformation and the side
     vertices of the conformity check come from the stacked frames
     (`FrameStack`), not from one call per element.  All element matrices
     are rotated to global axes by one block-diagonal product T^T K T, and

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ from .geometry import (
     triangle_areas,
 )
 from .quadrature import triangle_rule
-from .shapefn import cells_basis, subtriangle_basis
+from .shapefn import LRUTable, cells_basis, subtriangle_basis
 
 #: Degree of the cell integration rule.  The stiffness integrand is
 #: quadratic (products of second derivatives of cubics), so every rule of
@@ -43,7 +43,7 @@ from .shapefn import cells_basis, subtriangle_basis
 #: element has always used, so its bits stay as they were.
 QUADRATURE_DEGREE = 5
 
-#: (group, orientation) pairs per basis-kernel call of `_fill_basis`:
+#: (key, orientation) pairs per basis-kernel call of `_fill_basis`:
 #: keeps the kernel's temporaries near 2 MB, as `oracle._CHUNK` does
 _CHUNK = 16
 
@@ -84,10 +84,6 @@ class MRElement:
     frame: LocalFrame
     m: int
     material: PlateMaterial
-    #: the `CellIntegrals` of each quadrature degree, shared with every
-    #: element of equal `_basis_key` (see `_fill_basis`)
-    _basis: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         try:
@@ -191,12 +187,21 @@ _FIRST_CELLS = cell_corners(np.array([0, 1]), np.array([0, 0]), np.array([False,
 
 
 class CellIntegrals(NamedTuple):
-    """What an element keeps per quadrature degree (`_fill_basis`), one row
-    per cell orientation: up, then down when m > 1.  Read-only."""
+    """The cell integrals of one (`_basis_key`, degree), one row per cell
+    orientation: up, then down when m > 1.  Read-only, kept in
+    `_integral_table` and shared by every element of that key."""
 
-    key: tuple             # the `_basis_key` the arrays belong to
     K: np.ndarray          # (o, 9, 9) cell stiffness
     f: np.ndarray          # (o, 9) load row wq @ N of a unit pressure
+
+
+#: entries `_integral_table` keeps, about 1.5 KB each, or the keys of the
+#: latest `_fill_basis` that computes if those are more
+INTEGRAL_TABLE_BOUND = 1024
+
+#: the `CellIntegrals` of every (`_basis_key`, degree) filled, least
+#: recently used first (see `_fill_basis`)
+_integral_table = LRUTable(INTEGRAL_TABLE_BOUND)
 
 
 def _basis_key(elem: MRElement) -> tuple:
@@ -234,60 +239,56 @@ def _first_cells(jobs, degree: int) -> tuple[np.ndarray, ...]:
     return wq, _values(value), _curvatures(hess)
 
 
-def _fill_basis(elements, degree: int) -> None:
-    """Keep the `CellIntegrals` of the elements at the quadrature degree.
+def _fill_basis(elements, degree: int) -> list:
+    """The `CellIntegrals` of each element at the quadrature degree, from
+    `_integral_table`; the keys it lacks are computed in one pass.
 
     Cells of equal orientation are translates of each other, so an element
     needs the rule, N and B of its first up cell and (m > 1) its first down
     cell only.  These depend on the frame's shape (a, h, b) and m alone,
     and the cell stiffness also on the material, so elements of equal
-    `_basis_key` get equal arrays, bit for bit: the elements whose
-    integrals are missing or kept under another key are grouped by key,
-    and each group is computed once and kept on all its elements.  The
-    first element of each group is evaluated through `cells_basis`
-    (`_first_cells`), `_CHUNK` (group, orientation) pairs per kernel call,
-    and the 9x9 cell stiffness (`_cell_stiffness`) and the load row wq @ N
-    of each pair come from one stacked product per call, each with the
-    bits of computing it alone.  Only those two are kept.
+    `_basis_key` get equal arrays, bit for bit, in every model: one table
+    keeps them per (`_basis_key`, degree), and a material changed in place
+    is a new key.  The first element of each missing key is evaluated
+    through `cells_basis` (`_first_cells`), `_CHUNK` (key, orientation)
+    pairs per kernel call, and the 9x9 cell stiffness (`_cell_stiffness`)
+    and the load row wq @ N of each pair come from one stacked product per
+    call, each with the bits of computing it alone.  Only those two are
+    kept.  The table keeps every key of this call, so the element matrices
+    of one assembly read it without a refill, and evicts the least
+    recently used others beyond `INTEGRAL_TABLE_BOUND`.
     """
-    groups = {}
-    for elem in elements:
-        key = _basis_key(elem)
-        kept = elem._basis.get(degree)
-        if kept is None or kept.key != key:
-            groups.setdefault(key, []).append(elem)
-    jobs = [(members[0], down) for members in groups.values()
-            for down in ((False, True) if members[0].m > 1 else (False,))]
-    parts = []
-    for start in range(0, len(jobs), _CHUNK):
-        chunk = jobs[start:start + _CHUNK]
-        wq, N, B = _first_cells(chunk, degree)
-        D = np.array([bending_rigidity(elem.material) for elem, _ in chunk])
-        parts.append((_cell_stiffness(wq, B, D), np.matmul(wq[:, None], N)[:, 0]))
-    if not parts:
-        return
-    arrays = [np.concatenate(a) for a in zip(*parts)]
-    for a in arrays:
-        a.flags.writeable = False
-    row = 0
-    for key, members in groups.items():
-        o = 2 if members[0].m > 1 else 1
-        kept = CellIntegrals(key, *(a[row:row + o] for a in arrays))
-        row += o
-        for elem in members:
-            elem._basis[degree] = kept
+    first = {}
+    keys = [(_basis_key(elem), degree) for elem in elements]
+    for key, elem in zip(keys, elements):
+        first.setdefault(key, elem)
+
+    def build(missing):
+        jobs = [(first[key], down) for key in missing
+                for down in ((False, True) if first[key].m > 1 else (False,))]
+        parts = []
+        for start in range(0, len(jobs), _CHUNK):
+            chunk = jobs[start:start + _CHUNK]
+            wq, N, B = _first_cells(chunk, degree)
+            D = np.array([bending_rigidity(elem.material) for elem, _ in chunk])
+            parts.append((_cell_stiffness(wq, B, D), np.matmul(wq[:, None], N)[:, 0]))
+        kc, f = (np.concatenate(a) for a in zip(*parts))
+        built, row = [], 0
+        for key in missing:
+            o = 2 if first[key].m > 1 else 1
+            built.append(CellIntegrals(kc[row:row + o].copy(), f[row:row + o].copy()))
+            row += o
+        return built
+
+    return _integral_table.get(keys, build)
 
 
 def _integrals(elem: MRElement, degree: int | None) -> CellIntegrals:
     """The element's `CellIntegrals` at the degree (None means
-    `QUADRATURE_DEGREE`), filled when missing or kept under another key,
-    as after a change of material."""
+    `QUADRATURE_DEGREE`): a `_integral_table` lookup, filled on a miss."""
     degree = QUADRATURE_DEGREE if degree is None else degree
-    kept = elem._basis.get(degree)
-    if kept is None or kept.key != _basis_key(elem):
-        _fill_basis([elem], degree)
-        kept = elem._basis[degree]
-    return kept
+    return (_integral_table.find((_basis_key(elem), degree))
+            or _fill_basis([elem], degree)[0])
 
 
 def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
@@ -295,9 +296,10 @@ def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matr
 
     The integrand per cell is quadratic (second derivatives of cubics),
     so the default `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
-    matrices (up and down) are the ones `_fill_basis` keeps, shared by
-    the elements of equal shape, m and material; this only scatters them
-    through the pattern `_partition_dofs` keeps per m.  Each entry is
+    matrices (up and down) are the ones `_integral_table` keeps per
+    shape, m and material (`_fill_basis`), shared by every element of
+    equal key; this only scatters them through the pattern
+    `_partition_dofs` keeps per m.  Each entry is
     summed over its cells in partition order.
 
     The matrix's ``indices`` and ``indptr`` are that pattern's arrays,
@@ -317,7 +319,7 @@ def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matr
 def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
     """Consistent load vector for a uniform transverse pressure q.
 
-    Scatters the cell load rows `_fill_basis` keeps beside the cell
+    Scatters the cell load rows `_integral_table` keeps beside the cell
     stiffness.
     """
     n = elem.dof_count

@@ -7,16 +7,18 @@ nodes, same global stiffness up to a node permutation, same solution.
 
 The conventional twin is assembled in one stacked pass over its cells.
 `build_equivalent_mono` gives every cell its own canonical frame
-(`geometry.canonicalize_triangles`, all cells at once), one basis-kernel
-call per block of cells evaluates them at their quadrature points, the
-9x9 cell matrices and load vectors are batched products, each 3x3 node
-block is rotated to global axes and the whole twin is scattered as one
-COO matrix.  Of the multiresolution path it shares the basis kernel
-(`shapefn._eval_triangles`), the node merge (`assembly._merge_nodes`) and,
-for point loads, the owning-element search and `element_load_point` of
-its m = 1 elements, besides the quadrature table, the material law and
-barycentric coordinates: nothing of its cell partition, cell-dof map,
-element matrices or transformation matrices.
+(`geometry.canonicalize_triangles`, all cells at once).  Each cell whose
+canonical vertices and rigidity are bitwise distinct is evaluated once,
+one basis-kernel call per block of them, at its quadrature points; the
+9x9 cell matrices and load vectors are batched products gathered back to
+every cell, each 3x3 node block is rotated to global axes and the whole
+twin is scattered as one COO matrix.  Of the multiresolution path it
+shares the basis kernel (`shapefn._eval_triangles`), the node merge
+(`assembly._merge_nodes`) and, for point loads, the owning-element search
+and `element_load_point` of its m = 1 elements, besides the quadrature
+table, the material law and barycentric coordinates: nothing of its cell
+partition, cell-dof map, integral table, element matrices or
+transformation matrices.
 """
 from __future__ import annotations
 
@@ -112,6 +114,17 @@ def _cell_integrals(local: np.ndarray, D: np.ndarray, q: float):
     return kc, f
 
 
+def _distinct_cell_integrals(local: np.ndarray, D: np.ndarray, q: float):
+    """`_cell_integrals` of every cell, evaluated once per bit-distinct
+    (local, D) row.  A cell's integrals depend on those alone, and each
+    cell gets the bits of evaluating it alone, so the result is that of
+    evaluating every cell; the rows are gathered back as copies."""
+    rows = np.concatenate([local.reshape(len(local), 6), D.reshape(len(D), 9)], axis=1)
+    _, first, inverse = np.unique(rows.view(f"V{rows[0].nbytes}").ravel(),
+                                  return_index=True, return_inverse=True)
+    return tuple(x[inverse] for x in _cell_integrals(local[first], D[first], q))
+
+
 def _assemble_twin(mono: MonoModel) -> GlobalSystem:
     """Assemble the conventional twin from its stacked cell frames."""
     model = mono.model
@@ -130,8 +143,8 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
     materials = [elem.material for elem in model.elements]
     distinct = {id(mat): mat for mat in materials}
     D_of = {key: bending_rigidity(mat) for key, mat in distinct.items()}
-    kc, f = _cell_integrals(local, np.array([D_of[id(mat)] for mat in materials]),
-                            model.uniform_q)
+    kc, f = _distinct_cell_integrals(local, np.array([D_of[id(mat)] for mat in materials]),
+                                     model.uniform_q)
     stack = _element_stack(model.elements) if model.point_loads else None
     for x, y, P in model.point_loads:
         p = np.array([x, y])

@@ -11,8 +11,8 @@ so the nodal dw/dy, -dw/dx interpretation survives the scaling.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -307,22 +307,74 @@ def basis_eval(frame: LocalFrame, m: int, idx: tuple[int, int], p) -> BasisTripl
     return BasisTriple(*_squeeze(scaled.functions(), scalar))
 
 
-@lru_cache(maxsize=1024)
-def _shape_domains(a: float, h: float, b: float) -> tuple:
+class LRUTable:
+    """A bounded table of read-only entries, least recently used first.
+
+    `find(key)` returns the entry of one key, or None.  `get(keys, build)`
+    returns the entry of each key, and builds all the keys it misses with
+    one `build(missing)` call, which returns their entries in order, each
+    a tuple of arrays that the table makes read-only.  It then evicts the least recently used entries beyond `bound`, but never
+    one of its own keys: a call with more distinct keys than `bound` keeps
+    them all, until the next call that builds.  `misses` counts the keys
+    built since the last `clear`.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.misses = 0
+        self._entries = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.misses = 0
+
+    def find(self, key):
+        """The entry of the key, now the most recently used, or None."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def get(self, keys, build) -> list:
+        entries = self._entries
+        distinct = dict.fromkeys(keys)
+        missing = [key for key in distinct if self.find(key) is None]
+        if missing:
+            built = build(missing)
+            for entry in built:
+                for a in entry:
+                    a.flags.writeable = False
+            entries.update(zip(missing, built))
+            self.misses += len(missing)
+            for _ in range(len(entries) - max(self.bound, len(distinct))):
+                entries.popitem(last=False)
+        return [entries[key] for key in keys]
+
+
+#: the `_build_shapes` entry of each frame shape (a, h, b) met: 1024, or
+#: the shapes of the latest call that builds if those are more
+_shape_domains = LRUTable(1024)
+
+
+def _build_shapes(shapes) -> list:
     """`_domains` (6, ...) of the corner domains of the up cell, then the
-    down cell, of a frame of shape (a, h, b); read-only.
+    down cell, of frames of each shape (a, h, b), all from one `_domains`
+    call and each with the bits of building it alone, as copies.
 
     They depend on the shape alone, as the kernel takes node-relative
     points scaled by m.  A `LocalFrame` has a, h > 0 and a finite b, so
     two keys compare equal exactly when their bits do.
     """
-    u = np.array([a, 0.0])
-    v = np.array([a * (1.0 - h / b), h])
-    domains = _domains(domain_triangles_of(_CELL_UV, u, v).reshape(6, 3, 2),
-                       _CELL_I0.ravel())
-    for d in domains:
-        d.flags.writeable = False
-    return domains
+    a, h, b = np.array(shapes).T
+    u = np.stack([a, np.zeros_like(a)], axis=-1)[:, None, None, None]
+    v = np.stack([a * (1.0 - h / b), h], axis=-1)[:, None, None, None]
+    triangles = domain_triangles_of(_CELL_UV, u, v)
+    domains = _domains(triangles.reshape(-1, 3, 2), np.tile(_CELL_I0.ravel(), len(shapes)))
+    return [tuple(d.copy() for d in entry)
+            for entry in zip(*(d.reshape((len(shapes), 6) + d.shape[1:]) for d in domains))]
 
 
 def _cell_domains(frames, down: np.ndarray) -> tuple:
@@ -333,7 +385,7 @@ def _cell_domains(frames, down: np.ndarray) -> tuple:
     shapes = {}
     rows = np.array([6 * shapes.setdefault((f.a, f.h, f.b), len(shapes)) + 3 * d + c
                      for f, d in zip(frames, down.tolist()) for c in range(3)])
-    kept = [_shape_domains(*shape) for shape in shapes]
+    kept = _shape_domains.get(shapes, _build_shapes)
     domains = kept[0] if len(kept) == 1 else [np.concatenate(d) for d in zip(*kept)]
     return tuple(d.take(rows, axis=0) for d in domains)
 

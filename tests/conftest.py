@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import triplate.element
 import triplate.shapefn
 from triplate import (MRElement, PlateMaterial, canonicalize_triangle,
                       subtriangle_partition)
@@ -51,6 +52,13 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(triplate.shapefn, "_eval_triangles", counting)
     return calls
+
+
+@pytest.fixture
+def empty_integral_table():
+    """Empties the cell-integral table (`element._integral_table`), so that
+    a test sees the kernel calls of a process that has filled nothing."""
+    triplate.element._integral_table.clear()
 
 
 @pytest.fixture

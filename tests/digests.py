@@ -6,11 +6,12 @@ Prints one line per item, ``<sha256>  <name>``, for:
   case at m = 1, 3 and its default scales, and of square-ss and skew-60 at
   m = 48;
 * ``K`` and ``rhs`` of each of those models' conventional twin, assembled
-  by ``assemble(build_equivalent_mono(model).model)`` (not at m = 48);
-* ``rhs``, solution and twin ``rhs`` of every registry model at m = 1 and
-  3 with its uniform load replaced by one point load, in turn inside a
-  cell, on a cell edge, at a grid node and on the edge its two elements
-  share (`point_load_sites`);
+  by ``assemble(build_equivalent_mono(model).model)`` (``twin``) and by the
+  oracle's own ``_assemble_twin`` (``oracle twin``), not at m = 48;
+* ``rhs``, solution, twin ``rhs`` and oracle twin ``rhs`` of every registry
+  model at m = 1 and 3 with its uniform load replaced by one point load, in
+  turn inside a cell, on a cell edge, at a grid node and on the edge its two
+  elements share (`point_load_sites`);
 * ``field_eval`` and ``moment_eval`` at every point of the probe-grid pool
   (``perfbench/workloads.py``), one digest for all;
 * the ``run_case`` rows of every case at its default scales;
@@ -49,6 +50,7 @@ import numpy as np
 from triplate import (CASES, TriplateError, apply_boundary_conditions, assemble,
                       build_equivalent_mono, cli, field_eval, moment_eval, run_case,
                       solve_system)
+from triplate.oracle import _assemble_twin
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.json"))
@@ -92,9 +94,11 @@ def model_digests(name: str, m: int):
     yield f"{where} rhs_red", digest(system.rhs_red)
     yield f"{where} solution", digest(sol.dofs)
     if m < 48:
-        twin = assemble(build_equivalent_mono(model).model)
-        yield f"{where} twin K", digest(*sparse(twin.K))
-        yield f"{where} twin rhs", digest(twin.rhs)
+        mono = build_equivalent_mono(model)
+        for kind, twin in (("twin", assemble(mono.model)),
+                           ("oracle twin", _assemble_twin(mono))):
+            yield f"{where} {kind} K", digest(*sparse(twin.K))
+            yield f"{where} {kind} rhs", digest(twin.rhs)
 
 
 def point_load_sites(model) -> dict:
@@ -115,9 +119,9 @@ def point_load_sites(model) -> dict:
 
 
 def point_load_digests(name: str, m: int):
-    """(item, digest) of the rhs, the solution and the twin's rhs of one
-    registry model with one point load P = 0.7 at each `point_load_sites`
-    site in turn, and no uniform load."""
+    """(item, digest) of the rhs, the solution, the twin's rhs and the
+    oracle twin's rhs of one registry model with one point load P = 0.7 at
+    each `point_load_sites` site in turn, and no uniform load."""
     model = CASES[name].build(m)
     for kind, (x, y) in point_load_sites(model).items():
         loaded = dataclasses.replace(model, uniform_q=0.0, point_loads=[(x, y, 0.7)])
@@ -125,8 +129,9 @@ def point_load_digests(name: str, m: int):
         where = f"{name} m={m} point load on {kind}"
         yield f"{where} rhs", digest(system.rhs)
         yield f"{where} solution", digest(solve_system(system).dofs)
-        yield f"{where} twin rhs", \
-            digest(assemble(build_equivalent_mono(loaded).model).rhs)
+        mono = build_equivalent_mono(loaded)
+        yield f"{where} twin rhs", digest(assemble(mono.model).rhs)
+        yield f"{where} oracle twin rhs", digest(_assemble_twin(mono).rhs)
 
 
 def pool_digest() -> str:

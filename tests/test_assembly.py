@@ -22,7 +22,8 @@ from triplate.assembly import (_PAIR_TOL, _element_stack, _merge_nodes,
 from triplate.bench import CASES
 from triplate.cli import CONFIG_SCHEMA
 from triplate.element import (_FIRST_CELLS, QUADRATURE_DEGREE, _cell_quadrature,
-                              _curvatures, _fill_basis, _first_cells, _partition_dofs,
+                              _curvatures, _fill_basis, _first_cells, _integral_table,
+                              _partition_dofs,
                               element_load_point, element_load_uniform,
                               element_stiffness)
 from triplate.geometry import LocalFrame, grid_positions, partition_corners
@@ -205,7 +206,7 @@ class TestMatchesPerElementAssembly:
 
     @pytest.mark.parametrize("twin", [False, True])
     def test_one_basis_call_per_element_orientation(self, twin, monkeypatch,
-                                                    kernel_calls):
+                                                    kernel_calls, empty_integral_table):
         # the basis is evaluated once per distinct (shape bits, m,
         # orientation), inside one basis-kernel call per chunk of them: no
         # per-element subtriangle_basis call, ceil(jobs / chunk) kernel
@@ -229,13 +230,13 @@ class TestMatchesPerElementAssembly:
         assert len(domains) == math.ceil(jobs / triplate.element._CHUNK) \
             == (3 if twin else 1)
         assert sum(domains) == 3 * jobs == (99 if twin else 12)
-        kept = [el._basis[QUADRATURE_DEGREE] for el in model.elements]
+        domains.clear()
+        assemble(model)
+        kept = _fill_basis(model.elements, QUADRATURE_DEGREE)
+        assert domains == []
         assert len({id(k) for k in kept}) == len(shapes)
         assert all(len(k.K) == (2 if el.m > 1 else 1)
                    for el, k in zip(model.elements, kept))
-        domains.clear()
-        assemble(model)
-        assert domains == []
 
     @pytest.mark.parametrize("degree", [2, 5])
     def test_batched_basis_bytes_equal_one_cell_evaluation(self, degree):
@@ -380,44 +381,124 @@ class TestSharedCellIntegrals:
     bitwise equal: frame shape, m and material."""
 
     @pytest.mark.parametrize("name", ["square-ss", "skew-60", "circle-ss"])
-    def test_shared_twin_bytes_equal_each_filled_alone(self, name):
-        model = CASES[name].build(4)
-        shared = build_equivalent_mono(model).model
-        alone = build_equivalent_mono(model).model
-        for elem in alone.elements:
-            _fill_basis([elem], QUADRATURE_DEGREE)
-        got, want = assemble(shared), assemble(alone)
+    def test_shared_twin_bytes_equal_each_filled_alone(self, name, empty_integral_table):
+        twin = build_equivalent_mono(CASES[name].build(4)).model
+        shared = _fill_basis(twin.elements, QUADRATURE_DEGREE)
+        alone = []
+        for elem in twin.elements:
+            _integral_table.clear()
+            alone.append(_fill_basis([elem], QUADRATURE_DEGREE)[0])
+        assert len({id(k) for k in alone}) == len(twin.elements) > \
+            len({id(k) for k in shared})
+        assert same_bytes(*((s.K, a.K) for s, a in zip(shared, alone)),
+                          *((s.f, a.f) for s, a in zip(shared, alone)))
 
-        def kept(twin):
-            return {id(el._basis[QUADRATURE_DEGREE]) for el in twin.elements}
-
-        assert len(kept(alone)) == len(alone.elements) > len(kept(shared))
-        assert same_bytes((got.K.data, want.K.data), (got.K.indices, want.K.indices),
-                          (got.K.indptr, want.K.indptr), (got.rhs, want.rhs))
-
-    def test_equal_shapes_of_other_material_keep_their_own(self, unit_material):
+    def test_equal_shapes_of_other_material_keep_their_own(self, unit_material,
+                                                           empty_integral_table):
         frame = LocalFrame(1.0, 0.8, 1.1)
         soft = PlateMaterial(E=3.0, t=0.5, nu=0.2)
         elements = [MRElement(frame, 3, mat) for mat in (unit_material, soft, unit_material)]
-        _fill_basis(elements, QUADRATURE_DEGREE)
-        kept = [el._basis[QUADRATURE_DEGREE] for el in elements]
+        kept = _fill_basis(elements, QUADRATURE_DEGREE)
         assert kept[0] is kept[2] and kept[1] is not kept[0]
+        shared = element_stiffness(elements[1]).data
+        _integral_table.clear()
         alone = MRElement(LocalFrame(1.0, 0.8, 1.1), 3, soft)
-        assert same_bytes((element_stiffness(elements[1]).data,
-                           element_stiffness(alone).data))
+        assert same_bytes((shared, element_stiffness(alone).data))
         assert not np.array_equal(kept[0].K, kept[1].K)
 
-    def test_shapes_one_ulp_apart_keep_their_own(self, unit_material):
+    def test_shapes_one_ulp_apart_keep_their_own(self, unit_material, empty_integral_table):
         frames = [LocalFrame(a, 0.8, 1.1) for a in (1.0, np.nextafter(1.0, 2.0))]
         elements = [MRElement(frame, 1, unit_material) for frame in frames]
-        _fill_basis(elements, QUADRATURE_DEGREE)
-        assert elements[0]._basis[QUADRATURE_DEGREE] is not \
-            elements[1]._basis[QUADRATURE_DEGREE]
-        for elem, frame in zip(elements, frames):
+        kept = _fill_basis(elements, QUADRATURE_DEGREE)
+        assert kept[0] is not kept[1]
+        shared = [element_stiffness(elem).data for elem in elements]
+        for got, frame in zip(shared, frames):
+            _integral_table.clear()
             alone = MRElement(LocalFrame(frame.a, frame.h, frame.b), 1, unit_material)
-            assert same_bytes((element_stiffness(elem).data,
-                               element_stiffness(alone).data))
-        assert not np.array_equal(*(el._basis[QUADRATURE_DEGREE].K for el in elements))
+            assert same_bytes((got, element_stiffness(alone).data))
+        assert not np.array_equal(kept[0].K, kept[1].K)
+
+
+class TestIntegralTable:
+    """One bounded table keeps the cell integrals of every key filled, for
+    every model of the process."""
+
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_equal_model_assembles_without_kernel_calls(self, twin, kernel_calls):
+        def build():
+            model = CASES["circle-ss"].build(6)
+            return build_equivalent_mono(model).model if twin else model
+
+        first = assemble(build())
+        kernel_calls.clear()
+        again = assemble(build())
+        assert kernel_calls == []
+        assert same_bytes((first.K.data, again.K.data), (first.rhs, again.rhs))
+
+    def test_more_keys_than_the_bound_fill_in_one_pass(self, monkeypatch, kernel_calls,
+                                                        unit_material,
+                                                        empty_integral_table):
+        twin = build_equivalent_mono(benchmark_case("skew-60").build(8)).model
+        want = assemble(twin)
+        unbounded = _fill_basis(twin.elements, QUADRATURE_DEGREE)
+        _integral_table.clear()
+        monkeypatch.setattr(_integral_table, "bound", 4)
+        _fill_basis([MRElement(LocalFrame(1.0, 0.8, b), 1, unit_material)
+                     for b in (1.1, 1.2, 1.3, 1.4)], QUADRATURE_DEGREE)
+        kernel_calls.clear()
+        got = assemble(twin)
+        # 33 keys of one orientation each: one pass, no refill per element
+        assert len(kernel_calls) == math.ceil(33 / triplate.element._CHUNK) == 3
+        assert len(_integral_table) == 33
+        kept = _fill_basis(twin.elements, QUADRATURE_DEGREE)
+        assert len(kernel_calls) == 3
+        assert same_bytes((got.K.data, want.K.data), (got.K.indices, want.K.indices),
+                          (got.K.indptr, want.K.indptr), (got.rhs, want.rhs),
+                          *((k.K, u.K) for k, u in zip(kept, unbounded)),
+                          *((k.f, u.f) for k, u in zip(kept, unbounded)))
+        # the next fill evicts down to the bound, least recently used first:
+        # the twin keeps the last three keys its fill read
+        _fill_basis([MRElement(LocalFrame(1.0, 0.8, 1.5), 1, unit_material)],
+                    QUADRATURE_DEGREE)
+        assert len(_integral_table) == 4
+        firsts = {}
+        for elem in twin.elements:
+            firsts.setdefault(triplate.element._basis_key(elem), elem)
+        kernel_calls.clear()
+        _fill_basis(list(firsts.values())[-3:], QUADRATURE_DEGREE)
+        assert kernel_calls == []
+        _fill_basis(list(firsts.values())[:1], QUADRATURE_DEGREE)
+        assert kernel_calls == [3]
+
+    def test_entries_are_read_only(self, unit_material):
+        elem = MRElement(LocalFrame(1.0, 0.8, 1.1), 2, unit_material)
+        for a in _fill_basis([elem], QUADRATURE_DEGREE)[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+
+    def test_evicted_entry_refills_with_its_bytes(self, monkeypatch, kernel_calls,
+                                                  unit_material, empty_integral_table):
+        monkeypatch.setattr(_integral_table, "bound", 2)
+        elements = [MRElement(LocalFrame(1.0, 0.8, b), 2, unit_material)
+                    for b in (1.1, 1.2, 1.3)]
+        first = _fill_basis(elements[:1], QUADRATURE_DEGREE)[0]
+        _fill_basis(elements[1:2], QUADRATURE_DEGREE)
+        # a read makes the first the most recently used: the third evicts
+        # the second
+        element_stiffness(elements[0])
+        kernel_calls.clear()
+        _fill_basis(elements[2:], QUADRATURE_DEGREE)
+        assert _fill_basis(elements[:1], QUADRATURE_DEGREE)[0] is first
+        assert len(kernel_calls) == 1
+        # the second evicts the third, then the third the first, which
+        # refills with its bytes
+        _fill_basis(elements[1:2], QUADRATURE_DEGREE)
+        _fill_basis(elements[2:], QUADRATURE_DEGREE)
+        kernel_calls.clear()
+        again = _fill_basis(elements[:1], QUADRATURE_DEGREE)[0]
+        assert len(kernel_calls) == 1 and again is not first
+        assert same_bytes((again.K, first.K), (again.f, first.f))
+        assert len(_integral_table) == 2
 
 
 class TestSplicing:

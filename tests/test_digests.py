@@ -6,6 +6,7 @@ import numpy as np
 
 import digests
 from triplate import CASES, apply_boundary_conditions, assemble, build_equivalent_mono
+from triplate.oracle import _assemble_twin
 
 
 def run(argv, capsys):
@@ -21,10 +22,11 @@ def test_digests_of_square_ss_m2(capsys, tmp_path):
     items = {name: value for value, name in (line.split("  ", 1) for line in lines)}
     assert [name for name in items if name.startswith("square-ss m=2")] == [
         f"square-ss m=2 {what}" for what in
-        ("K", "rhs", "K_red", "rhs_red", "solution", "twin K", "twin rhs")] + [
+        ("K", "rhs", "K_red", "rhs_red", "solution", "twin K", "twin rhs",
+         "oracle twin K", "oracle twin rhs")] + [
         f"square-ss m=2 point load on {site} {what}"
         for site in ("cell", "cell edge", "grid node", "element edge")
-        for what in ("rhs", "solution", "twin rhs")]
+        for what in ("rhs", "solution", "twin rhs", "oracle twin rhs")]
     assert "probe-grid pool" in items and "run_case square-ss m=[2]" in items
     assert "cli bench square-ss --m 2" in items
     assert sum(name.startswith("cli ") for name in items) == 3 * 2 + 1
@@ -69,10 +71,13 @@ def test_point_load_sites_and_digests():
                                  point_loads=[(*sites["grid node"], 0.7)])
     system = apply_boundary_conditions(assemble(loaded))
     items = dict(digests.point_load_digests("skew-60", 3))
-    assert len(items) == 12
+    assert len(items) == 16
     assert items["skew-60 m=3 point load on grid node rhs"] == digests.digest(system.rhs)
     twin = assemble(build_equivalent_mono(loaded).model)
     assert items["skew-60 m=3 point load on grid node twin rhs"] == \
         digests.digest(twin.rhs)
+    oracle = _assemble_twin(build_equivalent_mono(loaded))
+    assert items["skew-60 m=3 point load on grid node oracle twin rhs"] == \
+        digests.digest(oracle.rhs)
     # the deflection functions sum to one, so the w rows hold P
     assert abs(system.rhs[0::3].sum() - 0.7) < 1e-12

@@ -3,6 +3,10 @@
 The kernel constants of a cell's corner domains depend on the frame's
 shape (a, h, b) alone, and one bounded table keeps them per shape
 (`shapefn._shape_domains`), both orientations together; frames keep none.
+The shapes one kernel call misses are built together.  The cell integrals
+of the assembly sit in a table of their own (`element._integral_table`),
+which a test that counts kernel calls or shape misses of an assembly
+empties first (`empty_integral_table`).
 Each assembled system keeps its element stack (`GlobalSystem.element_stack`)
 and each solution its elements' frame-local dofs (`Solution._local_dofs`).
 The kept constants must give the bits of building them anew, be built
@@ -19,8 +23,8 @@ from triplate import (CASES, Solution, apply_boundary_conditions, assemble,
                       benchmark_case, build_equivalent_mono, canonicalize_triangle,
                       field_eval, moment_eval, solve_system, subtriangle_partition)
 from triplate.geometry import _CELL_SHAPES, partition_corners
-from triplate.shapefn import (_domains, _eval_triangles, _scale_factors, _shape_domains,
-                              cells_basis, subtriangle_basis)
+from triplate.shapefn import (_build_shapes, _domains, _eval_triangles, _scale_factors,
+                              _shape_domains, cells_basis, subtriangle_basis)
 
 from conftest import random_triangle
 
@@ -80,16 +84,23 @@ def mixed_cells(rng):
     return [list(x) for x in zip(*(cells[i] for i in order))]
 
 
-def test_cached_constants_bytes_equal_fresh_triangles(rng):
+def test_cached_constants_bytes_equal_fresh_triangles(rng, monkeypatch):
     frames, ms, vertices, down = mixed_cells(rng)
     vertices = np.array(vertices)
     points = cell_points(vertices, rng)
     assert set(ms) == {1, 3, 8} and set(down) == {False, True}
     want = fresh_cells_basis(frames, ms, vertices, down, points)
-    # first call builds the constants of every shape, the second reads
-    # them; one cell at a time reads them with other cells absent
+    built = []
+    monkeypatch.setattr(triplate.shapefn, "_domains",
+                        lambda triangles, i0: built.append(len(i0))
+                        or _domains(triangles, i0))
+    _shape_domains.clear()
+    # first call builds the constants of every shape, all in one `_domains`
+    # call, the second reads them; one cell at a time reads them with
+    # other cells absent
     for _ in range(2):
         assert_same_bytes(cells_basis(frames, ms, vertices, down, points), want)
+    assert built == [6 * len({(f.a, f.h, f.b) for f in frames})] == [30]
     for i in range(0, len(frames), 7):
         got = cells_basis(frames[i:i + 1], ms[i:i + 1], vertices[i:i + 1],
                           down[i:i + 1], points[i:i + 1])
@@ -102,15 +113,15 @@ def test_constants_from_several_passes_bytes_equal_fresh(rng):
     frames, ms, vertices, down = mixed_cells(rng)
     vertices = np.array(vertices)
     points = cell_points(vertices, rng)
-    _shape_domains.cache_clear()
+    _shape_domains.clear()
     for i in range(0, len(frames), 4):
         cells_basis(frames[i:i + 1], ms[i:i + 1], vertices[i:i + 1], down[i:i + 1],
                     points[i:i + 1])
-    assert _shape_domains.cache_info().misses > 1
+    assert _shape_domains.misses > 1
     assert_same_bytes(cells_basis(frames, ms, vertices, down, points),
                       fresh_cells_basis(frames, ms, vertices, down, points))
     # each shape was built once, by whichever call met it first
-    assert _shape_domains.cache_info().misses == len({(f.a, f.h, f.b) for f in frames})
+    assert _shape_domains.misses == len({(f.a, f.h, f.b) for f in frames})
 
 
 @pytest.mark.parametrize("grad, hess", [(False, False), (True, False), (False, True)])
@@ -137,39 +148,40 @@ def test_kernel_bytes_do_not_depend_on_derivatives_asked(grad, hess, rng):
 
 def test_frames_of_other_shape_get_other_constants():
     a, b = (canonicalize_triangle(*v) for v in FRAME_VERTICES[:2])
-    _shape_domains.cache_clear()
+    _shape_domains.clear()
     for frame in (a, b):
         cells = subtriangle_partition(frame, 3)[:1]
         cells_basis([frame], [3], cells, [False], cells.mean(axis=1)[:, None])
-    assert _shape_domains.cache_info().misses == 2
-    assert not np.array_equal(_shape_domains(a.a, a.h, a.b)[1],
-                              _shape_domains(b.a, b.h, b.b)[1])
+    assert _shape_domains.misses == 2
+    kept = _shape_domains.get([(a.a, a.h, a.b), (b.a, b.h, b.b)], _build_shapes)
+    assert _shape_domains.misses == 2
+    assert not np.array_equal(kept[0][1], kept[1][1])
     # a frame given a new shape reads the entry of that shape, not its old one
     a.b = 3.0 * a.b
     cells = subtriangle_partition(a, 3)[:1]
     got = cells_basis([a], [3], cells, [False], cells.mean(axis=1)[:, None])
-    assert _shape_domains.cache_info().misses == 3
+    assert _shape_domains.misses == 3
     assert_same_bytes(got, fresh_cells_basis([a], [3], cells, [False],
                                              cells.mean(axis=1)[:, None]))
 
 
 def test_kept_constants_are_read_only():
-    for kept in _shape_domains(1.0, 0.5, 2.0):
+    for kept in _shape_domains.get([(1.0, 0.5, 2.0)], _build_shapes)[0]:
         with pytest.raises(ValueError, match="read-only"):
             kept.flat[0] = 1.0
 
 
-def test_twin_keeps_one_entry_per_distinct_shape(rng):
+def test_twin_keeps_one_entry_per_distinct_shape(rng, empty_integral_table):
     # only the first element of each distinct shape is evaluated, and its
     # entry holds both orientations though a one-cell element asks for the
     # up cell alone; the frames keep nothing
     twin = build_equivalent_mono(CASES["skew-60"].build(4)).model
     shapes = {(el.frame.a, el.frame.h, el.frame.b) for el in twin.elements}
     assert 1 < len(shapes) < len(twin.elements)
-    _shape_domains.cache_clear()
+    _shape_domains.clear()
     assemble(twin)
-    assert _shape_domains.cache_info().currsize == len(shapes)
-    assert _shape_domains.cache_info().misses == len(shapes)
+    assert len(_shape_domains) == len(shapes)
+    assert _shape_domains.misses == len(shapes)
     for elem in twin.elements:
         assert set(vars(elem.frame)) == {"a", "h", "b", "origin", "rotation"}
     # a frame asked for the up cell, the down cell or both, in any order,
@@ -179,14 +191,14 @@ def test_twin_keeps_one_entry_per_distinct_shape(rng):
     _, down = partition_corners(3)
     assert down[[0, 3]].tolist() == [False, True]
     points = cell_points(cells, rng)
-    misses = _shape_domains.cache_info().misses
+    misses = _shape_domains.misses
     for pick in ([0], [1], [0], [1, 0], [0, 1]):
         got = cells_basis([frame] * len(pick), 3, cells[pick], down[[0, 3]][pick],
                           points[pick])
         assert_same_bytes(got, fresh_cells_basis([frame] * len(pick), [3] * len(pick),
                                                  cells[pick], down[[0, 3]][pick],
                                                  points[pick]))
-    assert _shape_domains.cache_info().misses == misses + 1
+    assert _shape_domains.misses == misses + 1
 
 
 def probe_points(sol, rng, count):
@@ -218,12 +230,12 @@ def test_probes_after_the_first_rebuild_nothing(rng, monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     pts = probe_points(sol, rng, 50)
     assert len(pts) == 50
-    misses = _shape_domains.cache_info().misses
+    misses = _shape_domains.misses
     for p in pts:
         field_eval(sol, p)
         moment_eval(sol, p)
     assert built == []
-    assert _shape_domains.cache_info().misses == misses
+    assert _shape_domains.misses == misses
     assert sol._local_dofs is local
     # the wrappers do count: a new system of the same elements (whose basis
     # and kernel constants are kept) builds its element stack, once

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import triplate.assembly
 from triplate import (CASES, BCKind, EquivalenceReport, MRElement,
                       PermutationNotFound, PlateMaterial, assemble,
-                      benchmark_case, build_equivalent_mono,
+                      benchmark_case, bending_rigidity, build_equivalent_mono,
                       canonicalize_triangle, equivalence_check, oracle)
 
 from test_assembly import square_model
@@ -141,6 +141,75 @@ class TestStackedTwin:
         report = equivalence_check(benchmark_case(name).build(32))
         assert report.ok
         assert report.mono_element_count == 2 * 32 * 32
+
+
+def same_system_bytes(got, want):
+    return all((g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+               for g, w in ((got.K.data, want.K.data), (got.K.indices, want.K.indices),
+                            (got.K.indptr, want.K.indptr), (got.rhs, want.rhs)))
+
+
+def twin_over_every_cell(mono, monkeypatch):
+    """`_assemble_twin` with `_cell_integrals` run over every cell."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_distinct_cell_integrals", oracle._cell_integrals)
+        return oracle._assemble_twin(mono)
+
+
+def cell_keys(mono):
+    """The bytes of each twin cell's canonical shape (a, h, b)."""
+    return [row.tobytes() for row in np.column_stack(mono.frames[1:4])]
+
+
+class TestDistinctCells:
+    """The twin evaluates each bit-distinct cell once and gathers the
+    integrals back; the result is that of evaluating every cell."""
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_bytes_equal_every_cell(self, name, m, monkeypatch):
+        # at m = 3 the circle twins' 18 cells are all distinct, at m = 4
+        # every twin has half as many distinct cells as cells
+        mono = build_equivalent_mono(CASES[name].build(m))
+        assert same_system_bytes(oracle._assemble_twin(mono),
+                                 twin_over_every_cell(mono, monkeypatch))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_point_load_in_a_recurring_cell(self, name, monkeypatch):
+        # the load goes into the gathered row of one cell whose shape other
+        # cells share; a write into a shared row would move their loads too
+        model = CASES[name].build(4)
+        keys = cell_keys(build_equivalent_mono(model))
+        e = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
+        mono = build_equivalent_mono(model)
+        x, y = mono.triangles[e].mean(axis=0)
+        for q in (0.0, model.uniform_q):
+            loaded = dataclasses.replace(model, uniform_q=q, point_loads=[(x, y, 0.7)])
+            mono = build_equivalent_mono(loaded)
+            assert same_system_bytes(oracle._assemble_twin(mono),
+                                     twin_over_every_cell(mono, monkeypatch))
+
+    def test_cells_one_ulp_apart_keep_their_own(self, monkeypatch, unit_material):
+        a = np.array([1.0, np.nextafter(1.0, 2.0), 1.0])
+        local = np.zeros((3, 3, 2))
+        local[:, 1, 0] = a
+        local[:, 2] = [0.4, 0.8]
+        D = np.repeat(bending_rigidity(unit_material)[None], 3, axis=0)
+        calls = []
+        original = oracle._cell_integrals
+        monkeypatch.setattr(oracle, "_cell_integrals",
+                            lambda local, *args: calls.append(len(local))
+                            or original(local, *args))
+        kc, f = oracle._distinct_cell_integrals(local, D, 1.0)
+        assert calls == [2]
+        for i in range(3):
+            want = original(local[i:i + 1], D[i:i + 1], 1.0)
+            assert kc[i].tobytes() == want[0][0].tobytes()
+            assert f[i].tobytes() == want[1][0].tobytes()
+        assert kc[0].tobytes() == kc[2].tobytes() != kc[1].tobytes()
+        # the rows are copies: writing into one leaves its equal
+        f[0] += 1.0
+        assert not np.array_equal(f[0], f[2])
 
 
 class TestMutationsFail:

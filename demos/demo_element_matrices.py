@@ -34,7 +34,7 @@ def main():
     print(f"element: m={elem.m}, {elem.node_count} nodes, "
           f"{elem.dof_count} dofs, D={MATERIAL.rigidity:.6f}")
 
-    K = element_stiffness(elem).toarray()
+    K = element_stiffness([elem]).toarray()
     print("\n1. stiffness spectrum")
     print(f"  symmetry error |K - K^T|_max = {np.abs(K - K.T).max():.2e}")
     w = np.linalg.eigvalsh(K)
@@ -60,7 +60,7 @@ def main():
 
     print("\n3. load vectors")
     q = 2.0
-    f = element_load_uniform(elem, q)
+    f = element_load_uniform([elem], q)
     print(f"  uniform q={q}: sum of w-components {f[0::3].sum():.12f}"
           f" vs q*A = {q * elem.frame.area:.12f}")
     idx = (1, 1)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .element import (QUADRATURE_DEGREE, MRElement, _fill_basis, element_load_point,
+from .element import (QUADRATURE_DEGREE, MRElement, element_load_point,
                       element_load_uniform, element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
 from .geometry import (CONTAIN_TOL, FrameStack, barycentric_at,
@@ -193,7 +193,9 @@ def _check_edge_conformity(system: GlobalSystem, corners: np.ndarray):
     side, node = side[keep], node[keep]
     # a node belongs to element e when e * n_nodes + node is one of e's keys
     n_nodes = len(coords)
-    own = np.concatenate([e * n_nodes + ids for e, ids in enumerate(system.element_nodes)])
+    counts = [len(ids) for ids in system.element_nodes]
+    own = (np.repeat(np.arange(len(counts)) * n_nodes, counts)
+           + np.concatenate(system.element_nodes))
     foreign = ~np.isin(side // 3 * n_nodes + node, own)
     if foreign.any():
         first = side[foreign].min()
@@ -232,18 +234,6 @@ def _owning_element(stack, p) -> tuple[list[int], np.ndarray]:
     raise OutsideModel(f"point {p.tolist()} lies outside every element")
 
 
-def _block_diagonal(mats) -> sp.csr_matrix:
-    """CSR matrices stacked on the diagonal, each row's entries in the order
-    its matrix stores them."""
-    nnz = np.cumsum([0] + [K.nnz for K in mats])
-    offsets = np.cumsum([0] + [K.shape[0] for K in mats])
-    indptr = [K.indptr[:-1] + start for K, start in zip(mats, nnz)] + [nnz[-1:]]
-    return sp.csr_matrix(
-        (np.concatenate([K.data for K in mats]),
-         np.concatenate([K.indices + off for K, off in zip(mats, offsets)]),
-         np.concatenate(indptr)), shape=(offsets[-1], offsets[-1]))
-
-
 def _node_coords(frames: FrameStack, ms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Global positions of the grid nodes of elements with the frames, the
     resolutions ms (E,) and node counts (E,), element by element, each in
@@ -263,17 +253,21 @@ def _node_coords(frames: FrameStack, ms: np.ndarray, counts: np.ndarray) -> np.n
 def assemble(model: Model) -> GlobalSystem:
     """Merge nodes, transform and accumulate element matrices and loads.
 
-    The cell integrals are looked up first, per key of frame shape, m and
-    material, in the table every model shares, and those of the keys it
-    lacks are computed in one pass (`element._fill_basis`);
-    `element_stiffness` and `element_load_uniform` are then called once
-    per element and only scatter them.  Node positions, the transformation and the side
-    vertices of the conformity check come from the stacked frames
+    One `element_stiffness` and one `element_load_uniform` call give the
+    block-diagonal matrix and the stacked uniform loads of all elements;
+    they look the cell integrals up per key of frame shape, m and material
+    in the table every model shares, and compute the keys it lacks in one
+    pass (`element._fill_basis`).  Node positions, the transformation and
+    the side vertices of the conformity check come from the stacked frames
     (`FrameStack`), not from one call per element.  All element matrices
     are rotated to global axes by one block-diagonal product T^T K T, and
     all uniform loads by one T^T f; the result has the bits of rotating
-    each element alone, and every global entry sums its element
-    contributions in element order.
+    each element alone.  The COO to CSR conversion then sums the element
+    contributions to each global entry.  Where at most two elements share
+    an entry, as in every registry and demo model, that sum does not
+    depend on the order; where more do, as in the conventional twins (up
+    to six), the order is that of scipy's duplicate sort, not element
+    order.
     """
     if not model.elements:
         raise ValueError("model has no elements")
@@ -294,9 +288,8 @@ def assemble(model: Model) -> GlobalSystem:
     gdof = (3 * inverse[:, None] + np.arange(3)).ravel()
     n_dofs = 3 * len(node_coords)
 
-    _fill_basis(model.elements, QUADRATURE_DEGREE)
     T = transformation_matrix(frames.R, node_counts)
-    K_loc = _block_diagonal([element_stiffness(el) for el in model.elements])
+    K_loc = element_stiffness(model.elements, QUADRATURE_DEGREE)
     # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
     # differently, and the large-m solves amplify that.  Each row of the
     # product lies in one element's block, and scipy sums a row in its own
@@ -304,8 +297,7 @@ def assemble(model: Model) -> GlobalSystem:
     # in the order of rotating that element alone.
     K_g = (T.T @ (K_loc @ T)).tocoo()
     rows, cols, data = gdof[K_g.row], gdof[K_g.col], K_g.data
-    f_loc = np.concatenate([element_load_uniform(el, model.uniform_q)
-                            for el in model.elements])
+    f_loc = element_load_uniform(model.elements, model.uniform_q, QUADRATURE_DEGREE)
     rhs = np.bincount(gdof, weights=T.T @ f_loc, minlength=n_dofs)
     # free the stacked intermediates before the global matrix is built
     del T, K_loc, K_g, f_loc

@@ -413,7 +413,7 @@ def _check_rigid_modes(rng: np.random.Generator) -> tuple[bool, str]:
         verts = _random_triangle(rng)
         m = int(rng.integers(1, 4))
         elem = MRElement.from_vertices(*verts, m, bench.UNIT_RIGIDITY_MATERIAL)
-        K = element_stiffness(elem).toarray()
+        K = element_stiffness([elem]).toarray()
         pos = elem.node_positions_local()
         a, b, c = rng.uniform(-1.0, 1.0, 3)
         d = np.empty(3 * len(pos))
@@ -432,7 +432,7 @@ def _check_load_totals(rng: np.random.Generator) -> tuple[bool, str]:
         m = int(rng.integers(1, 4))
         q = float(rng.uniform(0.5, 2.0))
         elem = MRElement.from_vertices(*verts, m, bench.UNIT_RIGIDITY_MATERIAL)
-        f = element_load_uniform(elem, q)
+        f = element_load_uniform([elem], q)
         area = 0.5 * abs(_twice_area(verts))
         worst = max(worst, abs(float(f[0::3].sum()) - q * area) / (q * area))
     return worst < 1e-12, f"max load-total error {worst:.3g}"

@@ -283,51 +283,92 @@ def _fill_basis(elements, degree: int) -> list:
     return _integral_table.get(keys, build)
 
 
-def _integrals(elem: MRElement, degree: int | None) -> CellIntegrals:
-    """The element's `CellIntegrals` at the degree (None means
-    `QUADRATURE_DEGREE`): a `_integral_table` lookup, filled on a miss."""
-    degree = QUADRATURE_DEGREE if degree is None else degree
-    return (_integral_table.find((_basis_key(elem), degree))
-            or _fill_basis([elem], degree)[0])
+def _distinct_by_resolution(elements, ms: np.ndarray, degree: int | None) -> list:
+    """(m, rows, cells, inverse) per resolution m of the elements with the
+    resolutions ms (E,): their positions (k,) in the sequence, the distinct
+    `CellIntegrals` among them at the degree (None means
+    `QUADRATURE_DEGREE`) and each one's index into those (k,), all from
+    one `_fill_basis` lookup, in which elements of equal `_basis_key`
+    share one entry."""
+    entries = _fill_basis(elements, QUADRATURE_DEGREE if degree is None else degree)
+    ids = np.array([id(c) for c in entries], dtype=np.int64)
+    groups = []
+    for m in np.unique(ms).tolist():
+        rows = np.flatnonzero(ms == m)
+        _, first, inverse = np.unique(ids[rows], return_index=True, return_inverse=True)
+        groups.append((m, rows, [entries[r] for r in rows[first].tolist()], inverse))
+    return groups
 
 
-def element_stiffness(elem: MRElement, degree: int | None = None) -> sp.csr_matrix:
-    """Element bending stiffness (3n x 3n CSR), assembled from its cells.
+def _resolutions(elements) -> tuple[np.ndarray, ...]:
+    """Resolutions (E,) and dof counts (E,) of the elements, and the first
+    dof (E,) of each in their stacked dofs."""
+    ms = np.array([elem.m for elem in elements], dtype=np.intp)
+    n = 3 * grid_size(ms)
+    return ms, n, np.cumsum(n) - n
+
+
+def element_stiffness(elements, degree: int | None = None) -> sp.csr_matrix:
+    """Bending stiffness of a sequence of elements: their 3n x 3n element
+    matrices on the diagonal of one CSR, in sequence order (pass ``[elem]``
+    for one element).
 
     The integrand per cell is quadratic (second derivatives of cubics),
-    so the default `QUADRATURE_DEGREE` rule is exact.  The two 9x9 cell
-    matrices (up and down) are the ones `_integral_table` keeps per
-    shape, m and material (`_fill_basis`), shared by every element of
-    equal key; this only scatters them through the pattern
-    `_partition_dofs` keeps per m.  Each entry is
-    summed over its cells in partition order.
-
-    The matrix's ``indices`` and ``indptr`` are that pattern's arrays,
-    shared by every element matrix of the same m and read-only: an
-    in-place edit of them (``eliminate_zeros``, writing into ``indices``)
-    raises ValueError.  Copy the matrix (``.copy()``) before such edits.
+    so the default `QUADRATURE_DEGREE` rule is exact.  An element's two
+    9x9 cell matrices (up and down) are the ones `_integral_table` keeps
+    per shape, m and material (`_fill_basis`), shared by every element of
+    equal key; they are scattered through the pattern `_partition_dofs`
+    keeps per m, once per distinct entry, each entry summed over its cells
+    in partition order.  Per m, one gather then writes every element's
+    values and its offset pattern into the block-diagonal arrays, so each
+    block has the bits, and each row the entry order, of that element's
+    matrix alone.
     """
-    kc = _integrals(elem, degree).K
-    _, orientation, slot, indices, indptr = _partition_dofs(elem.m)
-    n = elem.dof_count
-    # bincount adds in input order; the cell matrices are exactly
-    # symmetric, so K is too
-    return sp.csr_matrix((np.bincount(slot, weights=kc[orientation].ravel()),
-                          indices, indptr), shape=(n, n))
+    ms, n, row0 = _resolutions(elements)
+    groups = _distinct_by_resolution(elements, ms, degree)
+    nnz = np.zeros_like(n)
+    for m, rows, _, _ in groups:
+        nnz[rows] = len(_partition_dofs(m)[3])
+    nz0 = np.cumsum(nnz) - nnz
+    total = int(nnz.sum())
+    # every row holds its diagonal entry, so total bounds every index
+    index = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(total)
+    indices = np.empty(total, dtype=index)
+    indptr = np.empty(int(n.sum()) + 1, dtype=index)
+    indptr[-1] = total
+    for m, rows, cells, inverse in groups:
+        _, orientation, slot, cols, ptr = _partition_dofs(m)
+        # bincount adds in input order; the cell matrices are exactly
+        # symmetric, so each block is too
+        values = np.array([np.bincount(slot, weights=c.K[orientation].ravel())
+                           for c in cells])
+        at = nz0[rows, None] + np.arange(len(cols))
+        data[at] = values[inverse]
+        indices[at] = cols + row0[rows, None]
+        indptr[row0[rows, None] + np.arange(len(ptr) - 1)] = ptr[:-1] + nz0[rows, None]
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
-def element_load_uniform(elem: MRElement, q: float, degree: int | None = None) -> np.ndarray:
-    """Consistent load vector for a uniform transverse pressure q.
+def element_load_uniform(elements, q: float, degree: int | None = None) -> np.ndarray:
+    """Consistent load vectors of a sequence of elements for a uniform
+    transverse pressure q, concatenated in sequence order (pass ``[elem]``
+    for one element).
 
     Scatters the cell load rows `_integral_table` keeps beside the cell
-    stiffness.
+    stiffness, once per distinct entry, and gathers them per m.
     """
-    n = elem.dof_count
+    ms, n, row0 = _resolutions(elements)
+    f = np.zeros(int(n.sum()))
     if q == 0.0:
-        return np.zeros(n)
-    f = _integrals(elem, degree).f
-    dofs, orientation = _partition_dofs(elem.m)[:2]
-    return np.bincount(dofs.ravel(), weights=(q * f)[orientation].ravel(), minlength=n)
+        return f
+    for m, rows, cells, inverse in _distinct_by_resolution(elements, ms, degree):
+        dofs, orientation = _partition_dofs(m)[:2]
+        size = 3 * grid_size(m)
+        values = np.array([np.bincount(dofs.ravel(), weights=(q * c.f)[orientation].ravel(),
+                                       minlength=size) for c in cells])
+        f[row0[rows, None] + np.arange(size)] = values[inverse]
+    return f
 
 
 #: base-node offsets (dr, ds), orientations and corner offsets of the up and

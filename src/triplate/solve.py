@@ -67,6 +67,15 @@ class Solution:
         return [bending_rigidity(elem.material) for elem in self.system.model.elements]
 
 
+def _inf_norm(K) -> float:
+    """Largest absolute row sum of the CSR matrix K, which has an entry:
+    one reduceat over its nonempty rows, as scipy sums a CSR's rows.  The
+    rows of `apply_boundary_conditions`' K_red hold their columns in
+    order, so this has the bits of `spla.norm` of its CSC copy."""
+    rows = np.flatnonzero(np.diff(K.indptr))
+    return float(np.add.reduceat(np.abs(K.data), K.indptr[rows]).max())
+
+
 def solve_system(system: GlobalSystem) -> Solution:
     """Factor and solve the reduced system; expand to the full dof vector.
 
@@ -98,7 +107,7 @@ def solve_system(system: GlobalSystem) -> Solution:
     if not np.all(np.isfinite(a_red)):
         raise SingularSystem("solver returned non-finite values")
     residual = float(np.linalg.norm(K @ a_red - rhs))
-    scale = float(spla.norm(K, np.inf)) * float(np.linalg.norm(a_red)) + rhs_norm
+    scale = _inf_norm(system.K_red) * float(np.linalg.norm(a_red)) + rhs_norm
     if residual > _RESIDUAL_BOUND * scale:
         raise NotConverged(
             f"residual {residual:.3e} exceeds {_RESIDUAL_BOUND:.0e} "

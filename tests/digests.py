@@ -28,9 +28,21 @@ Run it once per tree and compare the outputs::
 differs from the one FILE holds for it (``differs:``), that FILE lacks
 (``new:``) or that FILE holds and this run does not print (``missing:``),
 then a count, and exits 1 if there is any; compare runs made with the same
-``--case`` and ``--m``.  Those two options (both repeatable) restrict the
-cases and scales; the digests of one item do not depend on which others
-are printed.
+``--case``, ``--m`` and ``--upstream``.  ``--case`` and ``--m`` (both
+repeatable) restrict the cases and scales; the digests of one item do not
+depend on which others are printed.
+
+``--upstream`` keeps only the items computed before any factorization:
+``K``, ``rhs``, ``K_red`` and ``rhs_red``, also of the twins and the
+oracle twins and of the point-load models.  They show where a BLAS kernel
+moves the bits of the assembly itself.  OpenBLAS picks its kernel from the
+CPU; ``OPENBLAS_CORETYPE`` chooses another for one process, so setting it
+in the environment of the second run only compares the two kernels on
+this host::
+
+    PYTHONPATH=src python tests/digests.py --upstream > upstream.txt
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/digests.py \
+        --upstream --against upstream.txt
 """
 from __future__ import annotations
 
@@ -56,6 +68,13 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.json"))
 #: the cases also digested at m = 48, as the plate-m48 workload runs them
 LARGE_M_CASES = ("square-ss", "skew-60")
+#: the last word of the name of each item `--upstream` keeps
+UPSTREAM = ("K", "rhs", "K_red", "rhs_red")
+
+
+def is_upstream(item: str) -> bool:
+    """Whether the item is one the LU does not see: a matrix or load vector."""
+    return item.rsplit(" ", 1)[-1] in UPSTREAM
 
 
 def digest(*parts) -> str:
@@ -194,15 +213,20 @@ def main(argv=None) -> int:
                     help="a scale (default: each case's scales, see above)")
     ap.add_argument("--against", metavar="FILE",
                     help="print the items that differ from this saved run")
+    ap.add_argument("--upstream", action="store_true",
+                    help="only K, rhs, K_red and rhs_red (see above)")
     args = ap.parse_args(argv)
     names = args.case or list(CASES)
     saved = None
     if args.against:
         lines = Path(args.against).read_text().splitlines()
-        saved = {item: value for value, item in (line.split("  ", 1) for line in lines)}
+        saved = {item: value for value, item in (line.split("  ", 1) for line in lines)
+                 if not args.upstream or is_upstream(item)}
     differ, printed = [], set()
 
     def emit(item, value):
+        if args.upstream and not is_upstream(item):
+            return
         printed.add(item)
         if saved is None:
             print(f"{value}  {item}", flush=True)
@@ -217,12 +241,13 @@ def main(argv=None) -> int:
         for m in args.m or [1, 3]:
             for item, value in point_load_digests(name, m):
                 emit(item, value)
-    emit("probe-grid pool", pool_digest())
-    for name in names:
-        ms = args.m or CASES[name].default_ms
-        emit(f"run_case {name} m={list(ms)}", digest(json.dumps(run_case(name, ms))))
-    for item, value in cli_digests(names, args.m or [1, 4]):
-        emit(item, value)
+    if not args.upstream:
+        emit("probe-grid pool", pool_digest())
+        for name in names:
+            ms = args.m or CASES[name].default_ms
+            emit(f"run_case {name} m={list(ms)}", digest(json.dumps(run_case(name, ms))))
+        for item, value in cli_digests(names, args.m or [1, 4]):
+            emit(item, value)
     if saved is None:
         return 0
     for item in [item for item in saved if item not in printed]:

@@ -285,7 +285,7 @@ def _criterion7_checks(rng):
 
     def stiffness_spectrum():
         elem = MRElement.from_vertices(*random_triangle(rng), 2, MATERIAL)
-        K = element_stiffness(elem).toarray()
+        K = element_stiffness([elem]).toarray()
         assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
         w = np.linalg.eigvalsh(K)
         assert w[0] > -1e-10 * w[-1]
@@ -293,7 +293,7 @@ def _criterion7_checks(rng):
 
     def bandedness():
         elem = MRElement.from_vertices(*random_triangle(rng), 3, MATERIAL)
-        K = element_stiffness(elem).toarray()
+        K = element_stiffness([elem]).toarray()
         block = lambda i, j: K[elem.dof_slice(i), elem.dof_slice(j)]
         assert np.all(block((0, 0), (2, 0)) == 0.0)
         assert np.all(block((0, 0), (3, 3)) == 0.0)
@@ -302,7 +302,7 @@ def _criterion7_checks(rng):
     def load_totals():
         elem = MRElement.from_vertices(*random_triangle(rng), 2, MATERIAL)
         q = 1.3
-        f = element_load_uniform(elem, q)
+        f = element_load_uniform([elem], q)
         assert abs(f[0::3].sum() - q * elem.frame.area) < 1e-12 * q
         idx = (1, 1)
         fp = element_load_point(elem, 2.5,

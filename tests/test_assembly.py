@@ -133,11 +133,11 @@ def per_element_assemble(model):
     rhs = np.zeros(n_dofs)
     for elem, gdof in zip(model.elements, gdofs):
         T = transformation(elem)
-        K_g = (T.T @ (element_stiffness(elem, QUADRATURE_DEGREE) @ T)).tocoo()
+        K_g = (T.T @ (element_stiffness([elem], QUADRATURE_DEGREE) @ T)).tocoo()
         rows.append(gdof[K_g.row])
         cols.append(gdof[K_g.col])
         data.append(K_g.data)
-        rhs[gdof] += T.T @ element_load_uniform(elem, model.uniform_q,
+        rhs[gdof] += T.T @ element_load_uniform([elem], model.uniform_q,
                                                 QUADRATURE_DEGREE)
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
@@ -323,7 +323,7 @@ class TestMatchesPerElementAssembly:
                                   indices, indptr), shape=(n, n))
 
         for elem in elements:
-            got = element_stiffness(elem, degree)
+            got = element_stiffness([elem], degree)
             want = einsum_stiffness(elem)
             for g, w in ((got.data, want.data), (got.indices, want.indices),
                          (got.indptr, want.indptr)):
@@ -371,6 +371,67 @@ class TestMatchesPerElementAssembly:
             "match its grid (differing m across a shared edge?)")
 
 
+def mixed_sequence(unit_material):
+    """Elements of m = 2, 1, 3, 1, 2 and 3, two materials and shapes met
+    more than once, the resolutions interleaved."""
+    soft = PlateMaterial(E=3.0, t=0.5, nu=0.2)
+    skew = benchmark_case("skew-60").build(3).elements
+    twin = build_equivalent_mono(benchmark_case("circle-ss").build(2)).model.elements
+    return [MRElement(skew[0].frame, 2, unit_material), twin[0],
+            MRElement(skew[1].frame, 3, soft), twin[1],
+            MRElement(skew[0].frame, 2, unit_material),
+            MRElement(skew[1].frame, 3, unit_material), twin[0]]
+
+
+class TestStackedElementMatrices:
+    """`element_stiffness` and `element_load_uniform` of a sequence hold the
+    blocks of each element alone, in sequence order."""
+
+    @pytest.mark.parametrize("which", ["mixed", "twin", "model"])
+    def test_blocks_bytes_equal_each_element_alone(self, which, unit_material):
+        elements = {"mixed": lambda: mixed_sequence(unit_material),
+                    "twin": lambda: build_equivalent_mono(
+                        CASES["skew-60"].build(3)).model.elements,
+                    "model": lambda: CASES["circle-ss"].build(4).elements}[which]()
+        K = element_stiffness(elements)
+        n = sum(el.dof_count for el in elements)
+        assert K.shape == (n, n) and K.indptr[-1] == K.nnz
+        start = 0
+        for elem in elements:
+            alone = element_stiffness([elem])
+            stop = start + elem.dof_count
+            lo, hi = K.indptr[start], K.indptr[stop]
+            assert same_bytes((K.data[lo:hi], alone.data),
+                              ((K.indices[lo:hi] - start).astype(alone.indices.dtype),
+                               alone.indices),
+                              ((K.indptr[start:stop + 1] - lo).astype(alone.indptr.dtype),
+                               alone.indptr))
+            start = stop
+        assert K.indices.dtype == K.indptr.dtype == element_stiffness(elements[:1]).indices.dtype
+
+    @pytest.mark.parametrize("q", [0.0, 1.7])
+    def test_loads_bytes_equal_each_element_alone(self, q, unit_material):
+        elements = mixed_sequence(unit_material)
+        f = element_load_uniform(elements, q)
+        alone = np.concatenate([element_load_uniform([elem], q) for elem in elements])
+        assert same_bytes((f, alone))
+        assert (q == 0.0) == (not f.any())
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_one_call_each_per_model(self, q, monkeypatch):
+        twin = build_equivalent_mono(CASES["circle-ss"].build(3)).model
+        twin.uniform_q = q
+        calls = []
+        for name in ("element_stiffness", "element_load_uniform"):
+            original = getattr(triplate.assembly, name)
+            monkeypatch.setattr(triplate.assembly, name,
+                                lambda elements, *args, name=name, original=original:
+                                calls.append((name, elements)) or original(elements, *args))
+        assemble(twin)
+        assert [(name, elements is twin.elements) for name, elements in calls] == \
+            [("element_stiffness", True), ("element_load_uniform", True)]
+
+
 def same_bytes(*pairs):
     return all((g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
                for g, w in pairs)
@@ -400,10 +461,10 @@ class TestSharedCellIntegrals:
         elements = [MRElement(frame, 3, mat) for mat in (unit_material, soft, unit_material)]
         kept = _fill_basis(elements, QUADRATURE_DEGREE)
         assert kept[0] is kept[2] and kept[1] is not kept[0]
-        shared = element_stiffness(elements[1]).data
+        shared = element_stiffness([elements[1]]).data
         _integral_table.clear()
         alone = MRElement(LocalFrame(1.0, 0.8, 1.1), 3, soft)
-        assert same_bytes((shared, element_stiffness(alone).data))
+        assert same_bytes((shared, element_stiffness([alone]).data))
         assert not np.array_equal(kept[0].K, kept[1].K)
 
     def test_shapes_one_ulp_apart_keep_their_own(self, unit_material, empty_integral_table):
@@ -411,11 +472,11 @@ class TestSharedCellIntegrals:
         elements = [MRElement(frame, 1, unit_material) for frame in frames]
         kept = _fill_basis(elements, QUADRATURE_DEGREE)
         assert kept[0] is not kept[1]
-        shared = [element_stiffness(elem).data for elem in elements]
+        shared = [element_stiffness([elem]).data for elem in elements]
         for got, frame in zip(shared, frames):
             _integral_table.clear()
             alone = MRElement(LocalFrame(frame.a, frame.h, frame.b), 1, unit_material)
-            assert same_bytes((got, element_stiffness(alone).data))
+            assert same_bytes((got, element_stiffness([alone]).data))
         assert not np.array_equal(kept[0].K, kept[1].K)
 
 
@@ -485,7 +546,7 @@ class TestIntegralTable:
         _fill_basis(elements[1:2], QUADRATURE_DEGREE)
         # a read makes the first the most recently used: the third evicts
         # the second
-        element_stiffness(elements[0])
+        element_stiffness([elements[0]])
         kernel_calls.clear()
         _fill_basis(elements[2:], QUADRATURE_DEGREE)
         assert _fill_basis(elements[:1], QUADRATURE_DEGREE)[0] is first

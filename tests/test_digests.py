@@ -3,6 +3,7 @@ import dataclasses
 import re
 
 import numpy as np
+import pytest
 
 import digests
 from triplate import CASES, apply_boundary_conditions, assemble, build_equivalent_mono
@@ -81,3 +82,19 @@ def test_point_load_sites_and_digests():
         digests.digest(oracle.rhs)
     # the deflection functions sum to one, so the w rows hold P
     assert abs(system.rhs[0::3].sum() - 0.7) < 1e-12
+
+
+@pytest.mark.parametrize("name, m", [("square-ss", 2), ("skew-60", 1)])
+def test_upstream_keeps_matrices_and_loads(name, m, capsys):
+    code, lines = run(["--case", name, "--m", str(m), "--upstream"], capsys)
+    assert code == 0
+    items = {item: value for value, item in (line.split("  ", 1) for line in lines)}
+    every = dict(digests.model_digests(name, m)) | dict(digests.point_load_digests(name, m))
+    # every matrix and load vector, and no solution, probe, report or CLI item
+    assert items == {item: value for item, value in every.items()
+                     if not item.endswith(" solution")}
+    assert len(items) == 8 + 4 * 3
+    assert all(digests.is_upstream(item) for item in items)
+    assert not any(digests.is_upstream(item) for item in
+                   ("probe-grid pool", f"run_case {name} m=[{m}]",
+                    f"cli bench {name} --m {m}", f"{name} m={m} solution"))

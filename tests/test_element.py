@@ -33,7 +33,7 @@ class TestStiffness:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_symmetric_psd_with_three_rigid_modes(self, m, element_factory):
         elem = element_factory(m=m)
-        K = element_stiffness(elem).toarray()
+        K = element_stiffness([elem]).toarray()
         assert_allclose(K, K.T, atol=1e-12 * np.abs(K).max())
         lam = np.linalg.eigvalsh(K)
         scale = lam[-1]
@@ -43,7 +43,7 @@ class TestStiffness:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rigid_modes_annihilated(self, m, element_factory, rng):
         elem = element_factory(m=m)
-        K = element_stiffness(elem).toarray()
+        K = element_stiffness([elem]).toarray()
         c0, c1, c2 = rng.uniform(-1.0, 1.0, 3)
         d = local_field_dofs(elem, lambda x, y: c0 + c1 * x + c2 * y,
                              lambda x, y: (c1, c2))
@@ -60,7 +60,7 @@ class TestStiffness:
         # (kx, ky, 2*(kxy/2)...) per (-w_xx, -w_yy, -2 w_xy)
         kx, ky, kxy = kappa
         elem = element_factory(m=2)
-        K = element_stiffness(elem).toarray()
+        K = element_stiffness([elem]).toarray()
         d = local_field_dofs(
             elem,
             lambda x, y: -0.5 * (kx * x * x + ky * y * y + kxy * x * y),
@@ -73,33 +73,33 @@ class TestStiffness:
 
     def test_quadrature_degree_invariance(self, element_factory):
         elem = element_factory(m=2)
-        K5 = element_stiffness(elem, degree=5).toarray()
-        K9 = element_stiffness(elem, degree=9).toarray()
+        K5 = element_stiffness([elem], degree=5).toarray()
+        K9 = element_stiffness([elem], degree=9).toarray()
         assert_allclose(K5, K9, atol=1e-12 * np.abs(K5).max())
 
     def test_kept_basis_is_per_degree(self, element_factory):
         """An element evaluated at one degree and then another gives what a
         fresh element gives at the second degree, bit for bit."""
         elem = element_factory(m=3)
-        element_stiffness(elem, degree=5)
-        element_load_uniform(elem, 1.0, degree=5)
+        element_stiffness([elem], degree=5)
+        element_load_uniform([elem], 1.0, degree=5)
         fresh = MRElement(elem.frame, elem.m, elem.material)
         for degree in (2, 5):
-            K, f = element_stiffness(elem, degree), element_load_uniform(elem, 1.0, degree)
-            K0 = element_stiffness(fresh, degree)
-            f0 = element_load_uniform(fresh, 1.0, degree)
+            K, f = element_stiffness([elem], degree), element_load_uniform([elem], 1.0, degree)
+            K0 = element_stiffness([fresh], degree)
+            f0 = element_load_uniform([fresh], 1.0, degree)
             assert K.data.tobytes() == K0.data.tobytes()
             assert f.tobytes() == f0.tobytes()
             fresh = MRElement(elem.frame, elem.m, elem.material)
-        assert not np.array_equal(element_stiffness(elem, 2).data,
-                                  element_stiffness(elem, 5).data)
+        assert not np.array_equal(element_stiffness([elem], 2).data,
+                                  element_stiffness([elem], 5).data)
 
     def test_new_material_gives_its_own_stiffness(self, element_factory):
         # the kept cell matrices depend on D: a material reassigned, or
         # changed in place, after a stiffness call must not read them
         elem = element_factory(m=3)
-        element_stiffness(elem)
-        element_load_uniform(elem, 1.0)
+        element_stiffness([elem])
+        element_load_uniform([elem], 1.0)
         for change in ("reassign", "in place"):
             if change == "reassign":
                 elem.material = PlateMaterial(E=3.0, t=0.5, nu=0.2)
@@ -107,22 +107,22 @@ class TestStiffness:
                 elem.material.nu = 0.25
             fresh = MRElement(elem.frame, elem.m, PlateMaterial(
                 elem.material.E, elem.material.t, elem.material.nu))
-            assert element_stiffness(elem).data.tobytes() == \
-                element_stiffness(fresh).data.tobytes()
-            assert element_load_uniform(elem, 1.0).tobytes() == \
-                element_load_uniform(fresh, 1.0).tobytes()
+            assert element_stiffness([elem]).data.tobytes() == \
+                element_stiffness([fresh]).data.tobytes()
+            assert element_load_uniform([elem], 1.0).tobytes() == \
+                element_load_uniform([fresh], 1.0).tobytes()
 
     def test_degree_one_rule_rejected(self, element_factory):
         # the curvature integrand is quadratic: a degree-1 rule is inexact
         elem = element_factory(m=2)
         with pytest.raises(QuadratureFailure, match="degree >= 2"):
-            element_stiffness(elem, degree=1)
+            element_stiffness([elem], degree=1)
         with pytest.raises(QuadratureFailure, match="degree >= 2"):
-            element_load_uniform(elem, 1.0, degree=1)
+            element_load_uniform([elem], 1.0, degree=1)
 
     def test_coupling_only_between_cell_mates(self, element_factory):
         elem = element_factory(m=3)
-        K = element_stiffness(elem).toarray()
+        K = element_stiffness([elem]).toarray()
 
         def block(i, j):
             return K[elem.dof_slice(i), elem.dof_slice(j)]
@@ -141,7 +141,7 @@ class TestLoads:
     def test_uniform_load_totals(self, m, element_factory, rng):
         elem = element_factory(m=m)
         q = 1.7
-        f = element_load_uniform(elem, q)
+        f = element_load_uniform([elem], q)
         verts = elem.frame.local_vertices()
         A, Sx, Sy = triangle_area_moments(verts)
         assert f[0::3].sum() == pytest.approx(q * A, rel=1e-12)
@@ -154,7 +154,7 @@ class TestLoads:
 
     def test_zero_pressure_shortcut(self, element_factory):
         elem = element_factory(m=2)
-        assert np.all(element_load_uniform(elem, 0.0) == 0.0)
+        assert np.all(element_load_uniform([elem], 0.0) == 0.0)
 
     def test_point_load_at_node_is_kronecker(self, element_factory):
         elem = element_factory(m=2)
@@ -192,7 +192,7 @@ class TestConstruction:
     def test_numpy_integer_resolution_accepted(self, m, unit_material):
         elem = MRElement.from_vertices([0, 0], [1, 0], [0, 1], m, unit_material)
         assert elem.node_count == (m + 1) * (m + 2) // 2
-        assert element_stiffness(elem).shape == (3 * elem.node_count,) * 2
+        assert element_stiffness([elem]).shape == (3 * elem.node_count,) * 2
 
     @pytest.mark.parametrize("E, t, nu", [
         (-1.0, 1.0, 0.3), (1.0, 0.0, 0.3), (1.0, 1.0, 0.5), (1.0, 1.0, -0.1),

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import triplate.assembly
@@ -232,13 +233,22 @@ class TestMutationsFail:
         mono = build_equivalent_mono(model)
         assert equivalence_check(model, mono).ok
         original = triplate.assembly.element_stiffness
+        calls = []
 
-        def scaled(elem, degree=None):
-            K = original(elem, degree)
-            return K * (1.0 + 1e-6) if elem is model.elements[1] else K
+        def scaled(elements, degree=None):
+            # element 1's diagonal block times 1 + 1e-6, as D K D with
+            # D = sqrt(1 + 1e-6) on that block's dofs and 1 elsewhere
+            calls.append(elements)
+            K = original(elements, degree)
+            d = np.ones(K.shape[0])
+            start = elements[0].dof_count
+            d[start:start + elements[1].dof_count] = np.sqrt(1.0 + 1e-6)
+            D = sp.diags(d)
+            return (D @ K @ D).tocsr()
 
         monkeypatch.setattr(triplate.assembly, "element_stiffness", scaled)
         report = equivalence_check(model, mono)
+        assert calls == [model.elements]
         assert not report.ok
         assert report.max_K_diff > report.tolerance
 

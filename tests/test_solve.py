@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from triplate import (BCKind, OutsideModel, PlateMaterial, SingularSystem,
+from triplate import (CASES, BCKind, OutsideModel, PlateMaterial, SingularSystem,
                       apply_boundary_conditions, assemble, benchmark_case, field_eval,
                       moment_eval, normalize_coefficient, solve_system)
 import triplate.solve
@@ -18,6 +19,34 @@ from test_assembly import square_model
 def solved_square(m, unit_material, **kwargs):
     model = square_model(m, unit_material, **kwargs)
     return solve_system(apply_boundary_conditions(assemble(model)))
+
+
+def registry_systems():
+    for name in CASES:
+        for m in (1, 3, 8):
+            yield f"{name} m={m}", apply_boundary_conditions(assemble(CASES[name].build(m)))
+
+
+class TestResidualScale:
+    """The residual check's scale reads |K_red|_inf of the CSR K_red, with
+    the bits `spla.norm` gives on its CSC copy."""
+
+    def test_bits_equal_spla_norm_on_every_registry_system(self):
+        seen = 0
+        for where, system in registry_systems():
+            K = system.K_red
+            if K.shape[0] == 0:
+                continue
+            # the first row of K emptied: its entries set to zero and dropped
+            gapped = K.copy()
+            gapped.data[:gapped.indptr[1]] = 0.0
+            gapped.eliminate_zeros()
+            assert gapped.indptr[1] == 0
+            for A in (K, gapped) if gapped.nnz else (K,):
+                want = float(spla.norm(A.tocsc(), np.inf))
+                assert triplate.solve._inf_norm(A) == want, where
+            seen += 1
+        assert seen >= 3 * len(CASES) - 2
 
 
 class TestSolve:

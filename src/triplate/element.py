@@ -44,7 +44,7 @@ from .shapefn import LRUTable, cells_basis, subtriangle_basis
 QUADRATURE_DEGREE = 5
 
 #: (key, orientation) pairs per basis-kernel call of `_fill_basis`:
-#: keeps the kernel's temporaries near 2 MB, as `oracle._CHUNK` does
+#: keeps the kernel's temporaries near 2 MB
 _CHUNK = 16
 
 

@@ -5,24 +5,23 @@ plate-bending element (resolution 1) on its own canonical frame.  The
 resulting model must match the multiresolution one exactly: same merged
 nodes, same global stiffness up to a node permutation, same solution.
 
-The conventional twin is assembled in one stacked pass over its cells.
-`build_equivalent_mono` gives every cell its own canonical frame
-(`geometry.canonicalize_triangles`, all cells at once).  Each cell whose
-canonical vertices and rigidity are bitwise distinct is evaluated once,
-one basis-kernel call per block of them, at its quadrature points; the
-9x9 cell matrices and load vectors are batched products gathered back to
-every cell, each 3x3 node block is rotated to global axes and the whole
-twin is scattered as one COO matrix.  Of the multiresolution path it
-shares the basis kernel (`shapefn._eval_triangles`), the node merge
-(`assembly._merge_nodes`) and, for point loads, the owning-element search
-and `element_load_point` of its m = 1 elements, besides the quadrature
-table, the material law and barycentric coordinates: nothing of its cell
-partition, cell-dof map, integral table, element matrices or
-transformation matrices.
+The conventional twin is assembled in one stacked pass over its cells
+(`geometry.canonicalize_triangles` gives every cell its frame).  Each cell
+whose canonical vertices and rigidity are bitwise distinct is integrated
+once, its BCIZ cubics written out in area coordinates at the quadrature
+points; the 9x9 cell matrices and load vectors are gathered back to every
+cell, each 3x3 node block is rotated to global axes and the whole twin is
+scattered as one COO matrix.  Of the multiresolution path it shares the
+node merge (`assembly._merge_nodes`) and, for point loads, the
+owning-element search and `element_load_point` of its m = 1 elements,
+besides the quadrature table, the material law and barycentric
+coordinates: not the basis kernel, nor its cell partition, cell-dof map,
+integral table, element matrices or transformation matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,16 +32,42 @@ from .assembly import (GlobalSystem, Model, _element_stack, _merge_nodes,
                        assemble)
 from .element import QUADRATURE_DEGREE, MRElement, bending_rigidity, element_load_point
 from .errors import PermutationNotFound
-from .geometry import CanonicalFrames, LocalFrame, canonicalize_triangles
+from .geometry import (CanonicalFrames, LocalFrame, barycentric_coeffs,
+                       canonicalize_triangles)
 from .quadrature import triangle_rule
-from .shapefn import _domains, _eval_triangles
 from .solve import solve_system
 
-#: cells per basis-kernel call: keeps the kernel's temporaries near 2 MB.
-#: A call also costs about 0.3 ms whatever its size: 128 cells take 7.7 ms
-#: at 16 cells a call and 5.7 ms at 64, which peak at 7 MB; a larger chunk
-#: buys time with memory
-_CHUNK = 16
+#: cells per pass of `_cell_integrals`, whose temporaries peak near 5.6 MB at 256
+_CHUNK = 256
+
+#: the distinct second derivatives d2/dL_a dL_b, a <= b
+_A, _B = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+
+
+def _cubic_tables(L: np.ndarray, wq: np.ndarray):
+    """Loads over a unit area (4, 3, 1, 1) and distinct L-space second
+    derivatives (6, 4, 1, n, 3, 1), per slot and vertex i, of the BCIZ cubics
+    at the points L (n, 3) of weights wq, (j, k) = (i + 1, i + 2) mod 3: slot
+    0 is N_i = L_i + L_i^2 (L_j + L_k) - L_i (L_j^2 + L_k^2), slot 1 + m the
+    cubic that g_m multiplies in the rotation function -g_k L_i^2 L_j +
+    g_j L_i^2 L_k + (g_j - g_k) L_i L_j L_k / 2 of g = b or c."""
+    value, hess = np.zeros((4, 3, len(L))), np.zeros((3, 3, 4, len(L), 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for slot, coef, factors in ((0, 1.0, (i,)), (0, 1.0, (i, i, j)), (0, 1.0, (i, i, k)),
+                                    (0, -1.0, (i, j, j)), (0, -1.0, (i, k, k)),
+                                    (1 + j, 1.0, (i, i, k)), (1 + j, 0.5, (i, j, k)),
+                                    (1 + k, -1.0, (i, i, j)), (1 + k, -0.5, (i, j, k))):
+            value[slot, i] += coef * np.prod(L[:, factors], axis=1)
+            for p, r in permutations(range(len(factors)), 2):
+                rest = [a for t, a in enumerate(factors) if t not in (p, r)]
+                hess[factors[p], factors[r], slot, :, i] += coef * np.prod(L[:, rest], axis=1)
+    return np.sum(value * wq, axis=-1)[..., None, None], hess[_A, _B][:, :, None, :, :, None]
+
+
+_POINTS, _WQ = triangle_rule(QUADRATURE_DEGREE)
+_LOAD, _HESS = _cubic_tables(_POINTS, _WQ)
+#: -(w_xx, w_yy, 2 w_xy) from the sums u_a v_b + u_b v_a, (a <= b, 3, 1)
+_CURVATURE = np.array([[-0.5, -0.5, -0.5, -1.0, -1.0, -1.0]]).T[..., None] * [[1.0], [1.0], [2.0]]
 
 
 @dataclass
@@ -86,33 +111,34 @@ def build_equivalent_mono(model: Model) -> MonoModel:
 
 
 def _cell_integrals(local: np.ndarray, D: np.ndarray, q: float):
-    """Stiffness (n, 9, 9) and uniform load (n, 9) of cells in local axes.
-
-    local: (n, 3, 2) canonical local vertices, the cells' nodes at m = 1;
-    D: (n, 3, 3) bending rigidity of each cell.
-    """
-    bary, wq = triangle_rule(QUADRATURE_DEGREE)
-    n, nq = len(local), len(wq)
+    """Stiffness (n, 9, 9) and uniform load (n, 9), dof 3 * vertex + family,
+    of cells with canonical local vertices local (n, 3, 2) and bending
+    rigidity D (n, 3, 3).  Every product is elementwise and every sum runs
+    over a fixed axis, so a cell's bits do not depend on its chunk."""
+    n, nq = len(local), len(_WQ)
     kc, f = np.empty((n, 9, 9)), np.empty((n, 9))
+    D = np.ascontiguousarray(D.transpose(1, 2, 0))      # (3, 3, n)
     for start in range(0, n, _CHUNK):
-        cell = local[start:start + _CHUNK]
-        c = len(cell)
-        # each corner's hexagon domain is the cell moved to put that corner
-        # at the origin, with the node at local vertex i0 = corner
-        domains = (cell[:, None] - cell[:, :, None]).reshape(3 * c, 3, 2)
-        rel = np.matmul(bary, cell)[:, None] - cell[:, :, None]
-        value, _, hess = _eval_triangles(_domains(domains, np.tile(np.arange(3), c)),
-                                         rel.reshape(3 * c, nq, 2), grad=False)
-        # dof 3*corner + family; curvatures -(w_xx, w_yy, 2 w_xy)
-        N = value.reshape(c, 9, nq).transpose(0, 2, 1)
-        B = (hess.reshape(c, 9, nq, 3).transpose(0, 2, 3, 1)
-             * np.array([-1.0, -1.0, -2.0])[:, None])      # (c, q, 3, 9)
-        wts = wq * (0.5 * cell[:, 1, 0] * cell[:, 2, 1])[:, None]
-        DB = np.matmul(D[start:start + c, None], B).reshape(c, 3 * nq, 9)
-        WB = (B * wts[:, :, None, None]).reshape(c, 3 * nq, 9)
-        k = np.matmul(WB.transpose(0, 2, 1), DB)
-        kc[start:start + c] = 0.5 * (k + k.transpose(0, 2, 1))
-        f[start:start + c] = q * np.matmul(wts[:, None], N)[:, 0]
+        stop = min(start + _CHUNK, n)
+        c = stop - start
+        # cells run along the last axis of every array, every sum over the
+        # first; the weights (slot, family, cell) of the families (w, b, c)
+        _, bb, cc, twoA = barycentric_coeffs(local[start:stop])
+        coef = np.zeros((4, 3, c))
+        coef[0, 0] = 1.0
+        coef[1:, 1:] = np.stack([bb, cc]).transpose(2, 0, 1)
+        # chain rule dL_a/dx = b_a / 2A, dL_a/dy = c_a / 2A: dof curvatures (3, nq, 9, c)
+        wb, wc = bb.T / twoA, cc.T / twoA
+        uv = np.stack([u * v[:, None] for u, v in ((wb, wb), (wc, wc), (wb, wc))], axis=2)
+        uv = _CURVATURE * (uv + uv.transpose(1, 0, 2, 3))[_A, _B]
+        Z = np.sum(_HESS * uv[:, None, :, None, None], axis=0)
+        B = np.sum(Z[:, :, :, :, None] * coef[:, None, None, None], axis=0).reshape(3, nq, 9, c)
+        area = 0.5 * twoA
+        WB = B * (_WQ[:, None, None] * area)
+        DB = sum(D[:, e, None, None, start:stop] * B[e] for e in range(3))
+        k = np.sum((WB[:, :, :, None] * DB[:, :, None]).reshape(3 * nq, 9, 9, c), axis=0)
+        kc[start:stop] = (0.5 * (k + k.transpose(1, 0, 2))).transpose(2, 0, 1)
+        f[start:stop] = (q * area * np.sum(_LOAD * coef[:, None], axis=0)).reshape(9, c).T
     return kc, f
 
 
@@ -132,10 +158,9 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
     model = mono.model
     verts, a, h, b, rotation = mono.frames
     n = len(a)
-    zero = np.zeros(n)
-    local = np.stack([np.stack([zero, zero], axis=-1),
-                      np.stack([a, zero], axis=-1),
-                      np.stack([a * (1.0 - h / b), h], axis=-1)], axis=1)
+    local = np.zeros((n, 3, 2))
+    local[:, 1, 0] = a
+    local[:, 2] = np.stack([a * (1.0 - h / b), h], axis=-1)
     coords = verts.reshape(-1, 2)
     tol = _merge_tolerance(model, coords)
     first, ids = np.unique(_merge_nodes(coords, tol), return_inverse=True)
@@ -155,24 +180,20 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
         elem = model.elements[e]
         f[e] += element_load_point(elem, P, elem.frame.to_local(p))
 
-    cos, sin = np.cos(rotation), np.sin(rotation)
-    # lam maps a node's global (w, thx, thy) to local; rotate each 3x3 node
-    # block as lam^T K lam and each node load as lam^T f
-    lam = np.zeros((n, 3, 3))
-    lam[:, 0, 0] = 1.0
-    lam[:, 1, 1] = lam[:, 2, 2] = cos
-    lam[:, 1, 2] = sin
-    lam[:, 2, 1] = -sin
-    K_g = np.einsum("cpa,cipjq,cqb->ciajb", lam, kc.reshape(n, 3, 3, 3, 3),
-                    lam, optimize=True).reshape(n, 9, 9)
-    f_g = np.einsum("cpa,cip->cia", lam, f.reshape(n, 3, 3)).reshape(n, 9)
+    # lam maps a node's global (w, thx, thy) to local.  lam^T K lam turns
+    # the (thx, thy) pair of each node's columns and rows, lam^T f that of
+    # its loads: (thx, thy) -> (cos thx - sin thy, sin thx + cos thy)
+    cos, sin = np.cos(rotation)[:, None, None], np.sin(rotation)[:, None, None]
+    for x in (kc.transpose(0, 2, 1), kc, f[:, :, None]):
+        thx, thy = x[:, 1::3], x[:, 2::3]
+        x[:, 1::3], x[:, 2::3] = cos * thx - sin * thy, sin * thx + cos * thy
 
     gdof = (3 * node_ids[:, :, None] + np.arange(3)).reshape(n, 9)
     n_dofs = 3 * len(node_coords)
-    K = sp.coo_matrix((K_g.ravel(), (np.repeat(gdof, 9, axis=1).ravel(),
+    K = sp.coo_matrix((kc.ravel(), (np.repeat(gdof, 9, axis=1).ravel(),
                                      np.tile(gdof, (1, 9)).ravel())),
                       shape=(n_dofs, n_dofs)).tocsr()
-    rhs = np.bincount(gdof.ravel(), weights=f_g.ravel(), minlength=n_dofs)
+    rhs = np.bincount(gdof.ravel(), weights=f.ravel(), minlength=n_dofs)
     return GlobalSystem(model=model, node_coords=node_coords,
                         element_nodes=list(node_ids), K=K, rhs=rhs,
                         merge_tol=tol)
@@ -200,8 +221,7 @@ def equivalence_check(model: Model, mono: MonoModel | None = None,
     sys_mono = _assemble_twin(mono)
     perm = _node_permutation(sys_multi, sys_mono)
     dof_perm = (3 * np.repeat(perm, 3) + np.tile([0, 1, 2], len(perm)))
-    inv_perm = np.empty_like(dof_perm)
-    inv_perm[dof_perm] = np.arange(len(dof_perm))
+    inv_perm = np.argsort(dof_perm)
 
     K_mono = sys_mono.K.tocsr()[inv_perm][:, inv_perm]
     dK = (sys_multi.K - K_mono).tocoo()

@@ -1,5 +1,6 @@
 """Conventional per-cell assembly as an exactness oracle."""
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import triplate.assembly
+import triplate.element
+import triplate.shapefn
 from triplate import (CASES, BCKind, EquivalenceReport, MRElement,
-                      PermutationNotFound, PlateMaterial, assemble,
-                      benchmark_case, bending_rigidity, build_equivalent_mono,
+                      PermutationNotFound, PlateMaterial, apply_boundary_conditions,
+                      assemble, benchmark_case, bending_rigidity, build_equivalent_mono,
                       canonicalize_triangle, equivalence_check, oracle)
 
 from test_assembly import square_model
@@ -213,6 +216,129 @@ class TestDistinctCells:
         assert not np.array_equal(f[0], f[2])
 
 
+def twin_cells(name, m):
+    """The canonical local vertices (n, 3, 2) and rigidities (n, 3, 3) of
+    the cells of a registry model's conventional twin."""
+    mono = build_equivalent_mono(CASES[name].build(m))
+    _, a, h, b, _ = mono.frames
+    local = np.zeros((len(a), 3, 2))
+    local[:, 1, 0] = a
+    local[:, 2] = np.stack([a * (1.0 - h / b), h], axis=-1)
+    return local, np.array([bending_rigidity(e.material) for e in mono.model.elements])
+
+
+def random_cells(rng, n=300):
+    """n canonical cells (0, 0), (a, 0), (x, h) with 0 <= x < a, as
+    `canonicalize_triangles` gives them, of random shape, size and
+    isotropic rigidity."""
+    a = rng.uniform(0.2, 2.0, n)
+    local = np.zeros((n, 3, 2))
+    local[:, 1, 0] = a
+    local[:, 2] = a[:, None] * np.column_stack([rng.uniform(0.0, 1.0, n),
+                                                rng.uniform(0.2, 1.5, n)])
+    D = np.array([bending_rigidity(PlateMaterial(E, t, nu)) for E, t, nu in
+                  zip(rng.uniform(1.0, 30.0, n), rng.uniform(0.1, 1.0, n),
+                      rng.uniform(0.0, 0.45, n))])
+    return local, D
+
+
+def nodal_dofs(local, w, w_x, w_y):
+    """(n, 9) dofs of a field with value w and slopes w_x, w_y, functions of
+    (x, y): (w, thx = dw/dy, thy = -dw/dx) at each vertex."""
+    x, y = local[..., 0], local[..., 1]
+    dofs = [np.broadcast_to(v, x.shape) for v in (w(x, y), w_y(x, y), -w_x(x, y))]
+    return np.stack(dofs, axis=-1).reshape(-1, 9)
+
+
+RIGID_MODES = [(lambda x, y: 1.0, lambda x, y: 0.0, lambda x, y: 0.0),
+               (lambda x, y: x, lambda x, y: 1.0, lambda x, y: 0.0),
+               (lambda x, y: y, lambda x, y: 0.0, lambda x, y: 1.0)]
+# (w, w_x, w_y, curvatures -(w_xx, w_yy, 2 w_xy))
+CONSTANT_CURVATURES = [
+    (lambda x, y: x * x / 2, lambda x, y: x, lambda x, y: 0.0, [-1.0, 0.0, 0.0]),
+    (lambda x, y: y * y / 2, lambda x, y: 0.0, lambda x, y: y, [0.0, -1.0, 0.0]),
+    (lambda x, y: x * y, lambda x, y: y, lambda x, y: x, [0.0, 0.0, -2.0])]
+
+
+@pytest.fixture(params=["random"] + sorted(CASES))
+def cells(request, rng):
+    """Seeded random cells, then the twin cells of each registry model."""
+    if request.param == "random":
+        return random_cells(rng)
+    return twin_cells(request.param, 4)
+
+
+class TestCellIntegrals:
+    """The oracle's cell integrals against closed-form plate states, with
+    no reference to either code path."""
+
+    def test_rigid_modes_are_stress_free(self, cells):
+        local, D = cells
+        kc, _ = oracle._cell_integrals(local, D, 1.0)
+        norm = np.linalg.norm(kc, ord=2, axis=(1, 2))
+        for mode in RIGID_MODES:
+            a = nodal_dofs(local, *mode)
+            force = np.linalg.norm(np.einsum("nij,nj->ni", kc, a), axis=1)
+            assert np.all(force <= 1e-13 * norm * np.linalg.norm(a, axis=1))
+
+    def test_constant_curvature_energy(self, cells):
+        local, D = cells
+        kc, _ = oracle._cell_integrals(local, D, 1.0)
+        area = 0.5 * local[:, 1, 0] * local[:, 2, 1]
+        # fields about each centroid: small nodal values cancel less in a^T K a
+        centred = local - local.mean(axis=1, keepdims=True)
+        for *field, kappa in CONSTANT_CURVATURES:
+            a = nodal_dofs(centred, *field)
+            energy = np.einsum("ni,nij,nj->n", a, kc, a)
+            assert_allclose(energy, area * np.einsum("i,nij,j->n", kappa, D, kappa),
+                            rtol=1e-13, atol=0)
+
+    def test_deflection_loads_sum_to_the_cell_load(self, cells):
+        local, D = cells
+        _, f = oracle._cell_integrals(local, D, 2.5)
+        area = 0.5 * local[:, 1, 0] * local[:, 2, 1]
+        assert_allclose(f[:, ::3].sum(axis=1), 2.5 * area, rtol=1e-13, atol=0)
+
+    def test_bytes_equal_each_cell_alone(self, cells):
+        local, D = cells
+        kc, f = oracle._cell_integrals(local, D, 1.5)
+        for i in range(len(local)):
+            alone = oracle._cell_integrals(local[i:i + 1], D[i:i + 1], 1.5)
+            assert alone[0].tobytes() == kc[i].tobytes()
+            assert alone[1].tobytes() == f[i].tobytes()
+
+
+@pytest.fixture
+def kernel_tables_cleared():
+    """Empties the tables that keep what the basis kernel gave
+    (`element._integral_table`, `shapefn._shape_domains`) before the test
+    and after it, so that a patched kernel is called and leaves nothing."""
+    tables = (triplate.element._integral_table, triplate.shapefn._shape_domains)
+    for table in tables:
+        table.clear()
+    yield
+    for table in tables:
+        table.clear()
+
+
+def scaled_K(system):
+    return dataclasses.replace(system, K=system.K * (1.0 + 1e-6))
+
+
+def scaled_rhs(system):
+    return dataclasses.replace(system, rhs=system.rhs * (1.0 + 1e-6))
+
+
+def bumped_free_pair(system):
+    """K[r, s] and K[s, r] + 1e-6 max|K| for the w dofs r, s of the first
+    two nodes whose w the boundary conditions leave free."""
+    C = apply_boundary_conditions(system).C
+    r, s = 3 * np.flatnonzero(np.diff(C.indptr)[::3])[:2]
+    bump = 1e-6 * abs(system.K).max()
+    pair = sp.coo_matrix(([bump, bump], ([r, s], [s, r])), shape=system.K.shape)
+    return dataclasses.replace(system, K=(system.K + pair).tocsr())
+
+
 class TestMutationsFail:
     """The check must fail when either side is slightly wrong."""
 
@@ -252,3 +378,30 @@ class TestMutationsFail:
         assert not report.ok
         assert report.max_K_diff > report.tolerance
 
+    def test_basis_kernel_fault(self, monkeypatch, kernel_tables_cleared):
+        """The oracle's cells do not call the basis kernel, so a fault in
+        it moves only the multiresolution side."""
+        model = benchmark_case("skew-60").build(4)
+        original = triplate.shapefn._eval_triangles
+
+        def faulty(*args, **kwargs):
+            value, grad, hess = original(*args, **kwargs)
+            return value, grad, None if hess is None else hess * (1.0 + 1e-6)
+
+        # every module that holds the kernel gets the fault
+        for module in [m for name, m in sys.modules.items() if name.startswith("triplate")]:
+            if getattr(module, "_eval_triangles", None) is original:
+                monkeypatch.setattr(module, "_eval_triangles", faulty)
+        report = equivalence_check(model)
+        assert not report.ok
+        assert report.max_K_diff > report.tolerance
+
+    @pytest.mark.parametrize("mutate", [scaled_K, bumped_free_pair, scaled_rhs])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_twin_system_perturbed_at_m8(self, name, mutate, monkeypatch):
+        model = benchmark_case(name).build(8)
+        mono = build_equivalent_mono(model)
+        assert equivalence_check(model, mono).ok
+        original = oracle._assemble_twin
+        monkeypatch.setattr(oracle, "_assemble_twin", lambda mono: mutate(original(mono)))
+        assert not equivalence_check(model, mono).ok

@@ -15,13 +15,13 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .element import (QUADRATURE_DEGREE, MRElement, element_load_point,
                       element_load_uniform, element_stiffness)
 from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
 from .geometry import (CONTAIN_TOL, FrameStack, barycentric_at,
-                       barycentric_coeffs, grid_index_arrays, grid_positions)
+                       barycentric_coeffs, grid_index_arrays, grid_positions,
+                       pairs_within)
 
 _PAIR_TOL = 1e-10
 
@@ -143,8 +143,11 @@ def _merge_tolerance(model: Model, coords: np.ndarray) -> float:
 
 def _merge_nodes(coords: np.ndarray, tol: float) -> np.ndarray:
     """Merge points within tol, transitively; returns each point's
-    representative, the lowest index in its cluster."""
-    i, j = cKDTree(coords).query_pairs(tol, output_type="ndarray").T
+    representative, the lowest index in its cluster.  The grid search of
+    `pairs_within` lists the pairs i < j within tol."""
+    i, j = pairs_within(coords, coords, tol)
+    below = i < j
+    i, j = i[below], j[below]
     rep = np.arange(len(coords))
     while True:
         # lower both points of every pair to their smaller label until every
@@ -171,31 +174,31 @@ def _segment_distance(points: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.
     return np.linalg.norm(points - (p1 + t[..., None] * d), axis=-1)
 
 
-def _check_edge_conformity(system: GlobalSystem, corners: np.ndarray):
+def _check_edge_conformity(system: GlobalSystem, corners: np.ndarray,
+                           inverse: np.ndarray, counts: np.ndarray):
     """Reject hanging nodes: every node on an element side must be one of
     that element's own side nodes (same grid on both sides of a splice).
-    corners (E, 3, 2) are the elements' global vertices.
+    corners (E, 3, 2) are the elements' global vertices, inverse the global
+    node of each stacked element node and counts (E,) the elements' node
+    counts.
 
-    A k-d tree lists the nodes within reach of each side's midpoint, and
-    the exact segment distance keeps those on the side, so memory grows
-    with the nodes near the sides, not with sides x nodes.  The first
-    failing (element, side) is reported, with its foreign nodes in order.
+    The grid search of `pairs_within` lists the nodes within reach of each
+    side's midpoint, and the exact segment distance keeps those on the
+    side, so memory grows with the nodes near the sides, not with sides x
+    nodes.  The first failing (element, side) is reported, with its foreign
+    nodes in order.
     """
     coords = system.node_coords
     tol = system.merge_tol
     p1 = corners.reshape(-1, 2)
     p2 = corners[:, [1, 2, 0]].reshape(-1, 2)
     reach = 0.5 * np.linalg.norm(p2 - p1, axis=1) * (1.0 + 1e-9) + tol
-    near = cKDTree(coords).query_ball_point(0.5 * (p1 + p2), reach)
-    side = np.repeat(np.arange(len(p1)), [len(ids) for ids in near])
-    node = np.concatenate(near).astype(np.intp)
+    side, node = pairs_within(0.5 * (p1 + p2), coords, reach)
     keep = _segment_distance(coords[node], p1[side], p2[side]) <= tol
     side, node = side[keep], node[keep]
     # a node belongs to element e when e * n_nodes + node is one of e's keys
     n_nodes = len(coords)
-    counts = [len(ids) for ids in system.element_nodes]
-    own = (np.repeat(np.arange(len(counts)) * n_nodes, counts)
-           + np.concatenate(system.element_nodes))
+    own = np.repeat(np.arange(len(counts)) * n_nodes, counts) + inverse
     foreign = ~np.isin(side // 3 * n_nodes + node, own)
     if foreign.any():
         first = side[foreign].min()
@@ -315,7 +318,8 @@ def assemble(model: Model) -> GlobalSystem:
         F_loc = element_load_point(elem, P, local[0])
         T = transformation_matrix(frames.R[e:e + 1], [elem.node_count])
         rhs[gdofs[e]] += T.T @ F_loc
-    _check_edge_conformity(system, frames.to_global(frames.local_vertices()))
+    _check_edge_conformity(system, frames.to_global(frames.local_vertices()),
+                           inverse, node_counts)
     return system
 
 
@@ -378,17 +382,20 @@ def apply_boundary_conditions(system: GlobalSystem,
     n_cols = free_w + n_rot
     w_col = np.cumsum(n_cols) - n_cols
     rot_col = w_col + free_w
+    # the column and coefficient of each dof, -1 where it has none: C has
+    # at most one entry a row, so its CSR rows need no sort
+    col, val = np.full((system.n_nodes, 3), -1), np.ones((system.n_nodes, 3))
     w, pair = np.flatnonzero(free_w), np.flatnonzero(n_rot == 2)
+    col[w, 0] = w_col[w]
+    col[pair, 1], col[pair, 2] = rot_col[pair], rot_col[pair] + 1
     one = n_rot[held] == 1
     single, u = held[one], dirs[first[one]]
-    rows = np.concatenate([3 * w, 3 * pair + 1, 3 * pair + 2,
-                           3 * single + 1, 3 * single + 2])
-    cols = np.concatenate([w_col[w], rot_col[pair], rot_col[pair] + 1,
-                           rot_col[single], rot_col[single]])
-    vals = np.concatenate([np.ones(len(w) + 2 * len(pair)), -u[:, 1], u[:, 0]])
-    # one entry per row, so the CSR does not depend on the order above
-    C = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(system.n_dofs, int(n_cols.sum()))).tocsr()
+    col[single, 1] = col[single, 2] = rot_col[single]
+    val[single, 1], val[single, 2] = -u[:, 1], u[:, 0]
+    has = col.ravel() >= 0
+    C = sp.csr_matrix((val.ravel()[has], col.ravel()[has],
+                       np.concatenate([[0], np.cumsum(has)])),
+                      shape=(system.n_dofs, int(n_cols.sum())))
     K_red = (C.T @ system.K @ C).tocsr()
     rhs_red = C.T @ system.rhs
     return replace(system, C=C, K_red=K_red, rhs_red=rhs_red)

@@ -27,7 +27,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import bench
@@ -187,6 +186,8 @@ def load_config(path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    # imported here: bench, dev and --help read no config
+    import jsonschema
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:

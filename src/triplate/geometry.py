@@ -435,3 +435,46 @@ def classify_points(points: np.ndarray, frame: LocalFrame, tol: float = 1e-12) -
     L = barycentric(frame.domain_triangles(_DOMAIN_ORDER), points[:, None])
     inside = np.all(L >= -tol, axis=-1)                     # (n, 6)
     return np.where(inside.any(axis=1), np.argmax(inside, axis=1) + 1, 0)
+
+
+def pairs_within(centers, points, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) of a center (n, 2) and a point (k, 2) with
+    dx^2 + dy^2 <= r^2, r the radius, one for all centers or one each (n,).
+
+    A uniform grid (Teschner et al., VMV 2003): the points are sorted by
+    the key of their cell, a little over max(radius), and each center's
+    3 x 3 block of cells is three key ranges found by `searchsorted`, so the
+    work grows with the candidate pairs, not with centers x points.  The
+    margin of 2^-16 keeps a pair at exactly the radius two cells apart at
+    most, however (x - lo) / cell rounds.  The cell never drops below
+    span * 2^-30 of the box around both sets, so every key fits in int64.
+    The pairs come in center order.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    n, r2 = len(c), np.square(np.asarray(radius, dtype=float))
+    if not (n and len(p)):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    # x and y as contiguous rows, centers first: reductions and gathers
+    # along a row cost a fraction of those along a column of (n, 2)
+    both = np.concatenate([c, p]).T.copy()
+    lo = both.min(axis=1)[:, None]
+    span = float((both.max(axis=1)[:, None] - lo).max())
+    cell = max(math.sqrt(float(r2.max())) * (1.0 + 2.0**-16), span * 2.0**-30) or 1.0
+    # (x - lo) / cell >= 0 rounds to at most span / cell, so the cast floors
+    # it to a row below `rows`; a column of rows + 1 keys leaves its last
+    # one empty, so a center's three rows never reach into the next column
+    rows = int(span / cell) + 1
+    cells = ((both - lo) / cell).astype(np.int64)
+    keys = cells[0] * (rows + 1) + cells[1]
+    order = np.argsort(keys[n:], kind="stable")
+    key = keys[n:][order]
+    low = (keys[:n, None] + np.array([-rows - 2, -1, rows])).ravel()
+    start = np.searchsorted(key, low)
+    counts = np.searchsorted(key, low + 3) - start
+    i = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
+    j = order[np.repeat(start - (np.cumsum(counts) - counts), counts) + np.arange(len(i))]
+    x, y = both
+    dx, dy = x[n + j] - x[i], y[n + j] - y[i]
+    keep = dx * dx + dy * dy <= (r2 if r2.ndim == 0 else r2[i])
+    return i[keep], j[keep]

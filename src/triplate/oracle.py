@@ -25,7 +25,6 @@ from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .assembly import (GlobalSystem, Model, _element_stack, _merge_nodes,
                        _merge_tolerance, _owning_element, apply_boundary_conditions,
@@ -33,7 +32,7 @@ from .assembly import (GlobalSystem, Model, _element_stack, _merge_nodes,
 from .element import QUADRATURE_DEGREE, MRElement, bending_rigidity, element_load_point
 from .errors import PermutationNotFound
 from .geometry import (CanonicalFrames, LocalFrame, barycentric_coeffs,
-                       canonicalize_triangles)
+                       canonicalize_triangles, pairs_within)
 from .quadrature import triangle_rule
 from .solve import solve_system
 
@@ -200,14 +199,20 @@ def _assemble_twin(mono: MonoModel) -> GlobalSystem:
 
 
 def _node_permutation(multi: GlobalSystem, mono: GlobalSystem) -> np.ndarray:
-    """perm[j] = multi node id coincident with mono node j."""
+    """perm[j] = multi node id coincident with mono node j: the nearest
+    within the larger merge tolerance, the lowest id on a tie."""
     if multi.n_nodes != mono.n_nodes:
         raise PermutationNotFound(
             f"node counts differ: multi {multi.n_nodes}, mono {mono.n_nodes}")
-    tree = cKDTree(multi.node_coords)
-    dist, perm = tree.query(mono.node_coords)
     tol = max(multi.merge_tol, mono.merge_tol)
-    if np.any(dist > tol) or len(set(perm.tolist())) != len(perm):
+    j, perm = pairs_within(mono.node_coords, multi.node_coords, tol)
+    d = multi.node_coords[perm] - mono.node_coords[j]
+    order = np.lexsort((perm, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], j))
+    j, perm = j[order], perm[order]
+    nearest = np.ones(len(j), dtype=bool)
+    nearest[1:] = j[1:] != j[:-1]
+    perm = perm[nearest]
+    if len(perm) != mono.n_nodes or np.bincount(perm).max() > 1:
         raise PermutationNotFound("node tables do not match one-to-one")
     return perm
 

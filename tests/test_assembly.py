@@ -361,11 +361,13 @@ class TestMatchesPerElementAssembly:
         ]
         check = triplate.assembly._check_edge_conformity
         monkeypatch.setattr(triplate.assembly, "_check_edge_conformity",
-                            lambda system, corners: None)
+                            lambda system, corners, inverse, counts: None)
         system = assemble(Model(elements=elements, uniform_q=1.0))
         e, i, foreign = edge_conformity_scan(system)
         with pytest.raises(NodeMismatch) as err:
-            check(system, np.array([el.frame.global_vertices() for el in elements]))
+            check(system, np.array([el.frame.global_vertices() for el in elements]),
+                  np.concatenate(system.element_nodes),
+                  [el.node_count for el in elements])
         assert str(err.value) == (
             f"element {e} side {i}: nodes {foreign} lie on the side but do not "
             "match its grid (differing m across a shared edge?)")

@@ -1,4 +1,4 @@
-"""Multi-element models: node merging, transformation, constraints.
+"""Multi-element models: node merging, rotation to global axes, constraints.
 
 Elements are spliced by geometric node identity: coincident grid nodes of
 adjacent elements (within the merge tolerance) become one global node
@@ -83,18 +83,13 @@ def node_rotations(R: np.ndarray) -> np.ndarray:
     return lam
 
 
-def transformation_matrix(R: np.ndarray, node_counts) -> sp.csr_matrix:
-    """Block-diagonal global-to-local transformation of stacked element dofs.
-
-    One 3x3 `node_rotations` block per node, for node_counts[e] nodes of
-    each frame in turn, stored whole in CSR; R (E, 2, 2) holds the frames'
-    rotation matrices.
-    """
-    lam = node_rotations(R).reshape(-1, 9)
-    n = 3 * int(np.sum(node_counts))
-    cols = np.repeat(np.arange(0, n, 3), 9) + np.tile([0, 1, 2], n)
-    return sp.csr_matrix((np.repeat(lam, node_counts, axis=0).ravel(), cols,
-                          np.arange(0, 3 * n + 1, 3)), shape=(n, n))
+def _turn(thx: np.ndarray, thy: np.ndarray, R: np.ndarray) -> tuple:
+    """Rotation components (thx, thy) turned from frame-local to global
+    axes, R @ (thx, thy), by the frames' rotation matrices R (..., 2, 2)
+    broadcast against them: the transposed `node_rotations` block.  Each
+    result is the sum of two products, so any summation order has its bits."""
+    return (R[..., 0, 0] * thx + R[..., 0, 1] * thy,
+            R[..., 1, 0] * thx + R[..., 1, 1] * thy)
 
 
 @dataclass
@@ -164,7 +159,8 @@ def _merge_nodes(coords: np.ndarray, tol: float) -> np.ndarray:
 def _segment_distance(points: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Distance from each point to the closed segment p1-p2.
 
-    p1 and p2 are one segment (2,) or one segment per point (n, 2).
+    p1 and p2 are one segment (2,), one segment per point (n, 2) or k
+    segments (k, 1, 2), which give the distances (k, n).
     """
     d = p2 - p1
     L2 = np.einsum("...i,...i->...", d, d)
@@ -260,12 +256,13 @@ def assemble(model: Model) -> GlobalSystem:
     block-diagonal matrix and the stacked uniform loads of all elements;
     they look the cell integrals up per key of frame shape, m and material
     in the table every model shares, and compute the keys it lacks in one
-    pass (`element._fill_basis`).  Node positions, the transformation and
-    the side vertices of the conformity check come from the stacked frames
-    (`FrameStack`), not from one call per element.  All element matrices
-    are rotated to global axes by one block-diagonal product T^T K T, and
-    all uniform loads by one T^T f; the result has the bits of rotating
-    each element alone.  The COO to CSR conversion then sums the element
+    pass (`element._fill_basis`).  Node positions, rotations and the side
+    vertices of the conformity check come from the stacked frames
+    (`FrameStack`), not from one call per element.  `_turn` rotates the
+    (thx, thy) pair of every column triple, then of every node's rows, of
+    the stored entries, and of every load, to global axes: the bits of
+    each element's T^T (K T) with its block-diagonal node rotations T,
+    with no sparse product.  The COO to CSR conversion then sums the element
     contributions to each global entry.  Where at most two elements share
     an entry, as in every registry and demo model, that sum does not
     depend on the order; where more do, as in the conventional twins (up
@@ -288,22 +285,31 @@ def assemble(model: Model) -> GlobalSystem:
     node_coords = all_coords[uniq]
     starts = np.cumsum(node_counts)[:-1]
     element_nodes = np.split(inverse, starts)
-    gdof = (3 * inverse[:, None] + np.arange(3)).ravel()
     n_dofs = 3 * len(node_coords)
 
-    T = transformation_matrix(frames.R, node_counts)
     K_loc = element_stiffness(model.elements, QUADRATURE_DEGREE)
-    # K_loc @ T first, as (T^T K_loc^T)^T: a different grouping rounds K
-    # differently, and the large-m solves amplify that.  Each row of the
-    # product lies in one element's block, and scipy sums a row in its own
-    # column order, so every element's entries come out with the bits and
-    # in the order of rotating that element alone.
-    K_g = (T.T @ (K_loc @ T)).tocoo()
-    rows, cols, data = gdof[K_g.row], gdof[K_g.col], K_g.data
-    f_loc = element_load_uniform(model.elements, model.uniform_q, QUADRATURE_DEGREE)
-    rhs = np.bincount(gdof, weights=T.T @ f_loc, minlength=n_dofs)
-    # free the stacked intermediates before the global matrix is built
-    del T, K_loc, K_g, f_loc
+    ptr, width = K_loc.indptr, np.diff(K_loc.indptr)
+    gdof = (3 * inverse[:, None] + np.arange(3)).ravel().astype(ptr.dtype)
+    # a node's three rows hold the same aligned column triple per neighbour
+    # node, so an element has as many triples as entries in its rows 3i + 1
+    # (and 3i + 2).  Columns turn first, then rows: the rounding of T^T (K_loc T)
+    nnz = np.diff(ptr[3 * np.r_[0, np.cumsum(node_counts)]])
+    R = np.repeat(frames.R, nnz // 3, axis=0)
+    data = K_loc.data.copy()
+    triples = data.reshape(-1, 3)
+    triples[:, 1], triples[:, 2] = _turn(triples[:, 1], triples[:, 2], R)
+    thx, thy = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(inverse)), width) == [[1], [2]]
+    data[thx], data[thy] = _turn(data[thx], data[thy], R)
+    del R, thx, thy
+    # drop exact zeros as sparse products do; each global row lists its
+    # entries in element, then column order, which fixes COO -> CSR's sums
+    keep = data != 0.0
+    rows, cols, data = np.repeat(gdof, width)[keep], gdof[K_loc.indices][keep], data[keep]
+    del K_loc, triples, keep
+    f = element_load_uniform(model.elements, model.uniform_q,
+                             QUADRATURE_DEGREE).reshape(-1, 3)
+    f[:, 1], f[:, 2] = _turn(f[:, 1], f[:, 2], np.repeat(frames.R, node_counts, axis=0))
+    rhs = np.bincount(gdof, weights=f.ravel(), minlength=n_dofs)
 
     K = sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
     system = GlobalSystem(model=model, node_coords=node_coords,
@@ -314,10 +320,9 @@ def assemble(model: Model) -> GlobalSystem:
         p = np.array([x, y])
         owners, local = _owning_element(system.element_stack, p)
         e = owners[0]
-        elem = model.elements[e]
-        F_loc = element_load_point(elem, P, local[0])
-        T = transformation_matrix(frames.R[e:e + 1], [elem.node_count])
-        rhs[gdofs[e]] += T.T @ F_loc
+        F = element_load_point(model.elements[e], P, local[0]).reshape(-1, 3)
+        F[:, 1], F[:, 2] = _turn(F[:, 1], F[:, 2], frames.R[e])
+        rhs[gdofs[e]] += F.ravel()
     _check_edge_conformity(system, frames.to_global(frames.local_vertices()),
                            inverse, node_counts)
     return system
@@ -360,9 +365,10 @@ def apply_boundary_conditions(system: GlobalSystem,
     free_w = np.ones(system.n_nodes, dtype=bool)
     # one row per (node, fixed direction), in condition, node, direction order
     nodes, dirs = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 2))]
-    for bc in bcs:
-        dist = _segment_distance(system.node_coords, bc.edge[0], bc.edge[1])
-        ids = np.flatnonzero(dist <= system.merge_tol)
+    edges = np.array([bc.edge for bc in bcs]).reshape(-1, 2, 1, 2)
+    on_edge = _segment_distance(system.node_coords, edges[:, 0], edges[:, 1]) <= system.merge_tol
+    for bc, on in zip(bcs, on_edge):
+        ids = np.flatnonzero(on)
         if len(ids) == 0:
             raise EmptyEdge(f"no nodes found on edge {bc.edge.tolist()}")
         if bc.kind in (BCKind.CLAMPED, BCKind.SIMPLY_SUPPORTED):
@@ -396,6 +402,10 @@ def apply_boundary_conditions(system: GlobalSystem,
     C = sp.csr_matrix((val.ravel()[has], col.ravel()[has],
                        np.concatenate([[0], np.cumsum(has)])),
                       shape=(system.n_dofs, int(n_cols.sum())))
-    K_red = (C.T @ system.K @ C).tocsr()
-    rhs_red = C.T @ system.rhs
+    # (C^T K) C in CSR throughout: a column of C holds at most two entries,
+    # so each entry sums at most two products and has the bits of any order
+    Ct = C.T.tocsr()
+    K_red = (Ct @ system.K) @ C
+    K_red.sort_indices()
+    rhs_red = Ct @ system.rhs
     return replace(system, C=C, K_red=K_red, rhs_red=rhs_red)

@@ -16,7 +16,7 @@ node merge (`assembly._merge_nodes`) and, for point loads, the
 owning-element search and `element_load_point` of its m = 1 elements,
 besides the quadrature table, the material law and barycentric
 coordinates: not the basis kernel, nor its cell partition, cell-dof map,
-integral table, element matrices or transformation matrices.
+integral table, element matrices or their rotation to global axes.
 """
 from __future__ import annotations
 

@@ -69,9 +69,9 @@ class Solution:
 
 def _inf_norm(K) -> float:
     """Largest absolute row sum of the CSR matrix K, which has an entry:
-    one reduceat over its nonempty rows, as scipy sums a CSR's rows.  The
-    rows of `apply_boundary_conditions`' K_red hold their columns in
-    order, so this has the bits of `spla.norm` of its CSC copy."""
+    one reduceat over its nonempty rows, as scipy sums a CSR's rows.
+    `apply_boundary_conditions` sorts the columns of K_red's rows, so this
+    has the bits of `spla.norm` of its CSC copy."""
     rows = np.flatnonzero(np.diff(K.indptr))
     return float(np.add.reduceat(np.abs(K.data), K.indptr[rows]).max())
 

@@ -187,13 +187,17 @@ _BYTE_MODELS["point loads"] = lambda: two_material_model(loads=_POINT_LOADS)
 _BYTE_MODELS["point loads, q = 0"] = lambda: two_material_model(q=0.0, loads=_POINT_LOADS)
 _BYTE_MODELS["point loads twin"] = lambda: build_equivalent_mono(
     two_material_model(loads=_POINT_LOADS)).model
+# the byte comparison also runs at the scale perfbench/refs freezes
+_FROZEN_MODELS = {f"{name} m=48": (lambda name=name: CASES[name].build(48))
+                  for name in ("square-ss", "skew-60")}
 
 
 class TestMatchesPerElementAssembly:
-    @pytest.mark.parametrize("name", list(_BYTE_MODELS))
+    @pytest.mark.parametrize("name", list(_BYTE_MODELS) + list(_FROZEN_MODELS))
     def test_bytes_equal_per_element_loop(self, name):
-        system = assemble(_BYTE_MODELS[name]())
-        K, rhs, node_coords, element_nodes = per_element_assemble(_BYTE_MODELS[name]())
+        build = {**_BYTE_MODELS, **_FROZEN_MODELS}[name]
+        system = assemble(build())
+        K, rhs, node_coords, element_nodes = per_element_assemble(build())
         for got, want in ((system.K.data, K.data), (system.K.indices, K.indices),
                           (system.K.indptr, K.indptr), (system.rhs, rhs),
                           (system.node_coords, node_coords),
@@ -846,6 +850,7 @@ def _assert_reduction_bytes(system, bcs):
     C, K_red, rhs_red = _reference_reduction(system, bcs)
     assert _csr_bytes(reduced.C) == _csr_bytes(C)
     assert _csr_bytes(reduced.K_red) == _csr_bytes(K_red)
+    assert reduced.K_red.has_canonical_format
     assert reduced.rhs_red.tobytes() == rhs_red.tobytes()
 
 

@@ -126,7 +126,7 @@ def _bits(a):
 class TestFrameStack:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_rows_bytes_equal_frame_methods(self, name, rng):
-        # assemble takes node positions, transformation blocks and side
+        # assemble takes node positions, rotation matrices and side
         # vertices from the stack: each row must have the bits of its
         # frame's own methods, on the model and its conventional twin
         model = CASES[name].build(4)

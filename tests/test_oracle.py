@@ -1,5 +1,6 @@
 """Conventional per-cell assembly as an exactness oracle."""
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -405,3 +406,32 @@ class TestMutationsFail:
         original = oracle._assemble_twin
         monkeypatch.setattr(oracle, "_assemble_twin", lambda mono: mutate(original(mono)))
         assert not equivalence_check(model, mono).ok
+
+    @pytest.mark.parametrize("name, hard_ss", [("circle-ss", False), ("circle-clamped", False),
+                                               ("square-ss", True), ("skew-60", True)])
+    def test_twin_bc_direction_rotated_at_m8(self, name, hard_ss, monkeypatch):
+        # the twin's reduction fixes every single rotation direction turned
+        # by 1e-6 rad; K and rhs agree, so only the solutions can tell.
+        # Clamped edges fix both directions, which no turn moves
+        model = benchmark_case(name).build(8, hard_ss=hard_ss)
+        mono = build_equivalent_mono(model)
+        assert equivalence_check(model, mono).ok
+        fixed = triplate.assembly._fixed_directions
+        reduce = oracle.apply_boundary_conditions
+        c, s = math.cos(1e-6), math.sin(1e-6)
+
+        def turned(bc):
+            dirs = fixed(bc)
+            return dirs @ np.array([[c, s], [-s, c]]) if len(dirs) == 1 else dirs
+
+        def twin_turned(system, bcs=None):
+            if system.model is not mono.model:
+                return reduce(system, bcs)
+            with monkeypatch.context() as patch:
+                patch.setattr(triplate.assembly, "_fixed_directions", turned)
+                return reduce(system, bcs)
+
+        monkeypatch.setattr(oracle, "apply_boundary_conditions", twin_turned)
+        report = equivalence_check(model, mono)
+        assert not report.ok
+        assert report.max_K_diff <= report.tolerance < report.max_solution_diff

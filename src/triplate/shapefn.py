@@ -398,19 +398,21 @@ def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
     frames: the element frame of each cell; ms: the resolution of each
     cell (k,), or one resolution of all; vertices (k, 3, 2): the cells'
     corner positions, in corner order; down (k,): each cell's orientation;
-    points (k, n, 2): element-local points of each cell.  Returns value
-    (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess (k, 3, 3, n, 3), indexed
-    [cell, corner, family, point]; grad or hess set False comes back as
-    None.  Evaluation is forced onto the hexagon sub-domain each corner
-    presents to its cell, so points on cell edges get that cell's
-    polynomial; a point outside it raises OutsideDomain.  The kernel reads
-    the constants kept once per frame shape (`_shape_domains`), and its
-    results do not depend on how many domains share a call: each cell
-    gets the bits of evaluating it alone.  `element._fill_basis` calls it
-    directly; the probes and point loads go through `subtriangle_basis`.
+    points (k, n, 2): element-local points of each cell, or (1, n, 2):
+    the same points of every cell, broadcast against the vertices.
+    Returns value (k, 3, 3, n), grad (k, 3, 3, n, 2) and hess
+    (k, 3, 3, n, 3), indexed [cell, corner, family, point]; grad or hess
+    set False comes back as None.  Evaluation is forced onto the hexagon
+    sub-domain each corner presents to its cell, so points on cell edges
+    get that cell's polynomial; a point outside it raises OutsideDomain.
+    The kernel reads the constants kept once per frame shape
+    (`_shape_domains`), and its results do not depend on how many domains
+    share a call: each cell gets the bits of evaluating it alone.
+    `element._fill_basis` calls it directly; the probes and point loads go
+    through `subtriangle_basis`.
     """
     points = np.asarray(points, dtype=float)
-    k, n = points.shape[:2]
+    k, n = len(vertices), points.shape[1]
     ms = np.asarray(ms)
     down = np.asarray(down, dtype=np.intp)
     rel = ms[..., None, None, None] * (points[:, None] - vertices[:, :, None])
@@ -426,15 +428,14 @@ def subtriangle_basis(frame: LocalFrame, m: int, vertices, down, p, *,
                       grad: bool = True, hess: bool = True) -> tuple:
     """`cells_basis` of k cells of one element, with vertices (k, 3, 2) and
     orientations down (k,), all at the same local points p (n, 2), or at
-    one point (2,) as n = 1: value (k, 3, 3, n), grad (k, 3, 3, n, 2) and
-    hess (k, 3, 3, n, 3), or None for a derivative not asked for.  The
-    probes and the point loads reach the kernel through this entry; the
-    assembly calls `cells_basis` directly.
+    one point (2,) as n = 1, passed once as (1, n, 2): value (k, 3, 3, n),
+    grad (k, 3, 3, n, 2) and hess (k, 3, 3, n, 3), or None for a
+    derivative not asked for.  The probes and the point loads reach the
+    kernel through this entry; the assembly calls `cells_basis` directly.
     """
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
-    k = len(vertices)
-    return cells_basis([frame] * k, m, np.asarray(vertices), down,
-                       np.broadcast_to(pts, (k,) + pts.shape), grad=grad, hess=hess)
+    vertices = np.asarray(vertices)
+    return cells_basis([frame] * len(vertices), m, vertices, down,
+                       np.atleast_2d(np.asarray(p, dtype=float))[None], grad=grad, hess=hess)
 
 
 def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],

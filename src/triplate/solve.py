@@ -82,16 +82,14 @@ def solve_system(system: GlobalSystem) -> Solution:
     Near-singularity (missing constraints leaving rigid modes) is detected
     from the LU pivot ratio; a backward-stable factorization would
     otherwise return an arbitrarily large null-space component without
-    complaint.
+    complaint.  The check runs before a zero load returns the zero
+    solution, so an unconstrained model raises with or without a load.
     """
     if system.K_red is None:
         system = apply_boundary_conditions(system)
     K = system.K_red.tocsc()
     rhs = system.rhs_red
     if K.shape[0] == 0:
-        return Solution(system, np.zeros(system.n_dofs), 0.0)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
         return Solution(system, np.zeros(system.n_dofs), 0.0)
     try:
         lu = spla.splu(K)
@@ -103,6 +101,9 @@ def solve_system(system: GlobalSystem) -> Solution:
         raise SingularSystem(
             f"stiffness matrix is numerically singular (pivot ratio "
             f"{ratio:.1e}); are enough dofs constrained?")
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return Solution(system, np.zeros(system.n_dofs), 0.0)
     a_red = lu.solve(rhs)
     if not np.all(np.isfinite(a_red)):
         raise SingularSystem("solver returned non-finite values")
@@ -128,11 +129,12 @@ def _site(sol: Solution, p) -> tuple:
     matrices at p evaluated so far (`_cells`).
 
     Each solution keeps the site of the last point it probed, keyed by the
-    point's float64 bytes, so a moment after a field at one point, or a
-    second moment there, looks it up, locates it and evaluates each cell's
-    basis once.  The key is the whole point and the model is fixed with
-    the system, so a site cannot go stale; a point that no element holds
-    raises and is not kept.
+    point's float64 bytes, so the probes at one point look it up and
+    locate it once, and evaluate each owning element's cells there in one
+    kernel call (a field evaluates owner 0's anew each time).  The key is
+    the whole point and the model is fixed with the system, so a site
+    cannot go stale; a point that no element holds raises and is not
+    kept.
     """
     p = np.asarray(p, dtype=float).reshape(2)
     key = p.tobytes()
@@ -143,15 +145,15 @@ def _site(sol: Solution, p) -> tuple:
     return site[1:]
 
 
-def _cells(sol: Solution, cells: dict, e: int, p_loc: np.ndarray) -> tuple:
-    """Vertices (k, 3, 2), element dofs (k, 9) and down mask (k,) of the
-    cells `locate_subtriangle` finds at the local point p_loc of element
-    e, kept in the site's cells with a dict, filled by the probes, of the
-    cells' curvature matrices (3, 9) at p_loc by cell index."""
+def _cells(sol: Solution, cells: dict, e: int, p_loc: np.ndarray) -> list:
+    """[vertices (k, 3, 2), element dofs (k, 9), down mask (k,), curvature
+    matrices (k, 3, 9) at p_loc or None] of the cells `locate_subtriangle`
+    finds at the local point p_loc of element e, kept in the site's cells;
+    the first probe to evaluate the cells' basis fills in their curvatures."""
     if e not in cells:
         elem = sol.system.model.elements[e]
         vertices, corners, down = locate_subtriangle(elem, p_loc)
-        cells[e] = vertices, _corner_dofs(elem.m, corners), down, {}
+        cells[e] = [vertices, _corner_dofs(elem.m, corners), down, None]
     return cells[e]
 
 
@@ -160,19 +162,23 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
 
     Rotations are read from the interpolant gradient (thx = dw/dy,
     thy = -dw/dx) and reported in global axes.  On shared edges the first
-    containing element is used; the deflection field is continuous there.
-    The one basis call also returns the cell's Hessians, whose curvature
-    matrix the site keeps for a moment probe at the same point.
+    containing element is used: the deflection field is continuous there,
+    but the rotations, from owner 0's cell gradient, are not (the element
+    is non-conforming).  One basis call evaluates every cell of that
+    element whose closure holds the point; the field reads cell 0, and the
+    site keeps every cell's curvature matrix for a moment probe at the
+    same point.
     """
     owners, local, cells = _site(sol, p)
     e, p_loc = owners[0], local[0]
     elem = sol.system.model.elements[e]
-    vertices, dofs, down, kept = _cells(sol, cells, e, p_loc)
-    value, grad, hess = subtriangle_basis(elem.frame, elem.m, vertices[:1], down[:1], p_loc)
-    kept[0] = _curvatures(hess)[0, 0]
+    entry = _cells(sol, cells, e, p_loc)
+    vertices, dofs, down, _ = entry
+    value, grad, hess = subtriangle_basis(elem.frame, elem.m, vertices, down, p_loc)
+    entry[3] = _curvatures(hess)[:, 0]
     w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
     for coef, v, (gx, gy) in zip(sol._local_dofs[e][dofs[0]].tolist(),
-                                 value.ravel().tolist(), grad.reshape(9, 2).tolist()):
+                                 value[0].ravel().tolist(), grad[0].reshape(9, 2).tolist()):
         w, dwdx, dwdy = w + coef * v, dwdx + coef * gx, dwdy + coef * gy
     th_loc = np.array([dwdy, -dwdx])
     th_glob = sol.system.element_stack[1][e] @ th_loc
@@ -184,25 +190,25 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
 
     Curvatures are discontinuous across cells; at points on cell edges or
     nodes the moment is averaged per element over all cells whose closure
-    contains the point, then across the containing elements.  One basis
-    kernel call per element evaluates the incident cells whose curvature
-    matrices the site does not keep yet, and the site keeps them; a cell's
-    Hessians do not depend on its batch or on whether the gradient is
-    asked for, so kept and fresh matrices have the same bits.  One stacked
-    product per step rounds each cell as its own products would.
+    contains the point, then across the containing elements.  The site
+    keeps the curvature matrices of every incident cell of an element
+    once a probe has evaluated them, so the moment makes one basis kernel
+    call only for an element no probe at the point has read yet: after a
+    field, the second owner on a shared edge.  A cell's Hessians do not
+    depend on its batch or on whether the gradient is asked for, so kept
+    and fresh matrices have the same bits.  One stacked product per step
+    rounds each cell as its own products would.
     """
     owners, local, cells = _site(sol, p)
     collected = []
     for e, p_loc in zip(owners, local):
         elem = sol.system.model.elements[e]
         a = sol._local_dofs[e]
-        vertices, dofs, down, kept = _cells(sol, cells, e, p_loc)
-        missing = [i for i in range(len(vertices)) if i not in kept]
-        if missing:
-            hess = subtriangle_basis(elem.frame, elem.m, vertices[missing], down[missing],
-                                     p_loc, grad=False)[2]
-            kept.update(zip(missing, _curvatures(hess)[:, 0]))
-        B = np.array([kept[i] for i in range(len(vertices))])
+        entry = _cells(sol, cells, e, p_loc)
+        vertices, dofs, down, B = entry
+        if B is None:
+            hess = subtriangle_basis(elem.frame, elem.m, vertices, down, p_loc, grad=False)[2]
+            B = entry[3] = _curvatures(hess)[:, 0]
         R = sol.system.element_stack[1][e]
         kappa = np.matmul(B, a[dofs][:, :, None])
         m_loc = np.matmul(sol._rigidity[e], kappa)[:, :, 0]

@@ -5,8 +5,11 @@ point probed (`solve._site`): the point's owning elements, its local
 coordinates in each and, filled on first use, the cells located there.
 A probe must give the bytes it gives with the site cleared before every
 call, raise where it raised, and look a point up and locate it once per
-point, not once per probe call, and evaluate each cell's basis at the
-point once: the field's kernel call also gives the moment its curvatures.
+point, not once per probe call.  A field evaluates every cell of its
+owning element that holds the point in one kernel call, and the site
+keeps their curvatures, so a field and moment pair makes one kernel call
+per owning element, and a moment makes none for an element evaluated
+there before.
 """
 import sys
 from collections import Counter
@@ -67,6 +70,41 @@ def test_pool_bytes_equal_cleared_site():
               for x, y in pool[kind]]
     assert len(points) == 1369
     assert pair_outcomes(sol, points, False) == pair_outcomes(sol, points, True)
+
+
+def test_pool_one_kernel_call_per_owning_element(monkeypatch):
+    # every probe-grid point, on nodes, on the shared diagonal and inside
+    # cells: a pair at a fresh point evaluates each owning element's cells
+    # in one call, owner 0's from the field; repeated, only the field calls
+    sol = solved(PROBE_CASE, PROBE_M)
+    calls = []
+    original = triplate.solve.subtriangle_basis
+
+    def counting(frame, m, vertices, *args, **kwargs):
+        calls.append((frame, len(vertices)))
+        return original(frame, m, vertices, *args, **kwargs)
+
+    monkeypatch.setattr(triplate.solve, "subtriangle_basis", counting)
+    pool = probe_pool()
+    elements = sol.system.model.elements
+    owners_seen = Counter()
+    for kind in ("node", "edge", "interior"):
+        for x, y in pool[kind]:
+            p = (x / LATTICE, y / LATTICE)
+            sol.__dict__.pop("_site", None)
+            calls.clear()
+            field_eval(sol, p)
+            moment_eval(sol, p)
+            owners, _, cells = sol.__dict__["_site"][1:]
+            assert calls == [(elements[e].frame, len(cells[e][0])) for e in owners]
+            owners_seen[len(owners)] += 1
+            calls.clear()
+            field_eval(sol, p)
+            moment_eval(sol, p)
+            assert calls == [(elements[owners[0]].frame, len(cells[owners[0]][0]))]
+    # the 25 nodes and 144 edge points of the shared diagonal have two
+    # owning elements
+    assert owners_seen == {1: 625 - 25 + 600, 2: 25 + 144}
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -174,11 +212,11 @@ def test_one_lookup_per_pair_one_locate_per_element(p, owners, monkeypatch):
 
 
 @pytest.mark.parametrize("p, field, moment", [((0.31, 0.12), [3], []),
-                                              ((0.5, 0.5), [3], [6, 9])])
+                                              ((0.5, 0.5), [9], [9])])
 def test_field_kernel_call_serves_the_moment(p, field, moment, kernel_calls):
     # three domains per cell: inside a cell the moment reads the field's
-    # cell; at the diagonal node it evaluates owner 0's two other cells,
-    # then owner 1's three
+    # cell; at the diagonal node the field evaluates owner 0's three cells
+    # and the moment owner 1's three
     sol = solved("square-ss", 4)
     kernel_calls.clear()
     field_eval(sol, p)
@@ -192,11 +230,12 @@ def test_moment_first_then_field_then_no_call(kernel_calls):
     kernel_calls.clear()
     moment_eval(sol, (0.5, 0.5))
     assert kernel_calls == [9, 9]
+    # the field evaluates all of owner 0's cells, whatever the site keeps
     field_eval(sol, (0.5, 0.5))
-    assert kernel_calls == [9, 9, 3]
+    assert kernel_calls == [9, 9, 9]
     moment_eval(sol, (0.5, 0.5))
     moment_eval(sol, (0.5, 0.5))
-    assert kernel_calls == [9, 9, 3]
+    assert kernel_calls == [9, 9, 9]
 
 
 @pytest.mark.parametrize("p", [(0.31, 0.12), (0.5, 0.5), (0.3, 0.3)])

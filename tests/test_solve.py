@@ -10,7 +10,8 @@ from triplate import (CASES, BCKind, OutsideModel, PlateMaterial, SingularSystem
                       apply_boundary_conditions, assemble, benchmark_case, field_eval,
                       moment_eval, normalize_coefficient, solve_system)
 import triplate.solve
-from triplate.element import locate_subtriangle
+from triplate.assembly import _owning_element
+from triplate.element import _corner_dofs, locate_subtriangle
 from triplate.shapefn import subtriangle_basis
 
 from test_assembly import square_model
@@ -60,6 +61,12 @@ class TestSolve:
         with pytest.raises(SingularSystem):
             solve_system(apply_boundary_conditions(assemble(model)))
 
+    def test_unconstrained_zero_load_is_singular(self, unit_material):
+        # a zero load is no reason to skip the pivot check
+        model = square_model(2, unit_material, q=0.0, edges=[])
+        with pytest.raises(SingularSystem):
+            solve_system(apply_boundary_conditions(assemble(model)))
+
     def test_constrained_dofs_stay_zero(self, unit_material):
         sol = solved_square(2, unit_material, kind=BCKind.CLAMPED)
         for n, (x, y) in enumerate(sol.system.node_coords):
@@ -92,6 +99,34 @@ class TestFieldEval:
             x, y = rng.uniform(0.05, 0.95, 2)
             assert field_eval(sol, (x, y))[0] == pytest.approx(
                 field_eval(sol, (y, x))[0], rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["square-ss", "skew-60", "circle-ss"])
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_deflection_continuous_across_shared_edges(self, name, m):
+        # field_eval reads w from the first owning element; every other
+        # owner's first cell must give the same w there, from its own dofs
+        sol = solve_system(apply_boundary_conditions(assemble(CASES[name].build(m))))
+        elements = sol.system.model.elements
+        scale = np.abs(sol.dofs[0::3]).max()
+        shared = 0
+        for elem in elements:
+            cells = elem.partition()
+            local = [*elem.node_positions_local(),
+                     *(0.5 * (cells + cells[:, [1, 2, 0]])).reshape(-1, 2)]
+            for p in elem.frame.to_global(np.array(local)):
+                owners, p_locs = _owning_element(sol.system.element_stack, p)
+                if len(owners) < 2:
+                    continue
+                shared += 1
+                w = field_eval(sol, p)[0]
+                for e, p_loc in zip(owners[1:], p_locs[1:]):
+                    other = elements[e]
+                    vertices, corners, down = locate_subtriangle(other, p_loc)
+                    value = subtriangle_basis(other.frame, other.m, vertices[:1], down[:1],
+                                              p_loc, grad=False, hess=False)[0]
+                    dofs = sol._local_dofs[e][_corner_dofs(other.m, corners[:1])[0]]
+                    assert abs(value.ravel() @ dofs - w) <= 1e-12 * scale
+        assert shared > 0
 
     def test_outside_point_rejected(self, unit_material):
         sol = solved_square(2, unit_material)
@@ -190,12 +225,12 @@ class TestMomentEval:
         monkeypatch.setattr(triplate.solve, "subtriangle_basis", counting)
         moment_eval(sol, (0.5, 0.5))
         assert cells == [3, 3]
-        # at a new node, the field evaluates one cell and the moment the
-        # rest of each element's, which the field did not keep
+        # at a new node, the field evaluates all three cells of the first
+        # element, and the moment only those of the second
         cells.clear()
         field_eval(sol, (0.25, 0.25))
         moment_eval(sol, (0.25, 0.25))
-        assert cells == [1, 2, 3]
+        assert cells == [3, 3]
 
 
 class TestNormalization:

@@ -105,6 +105,7 @@ class GlobalSystem:
     C: sp.csr_matrix | None = None          # reduction: full = C @ reduced
     K_red: sp.csr_matrix | None = None
     rhs_red: np.ndarray | None = None
+    bcs: list[BoundaryCondition] | None = None  # the conditions C eliminates
 
     @cached_property
     def element_stack(self) -> tuple:
@@ -350,7 +351,8 @@ def _fixed_directions(bc: BoundaryCondition) -> np.ndarray:
 
 def apply_boundary_conditions(system: GlobalSystem,
                               bcs: list[BoundaryCondition] | None = None) -> GlobalSystem:
-    """Eliminate constrained dofs; returns a system with K_red installed.
+    """Eliminate constrained dofs; returns a system with K_red installed
+    and the conditions it eliminated (bcs, the model's when None).
 
     The reduction matrix C (full = C @ reduced) gives each node, in node
     order, these columns:
@@ -399,13 +401,16 @@ def apply_boundary_conditions(system: GlobalSystem,
     col[single, 1] = col[single, 2] = rot_col[single]
     val[single, 1], val[single, 2] = -u[:, 1], u[:, 0]
     has = col.ravel() >= 0
-    C = sp.csr_matrix((val.ravel()[has], col.ravel()[has],
-                       np.concatenate([[0], np.cumsum(has)])),
-                      shape=(system.n_dofs, int(n_cols.sum())))
+    dofs, cols, vals = np.flatnonzero(has), col.ravel()[has], val.ravel()[has]
+    shape = (system.n_dofs, int(n_cols.sum()))
+    C = sp.csr_matrix((vals, cols, np.concatenate([[0], np.cumsum(has)])), shape=shape)
+    # the columns do not decrease in dof order, so the rows of C^T are runs
+    # of dofs in increasing order: the CSR that C.T.tocsr() builds
+    Ct = sp.csr_matrix((vals, dofs, np.searchsorted(cols, np.arange(shape[1] + 1))),
+                       shape=shape[::-1])
     # (C^T K) C in CSR throughout: a column of C holds at most two entries,
     # so each entry sums at most two products and has the bits of any order
-    Ct = C.T.tocsr()
     K_red = (Ct @ system.K) @ C
     K_red.sort_indices()
     rhs_red = Ct @ system.rhs
-    return replace(system, C=C, K_red=K_red, rhs_red=rhs_red)
+    return replace(system, C=C, K_red=K_red, rhs_red=rhs_red, bcs=bcs)

@@ -17,6 +17,13 @@ owning-element search and `element_load_point` of its m = 1 elements,
 besides the quadrature table, the material law and barycentric
 coordinates: not the basis kernel, nor its cell partition, cell-dof map,
 integral table, element matrices or their rotation to global axes.
+
+`equivalence_check` assembles the multiresolution model itself.  A caller
+that has already solved that model may pass its `Solution`: the check then
+reads the multiresolution dofs from it in place of a second reduction and
+solve, but only when the solution's system is of the same model, reduced
+with the model's own boundary conditions, and has, bit for bit, the K and
+rhs of the check's own assembly; otherwise it raises ValueError.  The twin is always reduced and solved by the check itself.
 """
 from __future__ import annotations
 
@@ -34,7 +41,10 @@ from .errors import PermutationNotFound
 from .geometry import (CanonicalFrames, LocalFrame, barycentric_coeffs,
                        canonicalize_triangles, pairs_within)
 from .quadrature import triangle_rule
-from .solve import solve_system
+from .solve import Solution, solve_system
+
+#: agreement bound of the equivalence check, on stiffness and solution
+EQUIVALENCE_TOL = 1e-9
 
 #: cells per pass of `_cell_integrals`, whose temporaries peak near 5.6 MB at 256
 _CHUNK = 256
@@ -85,7 +95,7 @@ class EquivalenceReport:
     mono_element_count: int
     max_K_diff: float
     max_solution_diff: float
-    tolerance: float = 1e-9
+    tolerance: float = EQUIVALENCE_TOL
 
     @property
     def ok(self) -> bool:
@@ -217,27 +227,60 @@ def _node_permutation(multi: GlobalSystem, mono: GlobalSystem) -> np.ndarray:
     return perm
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check_solution(solution: Solution, model: Model, system: GlobalSystem) -> None:
+    """Raise ValueError unless solution solves the model's system: its
+    system is of the model, was reduced with the model's own boundary
+    conditions (the same objects, in order), and its K (indptr, indices,
+    data) and rhs are those of system bit for bit."""
+    theirs = solution.system
+    if theirs.model is not model:
+        raise ValueError("solution is of another model")
+    bcs = theirs.bcs if theirs.bcs is not None else ()
+    if len(bcs) != len(model.bcs) or any(a is not b for a, b in zip(bcs, model.bcs)):
+        raise ValueError("solution is reduced with other boundary conditions")
+    if not (all(_same_bits(getattr(theirs.K, name), getattr(system.K, name))
+                for name in ("indptr", "indices", "data"))
+            and _same_bits(theirs.rhs, system.rhs)):
+        raise ValueError("solution's K or rhs differs from the model's assembly")
+
+
 def equivalence_check(model: Model, mono: MonoModel | None = None,
-                      tolerance: float = 1e-9) -> EquivalenceReport:
-    """Compare global stiffness and solution of both formulations."""
+                      tolerance: float = EQUIVALENCE_TOL,
+                      solution: Solution | None = None) -> EquivalenceReport:
+    """Compare global stiffness and solution of both formulations.
+
+    solution, when given, is the caller's solution of model under the
+    model's own boundary conditions: it stands in for the check's own
+    reduction and solve of the multiresolution side once `_check_solution`
+    accepts its boundary conditions, K and rhs.  Its dofs are read as given.
+    """
     if mono is None:
         mono = build_equivalent_mono(model)
     sys_multi = assemble(model)
+    if solution is not None:
+        _check_solution(solution, model, sys_multi)
     sys_mono = _assemble_twin(mono)
     perm = _node_permutation(sys_multi, sys_mono)
     dof_perm = (3 * np.repeat(perm, 3) + np.tile([0, 1, 2], len(perm)))
-    inv_perm = np.argsort(dof_perm)
 
-    K_mono = sys_mono.K.tocsr()[inv_perm][:, inv_perm]
+    # twin entry (r, c) sits at (dof_perm[r], dof_perm[c]) in the multi's dofs
+    K = sys_mono.K
+    rows = dof_perm[np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))]
+    K_mono = sp.csr_matrix((K.data, (rows, dof_perm[K.indices])), shape=K.shape)
     dK = (sys_multi.K - K_mono).tocoo()
-    scale = max(abs(sys_multi.K).max(), 1e-300)
+    scale = max(np.abs(sys_multi.K.data).max(), 1e-300)
     max_K_diff = float(abs(dK.data).max() / scale) if dK.nnz else 0.0
 
     max_sol_diff = 0.0
     if model.bcs:
-        sol_multi = solve_system(apply_boundary_conditions(sys_multi))
+        if solution is None:
+            solution = solve_system(apply_boundary_conditions(sys_multi))
         sol_mono = solve_system(apply_boundary_conditions(sys_mono))
-        a_multi = sol_multi.dofs
+        a_multi = solution.dofs
         a_mono = np.zeros_like(a_multi)
         a_mono[dof_perm] = sol_mono.dofs
         s = max(float(np.abs(a_multi).max()), 1e-300)

@@ -10,6 +10,7 @@ that numerical behavior cannot drift silently.
 """
 import pytest
 
+import triplate.solve
 from triplate import UnknownCase, bench
 from triplate.bench import benchmark_case, rl_label, run_benchmark, run_case
 
@@ -119,3 +120,25 @@ class TestResultRows:
         cases = {r["case"] for r in report["rows"]}
         assert cases == {"square-ss", "skew-60"}
         assert all(r["m"] == 2 for r in report["rows"])
+
+
+class TestOracleSolves:
+    @pytest.mark.parametrize("name", sorted(bench.CASES))
+    def test_two_factorizations_per_scale(self, name, monkeypatch):
+        """The oracle takes the probe solve: one LU for the model and one
+        for its conventional twin per (case, m)."""
+        spla = triplate.solve.spla
+        calls = []
+
+        class Counting:
+            def __getattr__(self, attr):
+                return getattr(spla, attr)
+
+            def splu(self, *args, **kwargs):
+                calls.append(args[0].shape)
+                return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(triplate.solve, "spla", Counting())
+        ms = benchmark_case(name).default_ms[:2]
+        run_case(name, ms=ms)
+        assert len(calls) == 2 * len(ms)

@@ -14,7 +14,7 @@ import triplate.shapefn
 from triplate import (CASES, BCKind, EquivalenceReport, MRElement,
                       PermutationNotFound, PlateMaterial, apply_boundary_conditions,
                       assemble, benchmark_case, bending_rigidity, build_equivalent_mono,
-                      canonicalize_triangle, equivalence_check, oracle)
+                      canonicalize_triangle, equivalence_check, oracle, solve_system)
 
 from test_assembly import square_model
 from test_geometry import assert_frames_match
@@ -322,6 +322,10 @@ def kernel_tables_cleared():
         table.clear()
 
 
+def solve(model):
+    return solve_system(apply_boundary_conditions(assemble(model)))
+
+
 def scaled_K(system):
     return dataclasses.replace(system, K=system.K * (1.0 + 1e-6))
 
@@ -397,25 +401,29 @@ class TestMutationsFail:
         assert not report.ok
         assert report.max_K_diff > report.tolerance
 
+    @pytest.mark.parametrize("solved", [False, True], ids=["oracle-solves", "callers-solution"])
     @pytest.mark.parametrize("mutate", [scaled_K, bumped_free_pair, scaled_rhs])
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_twin_system_perturbed_at_m8(self, name, mutate, monkeypatch):
+    def test_twin_system_perturbed_at_m8(self, name, mutate, solved, monkeypatch):
         model = benchmark_case(name).build(8)
         mono = build_equivalent_mono(model)
-        assert equivalence_check(model, mono).ok
+        solution = solve(model) if solved else None
+        assert equivalence_check(model, mono, solution=solution).ok
         original = oracle._assemble_twin
         monkeypatch.setattr(oracle, "_assemble_twin", lambda mono: mutate(original(mono)))
-        assert not equivalence_check(model, mono).ok
+        assert not equivalence_check(model, mono, solution=solution).ok
 
+    @pytest.mark.parametrize("solved", [False, True], ids=["oracle-solves", "callers-solution"])
     @pytest.mark.parametrize("name, hard_ss", [("circle-ss", False), ("circle-clamped", False),
                                                ("square-ss", True), ("skew-60", True)])
-    def test_twin_bc_direction_rotated_at_m8(self, name, hard_ss, monkeypatch):
+    def test_twin_bc_direction_rotated_at_m8(self, name, hard_ss, solved, monkeypatch):
         # the twin's reduction fixes every single rotation direction turned
         # by 1e-6 rad; K and rhs agree, so only the solutions can tell.
         # Clamped edges fix both directions, which no turn moves
         model = benchmark_case(name).build(8, hard_ss=hard_ss)
         mono = build_equivalent_mono(model)
-        assert equivalence_check(model, mono).ok
+        solution = solve(model) if solved else None
+        assert equivalence_check(model, mono, solution=solution).ok
         fixed = triplate.assembly._fixed_directions
         reduce = oracle.apply_boundary_conditions
         c, s = math.cos(1e-6), math.sin(1e-6)
@@ -432,6 +440,49 @@ class TestMutationsFail:
                 return reduce(system, bcs)
 
         monkeypatch.setattr(oracle, "apply_boundary_conditions", twin_turned)
-        report = equivalence_check(model, mono)
+        report = equivalence_check(model, mono, solution=solution)
         assert not report.ok
         assert report.max_K_diff <= report.tolerance < report.max_solution_diff
+
+
+class TestCallerSolution:
+    """The check reads the multiresolution dofs from a caller's solution
+    only when it solves the model's own K and rhs, bit for bit."""
+
+    def test_same_report_as_the_own_solve(self):
+        model = benchmark_case("skew-60").build(4)
+        assert equivalence_check(model, solution=solve(model)) == equivalence_check(model)
+
+    @pytest.mark.parametrize("m, hard_ss", [(4, False), (3, True)])
+    def test_solution_of_another_system_rejected(self, m, hard_ss):
+        model = benchmark_case("square-ss").build(3)
+        other = solve(benchmark_case("square-ss").build(m, hard_ss=hard_ss))
+        with pytest.raises(ValueError, match="another model"):
+            equivalence_check(model, solution=other)
+
+    def test_solution_reduced_with_other_conditions_rejected(self):
+        model = benchmark_case("square-clamped").build(4)
+        other = solve_system(apply_boundary_conditions(assemble(model), model.bcs[:2]))
+        with pytest.raises(ValueError, match="other boundary conditions"):
+            equivalence_check(model, solution=other)
+
+    def test_copied_condition_list_accepted(self):
+        model = benchmark_case("square-clamped").build(4)
+        solution = solve_system(apply_boundary_conditions(assemble(model), list(model.bcs)))
+        assert equivalence_check(model, solution=solution).ok
+
+    @pytest.mark.parametrize("field", ["K", "rhs"])
+    def test_one_ulp_off_rejected(self, field):
+        model = benchmark_case("square-ss").build(3)
+        solution = solve(model)
+        system = solution.system
+        if field == "K":
+            K = system.K.copy()
+            K.data[0] = np.nextafter(K.data[0], np.inf)
+            bad = dataclasses.replace(system, K=K)
+        else:
+            rhs = system.rhs.copy()
+            rhs[-1] = np.nextafter(rhs[-1], np.inf)
+            bad = dataclasses.replace(system, rhs=rhs)
+        with pytest.raises(ValueError, match="K or rhs differs"):
+            equivalence_check(model, solution=dataclasses.replace(solution, system=bad))

@@ -284,8 +284,9 @@ def assemble(model: Model) -> GlobalSystem:
     reps = _merge_nodes(all_coords, tol)
     uniq, inverse = np.unique(reps, return_inverse=True)
     node_coords = all_coords[uniq]
-    starts = np.cumsum(node_counts)[:-1]
-    element_nodes = np.split(inverse, starts)
+    ends = np.cumsum(node_counts).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    element_nodes = [inverse[start:end] for start, end in spans]
     n_dofs = 3 * len(node_coords)
 
     K_loc = element_stiffness(model.elements, QUADRATURE_DEGREE)
@@ -316,14 +317,14 @@ def assemble(model: Model) -> GlobalSystem:
     system = GlobalSystem(model=model, node_coords=node_coords,
                           element_nodes=element_nodes, K=K, rhs=rhs, merge_tol=tol)
 
-    gdofs = np.split(gdof, 3 * starts) if model.point_loads else None
     for (x, y, P) in model.point_loads:
         p = np.array([x, y])
         owners, local = _owning_element(system.element_stack, p)
         e = owners[0]
         F = element_load_point(model.elements[e], P, local[0]).reshape(-1, 3)
         F[:, 1], F[:, 2] = _turn(F[:, 1], F[:, 2], frames.R[e])
-        rhs[gdofs[e]] += F.ravel()
+        start, end = spans[e]
+        rhs[gdof[3 * start:3 * end]] += F.ravel()
     _check_edge_conformity(system, frames.to_global(frames.local_vertices()),
                            inverse, node_counts)
     return system

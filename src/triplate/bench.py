@@ -232,11 +232,12 @@ def run_case(name: str, ms=None, hard_ss: bool = False,
     refinable model against its per-cell conventional twin.
 
     The equivalence check takes the probe solve (``solution=``), so each
-    scale factors two systems, the model and its twin, not three.  A
-    refcases pass of the perfbench benchmark (the 11 registry pairs with
-    m <= 8) runs a median 106.1 of these calls a second against 94.5
-    before (``BENCH_26.json``, 10 alternating pairs on a 2-vCPU x86-64
-    host, reference seconds).
+    scale factors two systems, the model and its twin, not three, and
+    integrates each distinct twin cell once per process.  A refcases pass
+    of the perfbench benchmark (the 11 registry pairs with m <= 8) runs a
+    median 128.2 of these calls a second against 110.0 before
+    (``BENCH_27.json``, 10 alternating pairs on a 2-vCPU x86-64 host,
+    reference seconds).
     """
     case = benchmark_case(name)
     rows = []

@@ -7,23 +7,30 @@ nodes, same global stiffness up to a node permutation, same solution.
 
 The conventional twin is assembled in one stacked pass over its cells
 (`geometry.canonicalize_triangles` gives every cell its frame).  Each cell
-whose canonical vertices and rigidity are bitwise distinct is integrated
-once, its BCIZ cubics written out in area coordinates at the quadrature
-points; the 9x9 cell matrices and load vectors are gathered back to every
+is integrated from its BCIZ cubics, written out in area coordinates at the
+quadrature points.  The oracle keeps these 9x9 cell matrices and load
+vectors in a table of its own, `_cell_table`, keyed by the float64 bytes of
+each cell's canonical local vertices, rigidity D and load q and bounded at
+`CELL_TABLE_BOUND` entries: a process integrates each distinct cell once
+(see `_distinct_cell_integrals`).  The integrals are gathered back to every
 cell, each 3x3 node block is rotated to global axes and the whole twin is
 scattered as one COO matrix.  Of the multiresolution path it shares the
 node merge (`assembly._merge_nodes`) and, for point loads, the
 owning-element search and `element_load_point` of its m = 1 elements,
-besides the quadrature table, the material law and barycentric
-coordinates: not the basis kernel, nor its cell partition, cell-dof map,
-integral table, element matrices or their rotation to global axes.
+besides the quadrature table, the material law, barycentric coordinates
+and the `shapefn.LRUTable` container: not the basis kernel, nor its cell
+partition, cell-dof map, integral table (`element._integral_table`),
+element matrices or their rotation to global axes.
 
 `equivalence_check` assembles the multiresolution model itself.  A caller
 that has already solved that model may pass its `Solution`: the check then
 reads the multiresolution dofs from it in place of a second reduction and
 solve, but only when the solution's system is of the same model, reduced
 with the model's own boundary conditions, and has, bit for bit, the K and
-rhs of the check's own assembly; otherwise it raises ValueError.  The twin is always reduced and solved by the check itself.
+rhs of the check's own assembly; otherwise it raises ValueError.  The twin
+is always reduced and solved by the check itself.  The two stiffness
+matrices are compared in one sparse build of the multiresolution entries
+and the negated, permuted twin entries.
 """
 from __future__ import annotations
 
@@ -41,6 +48,7 @@ from .errors import PermutationNotFound
 from .geometry import (CanonicalFrames, LocalFrame, barycentric_coeffs,
                        canonicalize_triangles, pairs_within)
 from .quadrature import triangle_rule
+from .shapefn import LRUTable
 from .solve import Solution, solve_system
 
 #: agreement bound of the equivalence check, on stiffness and solution
@@ -48,6 +56,16 @@ EQUIVALENCE_TOL = 1e-9
 
 #: cells per pass of `_cell_integrals`, whose temporaries peak near 5.6 MB at 256
 _CHUNK = 256
+
+#: entries `_cell_table` keeps, about 1.2 KB each with their keys, or the
+#: distinct cells of the latest `_distinct_cell_integrals` that integrates
+#: if those are more
+CELL_TABLE_BOUND = 1024
+
+#: the (stiffness (9, 9), load (9,)) of every cell integrated, keyed by
+#: the bytes of its (local, D, q), least recently used first.  The
+#: oracle's own: it shares no entry with `element._integral_table`
+_cell_table = LRUTable(CELL_TABLE_BOUND)
 
 #: the distinct second derivatives d2/dL_a dL_b, a <= b
 _A, _B = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
@@ -152,14 +170,27 @@ def _cell_integrals(local: np.ndarray, D: np.ndarray, q: float):
 
 
 def _distinct_cell_integrals(local: np.ndarray, D: np.ndarray, q: float):
-    """`_cell_integrals` of every cell, evaluated once per bit-distinct
-    (local, D) row.  A cell's integrals depend on those alone, and each
-    cell gets the bits of evaluating it alone, so the result is that of
-    evaluating every cell; the rows are gathered back as copies."""
+    """`_cell_integrals` of every cell, looked up per bit-distinct (local,
+    D) row in `_cell_table` under the key of its float64 bytes and those
+    of q.  The rows the table lacks are integrated in one `_cell_integrals`
+    call.  A cell's integrals depend on (local, D, q) alone, and each cell
+    gets the bits of integrating it alone, so the result is that of
+    integrating every cell.  The rows are gathered back as writable
+    copies; the kept entries are read-only."""
     rows = np.concatenate([local.reshape(len(local), 6), D.reshape(len(D), 9)], axis=1)
     _, first, inverse = np.unique(rows.view(f"V{rows[0].nbytes}").ravel(),
                                   return_index=True, return_inverse=True)
-    return tuple(x[inverse] for x in _cell_integrals(local[first], D[first], q))
+    load = np.float64(q).tobytes()
+    keys = [row.tobytes() + load for row in rows[first]]
+    at = dict(zip(keys, first.tolist()))
+
+    def build(missing):
+        cells = [at[key] for key in missing]
+        kc, f = _cell_integrals(local[cells], D[cells], q)
+        return [(k.copy(), g.copy()) for k, g in zip(kc, f)]
+
+    entries = _cell_table.get(keys, build)
+    return tuple(np.stack(x)[inverse] for x in zip(*entries))
 
 
 def _assemble_twin(mono: MonoModel) -> GlobalSystem:
@@ -267,12 +298,17 @@ def equivalence_check(model: Model, mono: MonoModel | None = None,
     perm = _node_permutation(sys_multi, sys_mono)
     dof_perm = (3 * np.repeat(perm, 3) + np.tile([0, 1, 2], len(perm)))
 
-    # twin entry (r, c) sits at (dof_perm[r], dof_perm[c]) in the multi's dofs
-    K = sys_mono.K
-    rows = dof_perm[np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))]
-    K_mono = sp.csr_matrix((K.data, (rows, dof_perm[K.indices])), shape=K.shape)
-    dK = (sys_multi.K - K_mono).tocoo()
-    scale = max(np.abs(sys_multi.K.data).max(), 1e-300)
+    # twin entry (r, c) sits at (dof_perm[r], dof_perm[c]) in the multi's
+    # dofs.  One COO -> CSR build sums each multi entry a with the negated
+    # twin entry -b at its position; each side holds a position at most
+    # once, so every sum is a - b exactly
+    K, K_mono = sys_multi.K, sys_mono.K
+    rows = [np.repeat(np.arange(x.shape[0]), np.diff(x.indptr)) for x in (K, K_mono)]
+    dK = sp.csr_matrix((np.concatenate([K.data, -K_mono.data]),
+                        (np.concatenate([rows[0], dof_perm[rows[1]]]),
+                         np.concatenate([K.indices, dof_perm[K_mono.indices]]))),
+                       shape=K.shape)
+    scale = max(np.abs(K.data).max(), 1e-300)
     max_K_diff = float(abs(dK.data).max() / scale) if dK.nnz else 0.0
 
     max_sol_diff = 0.0

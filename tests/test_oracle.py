@@ -154,6 +154,16 @@ def same_system_bytes(got, want):
                             (got.K.indptr, want.K.indptr), (got.rhs, want.rhs)))
 
 
+@pytest.fixture
+def cell_table_cleared():
+    """Empties the oracle's cell-integral table (`oracle._cell_table`)
+    before the test and after it, so that a patched `_cell_integrals` or
+    `_distinct_cell_integrals` is called and leaves nothing."""
+    oracle._cell_table.clear()
+    yield
+    oracle._cell_table.clear()
+
+
 def twin_over_every_cell(mono, monkeypatch):
     """`_assemble_twin` with `_cell_integrals` run over every cell."""
     with monkeypatch.context() as patch:
@@ -166,6 +176,7 @@ def cell_keys(mono):
     return [row.tobytes() for row in np.column_stack(mono.frames[1:4])]
 
 
+@pytest.mark.usefixtures("cell_table_cleared")
 class TestDistinctCells:
     """The twin evaluates each bit-distinct cell once and gathers the
     integrals back; the result is that of evaluating every cell."""
@@ -215,6 +226,148 @@ class TestDistinctCells:
         # the rows are copies: writing into one leaves its equal
         f[0] += 1.0
         assert not np.array_equal(f[0], f[2])
+
+
+def report_bits(report):
+    """The fields of an EquivalenceReport, floats as their exact hex."""
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(report)]
+
+
+def old_max_K_diff(model, mono):
+    """`max_K_diff` as the twin's permuted CSR, `K - K_mono` and `.tocoo()`
+    give it."""
+    sys_multi, sys_mono = assemble(model), oracle._assemble_twin(mono)
+    perm = oracle._node_permutation(sys_multi, sys_mono)
+    dof_perm = 3 * np.repeat(perm, 3) + np.tile([0, 1, 2], len(perm))
+    K = sys_mono.K
+    rows = dof_perm[np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))]
+    K_mono = sp.csr_matrix((K.data, (rows, dof_perm[K.indices])), shape=K.shape)
+    dK = (sys_multi.K - K_mono).tocoo()
+    scale = max(np.abs(sys_multi.K.data).max(), 1e-300)
+    return float(abs(dK.data).max() / scale) if dK.nnz else 0.0
+
+
+class TestCellTable:
+    """The oracle keeps the integrals of every cell it integrated, keyed by
+    the bytes of (local, D, q); what it gives back must not depend on what
+    the table holds."""
+
+    @pytest.mark.parametrize("hard_ss", [False, True], ids=["soft", "hard"])
+    def test_warm_report_equals_cold(self, hard_ss, cell_table_cleared):
+        models = [CASES[name].build(m, hard_ss=hard_ss)
+                  for name in sorted(CASES) for m in (1, 2, 3, 4, 6, 8)]
+        cold = []
+        for model in models:
+            oracle._cell_table.clear()
+            cold.append(report_bits(equivalence_check(model)))
+        for model in models:
+            equivalence_check(model)
+        # the warm pass finds every cell kept, some of them from other models
+        misses = oracle._cell_table.misses
+        assert [report_bits(equivalence_check(model)) for model in models] == cold
+        assert oracle._cell_table.misses == misses
+
+    @pytest.mark.parametrize("solved", [False, True], ids=["oracle-solves", "callers-solution"])
+    def test_faulty_integrals_fail_once_cleared(self, solved, monkeypatch, cell_table_cleared):
+        model = benchmark_case("skew-60").build(4)
+        solution = solve(model) if solved else None
+        assert equivalence_check(model, solution=solution).ok
+        original = oracle._cell_integrals
+
+        def faulty(local, D, q):
+            kc, f = original(local, D, q)
+            return kc * (1.0 + 1e-6), f
+
+        monkeypatch.setattr(oracle, "_cell_integrals", faulty)
+        # the warm table hides the fault, which is why a test that patches
+        # the cell integrals clears it
+        assert equivalence_check(model, solution=solution).ok
+        oracle._cell_table.clear()
+        report = equivalence_check(model, solution=solution)
+        assert not report.ok
+        assert report.max_K_diff > report.tolerance
+
+    @pytest.mark.parametrize("cells", [slice(None), [0, 0, 0]], ids=["all", "one-distinct"])
+    def test_entries_read_only_and_rows_writable_copies(self, cells, cell_table_cleared):
+        local, D = (x[cells] for x in twin_cells("circle-ss", 4))
+        kc, f = oracle._distinct_cell_integrals(local, D, 1.0)
+        kept = [a for entry in oracle._cell_table._entries.values() for a in entry]
+        assert len(kept) == 2 * len(oracle._cell_table) > 0
+        assert not any(a.flags.writeable for a in kept)
+        assert kc.flags.writeable and f.flags.writeable
+        assert not any(np.shares_memory(x, a) for x in (kc, f) for a in kept)
+        want = kc.tobytes(), f.tobytes()
+        kc += 1.0
+        f += 1.0
+        again = oracle._distinct_cell_integrals(local, D, 1.0)
+        assert (again[0].tobytes(), again[1].tobytes()) == want
+
+    def test_integrates_only_the_missing_cells(self, monkeypatch, rng, cell_table_cleared):
+        local, D = random_cells(rng, 40)
+        calls = []
+        original = oracle._cell_integrals
+        monkeypatch.setattr(oracle, "_cell_integrals",
+                            lambda local, *args: calls.append(len(local))
+                            or original(local, *args))
+        oracle._distinct_cell_integrals(local[1::3], D[1::3], 1.0)
+        kc, f = oracle._distinct_cell_integrals(local, D, 1.0)
+        assert calls == [13, 27]
+        want = original(local, D, 1.0)
+        assert kc.tobytes() == want[0].tobytes()
+        assert f.tobytes() == want[1].tobytes()
+
+    def test_two_loads_two_entries(self, cell_table_cleared):
+        local, D = twin_cells("square-ss", 4)
+        distinct = len(np.unique(np.concatenate([local.reshape(-1, 6), D.reshape(-1, 9)],
+                                                axis=1), axis=0))
+        got = [oracle._distinct_cell_integrals(local, D, q) for q in (1.0, 2.5)]
+        assert len(oracle._cell_table) == 2 * distinct
+        for q, (kc, f) in zip((1.0, 2.5), got):
+            want = oracle._cell_integrals(local, D, q)
+            assert kc.tobytes() == want[0].tobytes()
+            assert f.tobytes() == want[1].tobytes()
+        assert got[0][0].tobytes() == got[1][0].tobytes()
+        assert got[0][1].tobytes() != got[1][1].tobytes()
+
+    def test_bounded(self, monkeypatch, rng):
+        bound = 8
+        monkeypatch.setattr(oracle, "_cell_table", triplate.shapefn.LRUTable(bound))
+        local, D = random_cells(rng, 60)
+        latest = 0
+        # fresh cells every call, so that every call integrates; the last
+        # call repeats cells of the one before and integrates none
+        for start, stop in [(0, 5), (5, 17), (17, 20), (20, 40), (40, 42), (42, 51), (45, 48)]:
+            cells = np.r_[start:stop, start:stop]
+            misses = oracle._cell_table.misses
+            kc, f = oracle._distinct_cell_integrals(local[cells], D[cells], 1.0)
+            if oracle._cell_table.misses > misses:
+                latest = stop - start
+            assert len(oracle._cell_table) <= max(bound, latest)
+            want = oracle._cell_integrals(local[cells], D[cells], 1.0)
+            assert kc.tobytes() == want[0].tobytes()
+            assert f.tobytes() == want[1].tobytes()
+        assert latest == len(oracle._cell_table) == 9
+
+
+class TestOneBuildComparison:
+    """`max_K_diff` from one sparse build of both sides' entries is the
+    figure of subtracting the permuted twin's CSR, bit for bit."""
+
+    @pytest.mark.parametrize("hard_ss", [False, True], ids=["soft", "hard"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bits_equal_subtraction(self, name, hard_ss):
+        for m in (1, 2, 3, 4, 6, 8, 12):
+            model = CASES[name].build(m, hard_ss=hard_ss)
+            mono = build_equivalent_mono(model)
+            got = equivalence_check(model, mono).max_K_diff
+            assert got.hex() == old_max_K_diff(model, mono).hex()
+
+    def test_point_load_model(self, unit_material):
+        model = square_model(3, unit_material, q=0.0, kind=BCKind.CLAMPED)
+        model.point_loads = [(0.3, 0.4, 1.0), (2 / 3, 1 / 3, 2.0)]
+        mono = build_equivalent_mono(model)
+        got = equivalence_check(model, mono).max_K_diff
+        assert got.hex() == old_max_K_diff(model, mono).hex()
 
 
 def twin_cells(name, m):
@@ -347,15 +500,17 @@ def bumped_free_pair(system):
 class TestMutationsFail:
     """The check must fail when either side is slightly wrong."""
 
-    def test_one_twin_rotation_perturbed(self):
+    @pytest.mark.parametrize("solved", [False, True], ids=["oracle-solves", "callers-solution"])
+    def test_one_twin_rotation_perturbed(self, solved):
         model = benchmark_case("skew-60").build(4)
         mono = build_equivalent_mono(model)
-        assert equivalence_check(model, mono).ok
+        solution = solve(model) if solved else None
+        assert equivalence_check(model, mono, solution=solution).ok
         rotation = mono.frames.rotation.copy()
         rotation[5] += 1e-6
         bad = dataclasses.replace(
             mono, frames=mono.frames._replace(rotation=rotation))
-        report = equivalence_check(model, bad)
+        report = equivalence_check(model, bad, solution=solution)
         assert not report.ok
         assert report.max_K_diff > report.tolerance
 

@@ -155,10 +155,14 @@ def _curvatures(hess: np.ndarray) -> np.ndarray:
     return hess * np.array([-1.0, -1.0, -2.0])[:, None]
 
 
+#: the (w, thx, thy) dofs of a node, after its 3 * ordinal
+_NODE_DOFS = np.arange(3)
+
+
 def _corner_dofs(m: int, corners: np.ndarray) -> np.ndarray:
     """(n_cells, 9) element dofs of cells with corner grid indices (n, 3, 2)."""
     k = grid_ordinal(m, corners[..., 0], corners[..., 1])
-    return (3 * k[:, :, None] + np.arange(3)).reshape(len(k), 9)
+    return (3 * k[:, :, None] + _NODE_DOFS).reshape(len(k), 9)
 
 
 @lru_cache(maxsize=8)
@@ -379,6 +383,31 @@ _WINDOW_DOWN = np.tile(np.repeat([False, True], 3), 3)
 _WINDOW_CORNERS = cell_corners(*_WINDOW.T, _WINDOW_DOWN)
 
 
+def _window_cells(m: int, r0: int, s0: int) -> tuple:
+    """Orientations (j,) and corner offsets (j, 3, 2) from the base node
+    (r0, s0) of the `_WINDOW` cells that lie in the grid of resolution m,
+    in window order; read-only, from `_window_class`."""
+    return _window_class(min(max(s0, -2), 1), min(max(m - 1 - s0, -2), 1),
+                         min(max(m - 1 - r0, -2), 1), min(max(r0 - s0, -3), 3))
+
+
+@lru_cache(maxsize=4 * 4 * 4 * 7)
+def _window_class(s0: int, top: int, right: int, diagonal: int) -> tuple:
+    """`_window_cells` of a base node (r0, s0) by its edge classes: s0,
+    m - 1 - s0 and m - 1 - r0 clipped to [-2, 1] and r0 - s0 clipped to
+    [-3, 3].  A window cell (r, s) = (r0 + dr, s0 + ds) lies in the grid
+    when s >= 0, s < m, r < m and r >= s + down; with dr and ds in
+    [-1, 1], each test reads its class alone, so the 448 classes are
+    every entry the table can hold."""
+    dr, ds = _WINDOW.T
+    keep = ((s0 + ds >= 0) & (ds <= top) & (dr <= right)
+            & (diagonal >= ds + _WINDOW_DOWN - dr))
+    entry = (_WINDOW_DOWN[keep], _WINDOW_CORNERS[keep])
+    for a in entry:
+        a.flags.writeable = False
+    return entry
+
+
 def locate_subtriangle(elem: MRElement, p_local):
     """Every cell whose closure contains the local point p, in partition
     order: their vertices (j, 3, 2), corner grid indices (j, 3, 2) and
@@ -387,15 +416,17 @@ def locate_subtriangle(elem: MRElement, p_local):
     Inverting `node_position` maps p to grid coordinates (rc, sc), in which
     the up cell (r, s) and the down cell (r, s) both lie in the unit square
     [r, r+1] x [s, s+1].  A cell that holds p within the tolerance is
-    therefore at most one grid step from (floor(rc), floor(sc)), so only
-    the cells of the fixed `_WINDOW` around it that lie in the grid are
-    candidates: at most 18, whatever m is.  Their vertices (the
-    partition's `grid_positions`) get one stacked closure test, rounded as
-    a scan over all m*m cells rounds it, in partition order, so the
-    tolerance band, the first match and the order of the matches (which
-    sets moment_eval's averaging order) are the scan's.  The window is one
-    table for every element and m; nothing else is kept and no partition
-    is built.
+    therefore at most one grid step from the base node (floor(rc),
+    floor(sc)), so only the cells of the fixed `_WINDOW` around it that
+    lie in the grid are candidates: at most 18, whatever m is.  Which
+    those are depends only on the base node's distance to the grid's
+    three edges, and `_window_class` keeps them per class.  Their vertices
+    (the partition's `grid_positions`) get one stacked closure test,
+    rounded as a scan over all m*m cells rounds it, in partition order,
+    so the tolerance band, the first match and the order of the matches
+    (which sets moment_eval's averaging order) are the scan's; the hits
+    are gathered once, by index.  Nothing of size m*m is kept and no
+    partition is built.
     """
     p = np.asarray(p_local, dtype=float).reshape(2)
     frame, m = elem.frame, elem.m
@@ -406,18 +437,16 @@ def locate_subtriangle(elem: MRElement, p_local):
         # NaN, inf or overflow: no cell holds it, and math.floor would raise
         raise OutsideElement(f"point {p} lies outside the element")
     # a base node beyond -2 or m + 1 puts the whole window off the grid
-    base = np.array([min(max(math.floor(c), -2), m + 1) for c in (rc, sc)])
-    r, s = (base + _WINDOW).T
-    keep = (s >= 0) & (s < m) & (r >= s + _WINDOW_DOWN) & (r < m)
-    if not keep.any():
+    r0, s0 = (min(max(math.floor(c), -2), m + 1) for c in (rc, sc))
+    down, offsets = _window_cells(m, r0, s0)
+    if not len(down):
         raise OutsideElement(f"point {p} lies outside the element")
-    down = _WINDOW_DOWN[keep]
-    corners = base + _WINDOW_CORNERS[keep]
+    corners = offsets + np.array([r0, s0])
     vertices = grid_positions(frame, m, corners[..., 0], corners[..., 1])
-    hits = (barycentric(vertices, p) >= -CONTAIN_TOL).all(axis=1)
-    if not hits.any():
+    hits = np.flatnonzero((barycentric(vertices, p) >= -CONTAIN_TOL).all(axis=1))
+    if not len(hits):
         raise OutsideElement(f"point {p} lies outside the element")
-    return vertices[hits], corners[hits], down[hits]
+    return vertices.take(hits, axis=0), corners.take(hits, axis=0), down.take(hits)
 
 
 def element_load_point(elem: MRElement, P: float, p_local) -> np.ndarray:

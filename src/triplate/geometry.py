@@ -291,8 +291,10 @@ def grid_index_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def grid_ordinal(m: int, r, s):
     """`node_ordinal` of (r, s) without the range check; r and s may be
-    integer arrays."""
-    return s * (m + 1) - s * (s - 1) // 2 + (r - s)
+    integer arrays.  Rows 0 to s - 1 hold m + 1, m, ..., m + 2 - s nodes,
+    s (2m + 3 - s) / 2 in all, and row s starts at r = s, so the ordinal
+    is s (2m + 1 - s) / 2 + r, an integer as s (1 - s) is even."""
+    return s * (2 * m + 1 - s) // 2 + r
 
 
 def node_ordinal(m: int, idx: tuple[int, int]) -> int:
@@ -392,12 +394,15 @@ def barycentric_coeffs(vertices: np.ndarray):
 
     Returns (a0, bb, cc, twoA) with L_i(x, y) = (a0_i + bb_i x + cc_i y)/twoA,
     using the cyclic convention bb_i = y_j - y_k, cc_i = x_k - x_j.
-    vertices may carry leading batch axes, (..., 3, 2).
+    vertices may carry leading batch axes, (..., 3, 2).  The successor
+    and predecessor vertices are each taken once, both coordinates
+    together, and every step is elementwise, so each triangle is rounded
+    as if alone.
     """
-    x = vertices[..., 0]
-    y = vertices[..., 1]
-    xj, xk = x.take(_NEXT, axis=-1), x.take(_PREV, axis=-1)
-    yj, yk = y.take(_NEXT, axis=-1), y.take(_PREV, axis=-1)
+    vj = vertices.take(_NEXT, axis=-2)
+    vk = vertices.take(_PREV, axis=-2)
+    xj, yj = vj[..., 0], vj[..., 1]
+    xk, yk = vk[..., 0], vk[..., 1]
     bb = yj - yk
     cc = xk - xj
     a0 = xj * yk - xk * yj

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +131,25 @@ _PLANS = {(g, h): (_FACTOR_INDEX[..., ch],
           for ch in [[0] + [1, 2, 3] * h + [4, 5, 6] * g + [7, 8, 9] * h]}
 
 
+#: patterns `_gather_rows` keeps: an entry of c domains holds 3 * c * 15 *
+#: (1 to 10 channels) intp, at most 173 KB for the 48 domains of the
+#: assembly's largest call and 65 KB for a probe's 18, so at most 11 MB
+GATHER_TABLE_BOUND = 64
+
+
+@lru_cache(maxsize=GATHER_TABLE_BOUND)
+def _gather_rows(grad: bool, hess: bool, i0: tuple) -> np.ndarray:
+    """The rows (3, c, 3, 5, channels) of c stacked domains' factor tables,
+    flattened to (c * 18, n), that the x, y and z factor of every term and
+    channel of the `_PLANS` of (grad, hess) reads, for domains whose nodes
+    occupy the local vertices i0 (c,).  Read-only; the kernel of every
+    call pattern reads them from here."""
+    rows = (_PLANS[grad, hess][0][:, list(i0)]
+            + 6 * 3 * np.arange(len(i0))[:, None, None, None])
+    rows.flags.writeable = False
+    return rows
+
+
 def _coefficients(i0: np.ndarray, bb: np.ndarray, cc: np.ndarray) -> np.ndarray:
     """Term coefficients (c, 3, 5) of each domain's (N, Nx, Ny) families."""
     c = len(i0)
@@ -161,19 +181,22 @@ def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
 
     Returns value (c, 3, n), grad (c, 3, n, 2) and hess (c, 3, n, 3); a
     derivative not asked for is not computed and comes back as None.
-    Given one name per domain, a point outside its domain raises
-    OutsideDomain naming it.  Each product keeps its factor order and the
-    terms are summed one at a time in term order from +0, so every result
-    is rounded exactly as a term-by-term monomial evaluation rounds it.
+    Given names, a callable that names domain i, a point outside its
+    domain raises OutsideDomain naming the first such domain; the name is
+    built only then.  The factor-table rows each term reads depend only
+    on (grad, hess, i0), and `_gather_rows` keeps them.  Each product
+    keeps its factor order and the terms are summed one at a time in term
+    order from +0, so every result is rounded exactly as a term-by-term
+    monomial evaluation rounds it.
     """
     a0, bb, cc, twoA, i0, coef = domains
     L = (a0[:, None] + points[..., :1] * bb[:, None]
          + points[..., 1:] * cc[:, None]) / twoA[:, None, None]
     if names is not None:
-        outside = (L < -CONTAIN_TOL).any(axis=(1, 2))
+        outside = L < -CONTAIN_TOL
         if outside.any():
-            raise OutsideDomain(
-                f"point outside sub-domain {names[int(np.argmax(outside))]}")
+            first = int(np.argmax(outside.any(axis=(1, 2))))
+            raise OutsideDomain(f"point outside sub-domain {names(first)}")
     c, n = L.shape[:2]
 
     Lt = L.transpose(0, 2, 1)
@@ -182,10 +205,9 @@ def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
     table[:, 3] = Lt
     np.multiply(Lt, Lt, out=table[:, 4])
     np.multiply(2.0, Lt, out=table[:, 5])
-    factor_index, at_hess = _PLANS[grad, hess]
     j = 1 + 3 * hess            # channels of the first form; the gradient's next
-    rows = factor_index[:, i0] + 6 * 3 * np.arange(c)[:, None, None, None]
-    x, y, z = table.reshape(-1, n).take(rows, axis=0)
+    x, y, z = table.reshape(-1, n).take(_gather_rows(grad, hess, tuple(i0.tolist())),
+                                        axis=0)
     terms = np.empty(x.shape)
     np.multiply((coef * x[..., :j, :]) * y[..., :j, :], z[..., :j, :],
                 out=terms[..., :j, :])
@@ -209,10 +231,11 @@ def _eval_triangles(domains: tuple, points: np.ndarray, names=None, *,
         g = np.concatenate([np.matmul(dL, w[:, None, :, None]) for w in (wb, wc)],
                            axis=-1)
     if hess:
-        d2L = np.ascontiguousarray(acc[:, :, at_hess].swapaxes(2, 3))
+        d2L = np.ascontiguousarray(acc[:, :, _PLANS[grad, hess][1]].swapaxes(2, 3))
         d2L = d2L.reshape(c, 3, n, 3, 3)
-        h = np.stack([np.einsum("cfnab,ca,cb->cfn", d2L, u, v)
-                      for u, v in ((wb, wb), (wc, wc), (wb, wc))], axis=-1)
+        h = np.empty((c, 3, n, 3))
+        for i, (u, v) in enumerate(((wb, wb), (wc, wc), (wb, wc))):
+            h[..., i] = np.einsum("cfnab,ca,cb->cfn", d2L, u, v)
     return acc[:, :, 0], g, h
 
 
@@ -220,8 +243,9 @@ def _eval_domain(domain: HexDomain, frame: LocalFrame, points: np.ndarray,
                  check: bool = False):
     """Evaluate the domain's nodal family at points (n, 2) in node-relative coords."""
     i0 = np.array([frame.domain_center_vertex(domain) - 1])
+    names = (lambda i: domain.name) if check else None
     value, grad, hess = _eval_triangles(_domains(frame.domain_triangles([domain]), i0),
-                                        points[None], [domain.name] if check else None)
+                                        points[None], names)
     return tuple(ShapeEval(value[0, f], grad[0, f], hess[0, f]) for f in range(3))
 
 
@@ -286,6 +310,24 @@ def _scale_factors(m):
     m = np.asarray(m, dtype=float)[..., None]
     grad = np.where(_IS_N, m, 1.0)
     return np.where(_IS_N, 1.0, 1.0 / m), grad, m * grad
+
+
+#: resolutions `_resolution_scale` keeps, 3 * 24 bytes of factors each
+SCALE_TABLE_BOUND = 64
+
+
+@lru_cache(maxsize=SCALE_TABLE_BOUND)
+def _resolution_scale(m) -> tuple:
+    """`_scale_factors` of one resolution m, a float, shaped (1, 1, 3, 1)
+    for the value and (1, 1, 3, 1, 1) for the gradient and the Hessian, to
+    scale `cells_basis` arrays indexed [cell, corner, family, point];
+    read-only."""
+    vf, gf, hf = _scale_factors(m)
+    entry = (vf[None, None, :, None], gf[None, None, :, None, None],
+             hf[None, None, :, None, None])
+    for f in entry:
+        f.flags.writeable = False
+    return entry
 
 
 def _scale_triple(triple, m: int) -> BasisTriple:
@@ -377,16 +419,29 @@ def _build_shapes(shapes) -> list:
             for entry in zip(*(d.reshape((len(shapes), 6) + d.shape[1:]) for d in domains))]
 
 
+#: row 3 down + corner of a cell's corner domains in a shape's entry
+_CELL_ROWS = np.arange(6).reshape(2, 3)
+
+
 def _cell_domains(frames, down: np.ndarray) -> tuple:
     """`_domains` (3k, ...) of the corners of k cells of the frames with
     orientations down (k,), read from the `_shape_domains` of each
     distinct frame shape of the call: corner c of a cell of the j-th shape
     is row 6 j + 3 down + c of their concatenation."""
     shapes = {}
-    rows = np.array([6 * shapes.setdefault((f.a, f.h, f.b), len(shapes)) + 3 * d + c
-                     for f, d in zip(frames, down.tolist()) for c in range(3)])
+    index = [shapes.setdefault((f.a, f.h, f.b), len(shapes)) for f in frames]
     kept = _shape_domains.get(shapes, _build_shapes)
-    domains = kept[0] if len(kept) == 1 else [np.concatenate(d) for d in zip(*kept)]
+    if len(kept) == 1 and len(down) == 1:
+        # one cell's corners are three consecutive rows: views, no copy
+        row = 3 * int(down[0])
+        return tuple(d[row:row + 3] for d in kept[0])
+    rows = _CELL_ROWS[down]
+    if len(kept) == 1:
+        domains = kept[0]
+    else:
+        domains = [np.concatenate(d) for d in zip(*kept)]
+        rows = rows + 6 * np.array(index)[:, None]
+    rows = rows.ravel()
     return tuple(d.take(rows, axis=0) for d in domains)
 
 
@@ -406,22 +461,31 @@ def cells_basis(frames, ms, vertices, down, points, *, grad: bool = True,
     sub-domain each corner presents to its cell, so points on cell edges
     get that cell's polynomial; a point outside it raises OutsideDomain.
     The kernel reads the constants kept once per frame shape
-    (`_shape_domains`), and its results do not depend on how many domains
-    share a call: each cell gets the bits of evaluating it alone.
+    (`_shape_domains`), the scale factors kept per resolution
+    (`_resolution_scale`; one per cell or one for all take the same
+    entries) and the gather rows kept per call pattern (`_gather_rows`);
+    a domain's name is looked up only for a point outside it.  Its
+    results do not depend on how many domains share a call: each cell
+    gets the bits of evaluating it alone.
     `element._fill_basis` calls it directly; the probes and point loads go
     through `subtriangle_basis`.
     """
     points = np.asarray(points, dtype=float)
     k, n = len(vertices), points.shape[1]
-    ms = np.asarray(ms)
     down = np.asarray(down, dtype=np.intp)
-    rel = ms[..., None, None, None] * (points[:, None] - vertices[:, :, None])
+    if np.ndim(ms) == 0:
+        vf, gf, hf = _resolution_scale(float(ms))
+        rel = ms * (points[:, None] - vertices[:, :, None])
+    else:
+        ms = np.asarray(ms, dtype=float)
+        vf, gf, hf = (np.concatenate(f) for f in zip(*map(_resolution_scale, ms.tolist())))
+        rel = ms[:, None, None, None] * (points[:, None] - vertices[:, :, None])
     value, g, h = _eval_triangles(_cell_domains(frames, down), rel.reshape(3 * k, n, 2),
-                                  _CELL_NAMES[down].ravel(), grad=grad, hess=hess)
-    vf, gf, hf = (f[..., None, :, None] for f in _scale_factors(ms))
+                                  lambda i: _CELL_NAMES[down[i // 3], i % 3],
+                                  grad=grad, hess=hess)
     return (value.reshape(k, 3, 3, n) * vf,
-            g if g is None else g.reshape(k, 3, 3, n, 2) * gf[..., None],
-            h if h is None else h.reshape(k, 3, 3, n, 3) * hf[..., None])
+            g if g is None else g.reshape(k, 3, 3, n, 2) * gf,
+            h if h is None else h.reshape(k, 3, 3, n, 3) * hf)
 
 
 def subtriangle_basis(frame: LocalFrame, m: int, vertices, down, p, *,
@@ -435,7 +499,7 @@ def subtriangle_basis(frame: LocalFrame, m: int, vertices, down, p, *,
     """
     vertices = np.asarray(vertices)
     return cells_basis([frame] * len(vertices), m, vertices, down,
-                       np.atleast_2d(np.asarray(p, dtype=float))[None], grad=grad, hess=hess)
+                       np.asarray(p, dtype=float).reshape(1, -1, 2), grad=grad, hess=hess)
 
 
 def nesting_residual(frame: LocalFrame, m: int, idx: tuple[int, int],

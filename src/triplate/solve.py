@@ -76,14 +76,29 @@ def _inf_norm(K) -> float:
     return float(np.add.reduceat(np.abs(K.data), K.indptr[rows]).max())
 
 
+def _pivots(U) -> np.ndarray:
+    """Absolute values of the diagonal of the CSC upper factor U (n, n).
+
+    SuperLU stores each column's diagonal entry last; where the row
+    indices of those entries confirm it (they are 0, ..., n - 1), they
+    are read from there, at a fraction of the cost of `U.diagonal()`,
+    and otherwise from `U.diagonal()`.  Both give the same bits.
+    """
+    last = U.indptr[1:] - 1
+    if last[0] >= 0 and np.array_equal(U.indices[last], np.arange(len(last))):
+        return np.abs(U.data[last])
+    return np.abs(U.diagonal())
+
+
 def solve_system(system: GlobalSystem) -> Solution:
     """Factor and solve the reduced system; expand to the full dof vector.
 
     Near-singularity (missing constraints leaving rigid modes) is detected
-    from the LU pivot ratio; a backward-stable factorization would
-    otherwise return an arbitrarily large null-space component without
-    complaint.  The check runs before a zero load returns the zero
-    solution, so an unconstrained model raises with or without a load.
+    from the LU pivot ratio over the diagonal of U (`_pivots`); a
+    backward-stable factorization would otherwise return an arbitrarily
+    large null-space component without complaint.  The check runs before
+    a zero load returns the zero solution, so an unconstrained model
+    raises with or without a load.
     """
     if system.K_red is None:
         system = apply_boundary_conditions(system)
@@ -95,7 +110,7 @@ def solve_system(system: GlobalSystem) -> Solution:
         lu = spla.splu(K)
     except RuntimeError as exc:
         raise SingularSystem(f"stiffness factorization failed: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
+    pivots = _pivots(lu.U)
     ratio = float(pivots.min() / pivots.max()) if pivots.max() > 0 else 0.0
     if ratio <= _PIVOT_RATIO_BOUND:
         raise SingularSystem(
@@ -124,14 +139,12 @@ def reactions(sol: Solution) -> np.ndarray:
 
 def _site(sol: Solution, p) -> tuple:
     """Where the global point p lies: its owning elements, p in each one's
-    local axes (`_owning_element`) and a dict, filled on first use, of the
-    cells that hold p in each owning element and of their curvature
-    matrices at p evaluated so far (`_cells`).
+    local axes (`_owning_element`) and a dict, filled on first use, of
+    what the probes read of each owning element there (`_cells`).
 
     Each solution keeps the site of the last point it probed, keyed by the
-    point's float64 bytes, so the probes at one point look it up and
-    locate it once, and evaluate each owning element's cells there in one
-    kernel call (a field evaluates owner 0's anew each time).  The key is
+    point's float64 bytes, so the probes at one point look it up, locate
+    it and evaluate each owning element's cells there once.  The key is
     the whole point and the model is fixed with the system, so a site
     cannot go stale; a point that no element holds raises and is not
     kept.
@@ -145,15 +158,21 @@ def _site(sol: Solution, p) -> tuple:
     return site[1:]
 
 
-def _cells(sol: Solution, cells: dict, e: int, p_loc: np.ndarray) -> list:
-    """[vertices (k, 3, 2), element dofs (k, 9), down mask (k,), curvature
-    matrices (k, 3, 9) at p_loc or None] of the cells `locate_subtriangle`
-    finds at the local point p_loc of element e, kept in the site's cells;
-    the first probe to evaluate the cells' basis fills in their curvatures."""
+def _cells(sol: Solution, cells: dict, e: int, p_loc: np.ndarray) -> tuple:
+    """(element dofs (k, 9), curvature matrices (k, 3, 9), cell 0's
+    values (9,) and gradients (9, 2) as lists) of the k cells
+    `locate_subtriangle` finds at the local point p_loc of element e,
+    kept in the site's cells.  The first probe of the element at the
+    point locates them and evaluates them all in one basis call, with the
+    gradient and the Hessian; a cell's bits depend neither on its batch
+    nor on the derivatives asked for, so every probe reads what a call of
+    its own would give."""
     if e not in cells:
         elem = sol.system.model.elements[e]
         vertices, corners, down = locate_subtriangle(elem, p_loc)
-        cells[e] = [vertices, _corner_dofs(elem.m, corners), down, None]
+        value, grad, hess = subtriangle_basis(elem.frame, elem.m, vertices, down, p_loc)
+        cells[e] = (_corner_dofs(elem.m, corners), _curvatures(hess)[:, 0],
+                    value[0].ravel().tolist(), grad[0].reshape(9, 2).tolist())
     return cells[e]
 
 
@@ -164,21 +183,15 @@ def field_eval(sol: Solution, p) -> tuple[float, float, float]:
     thy = -dw/dx) and reported in global axes.  On shared edges the first
     containing element is used: the deflection field is continuous there,
     but the rotations, from owner 0's cell gradient, are not (the element
-    is non-conforming).  One basis call evaluates every cell of that
-    element whose closure holds the point; the field reads cell 0, and the
-    site keeps every cell's curvature matrix for a moment probe at the
-    same point.
+    is non-conforming).  The field reads cell 0 of the cells the site
+    keeps (`_cells`), so it makes a basis call only where no probe at the
+    point has evaluated that element yet.
     """
     owners, local, cells = _site(sol, p)
-    e, p_loc = owners[0], local[0]
-    elem = sol.system.model.elements[e]
-    entry = _cells(sol, cells, e, p_loc)
-    vertices, dofs, down, _ = entry
-    value, grad, hess = subtriangle_basis(elem.frame, elem.m, vertices, down, p_loc)
-    entry[3] = _curvatures(hess)[:, 0]
+    e = owners[0]
+    dofs, _, value, grad = _cells(sol, cells, e, local[0])
     w = dwdx = dwdy = 0.0        # Python floats, summed in cell-dof order
-    for coef, v, (gx, gy) in zip(sol._local_dofs[e][dofs[0]].tolist(),
-                                 value[0].ravel().tolist(), grad[0].reshape(9, 2).tolist()):
+    for coef, v, (gx, gy) in zip(sol._local_dofs[e][dofs[0]].tolist(), value, grad):
         w, dwdx, dwdy = w + coef * v, dwdx + coef * gx, dwdy + coef * gy
     th_loc = np.array([dwdy, -dwdx])
     th_glob = sol.system.element_stack[1][e] @ th_loc
@@ -190,27 +203,18 @@ def moment_eval(sol: Solution, p) -> MomentTriple:
 
     Curvatures are discontinuous across cells; at points on cell edges or
     nodes the moment is averaged per element over all cells whose closure
-    contains the point, then across the containing elements.  The site
-    keeps the curvature matrices of every incident cell of an element
-    once a probe has evaluated them, so the moment makes one basis kernel
-    call only for an element no probe at the point has read yet: after a
-    field, the second owner on a shared edge.  A cell's Hessians do not
-    depend on its batch or on whether the gradient is asked for, so kept
-    and fresh matrices have the same bits.  One stacked product per step
-    rounds each cell as its own products would.
+    contains the point, then across the containing elements.  It reads
+    the curvature matrices the site keeps (`_cells`), so it makes a basis
+    call only for an element no probe at the point has evaluated yet:
+    after a field, the second owner on a shared edge.  One stacked
+    product per step rounds each cell as its own products would.
     """
     owners, local, cells = _site(sol, p)
     collected = []
     for e, p_loc in zip(owners, local):
-        elem = sol.system.model.elements[e]
-        a = sol._local_dofs[e]
-        entry = _cells(sol, cells, e, p_loc)
-        vertices, dofs, down, B = entry
-        if B is None:
-            hess = subtriangle_basis(elem.frame, elem.m, vertices, down, p_loc, grad=False)[2]
-            B = entry[3] = _curvatures(hess)[:, 0]
+        dofs, B, _, _ = _cells(sol, cells, e, p_loc)
         R = sol.system.element_stack[1][e]
-        kappa = np.matmul(B, a[dofs][:, :, None])
+        kappa = np.matmul(B, sol._local_dofs[e][dofs][:, :, None])
         m_loc = np.matmul(sol._rigidity[e], kappa)[:, :, 0]
         Mg = R @ m_loc.take(_MOMENT_MATRIX, axis=1) @ R.T
         collected.append(Mg.reshape(-1, 4).take(_MOMENT_TRIPLE, axis=1).sum(axis=0)

@@ -304,6 +304,27 @@ class TestBarycentric:
             want = np.array([barycentric(verts, p) for verts in stacked])
             assert got.tobytes() == want.tobytes()
 
+    def test_vertex_axis_takes_round_as_coordinate_takes(self, rng):
+        # the form barycentric_coeffs had before it took the vertex axis
+        # twice: x and y each taken at the successor and the predecessor
+        def four_takes(vertices):
+            x, y = vertices[..., 0], vertices[..., 1]
+            j, k = np.array([1, 2, 0]), np.array([2, 0, 1])
+            xj, xk = x.take(j, axis=-1), x.take(k, axis=-1)
+            yj, yk = y.take(j, axis=-1), y.take(k, axis=-1)
+            a0 = xj * yk - xk * yj
+            return a0, yj - yk, xk - xj, a0.sum(axis=-1)
+
+        # signed zeros and equal coordinates, whose differences are zeros
+        zeros = np.array([[-0.0, 0.0], [1.0, -0.0], [-0.0, 1.0]])
+        frame = canonicalize_triangle(*random_triangle(rng))
+        for verts in (random_triangle(rng), zeros,
+                      np.array([random_triangle(rng) for _ in range(12)]),
+                      np.array([random_triangle(rng) for _ in range(12)]).reshape(3, 4, 3, 2),
+                      subtriangle_partition(frame, 5), zeros[None]):
+            for got, want in zip(barycentric_coeffs(verts), four_takes(verts), strict=True):
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
 
 class TestHexagonDomains:
     def test_domain_triangles_round_as_one_domain(self, rng):

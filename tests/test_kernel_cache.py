@@ -9,10 +9,15 @@ which a test that counts kernel calls or shape misses of an assembly
 empties first (`empty_integral_table`).
 Each assembled system keeps its element stack (`GlobalSystem.element_stack`)
 and each solution its elements' frame-local dofs (`Solution._local_dofs`).
+What the kernel reads per call pattern sits in two small tables: the
+factor-table rows per (grad, hess, corner pattern) (`shapefn._gather_rows`)
+and the resolution scale factors per m (`shapefn._resolution_scale`).
 The kept constants must give the bits of building them anew, be built
-once, and never be shared where they differ.
+once, never be shared where they differ, be read-only and never exceed
+their bound.
 """
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,9 +27,11 @@ import triplate.shapefn
 from triplate import (CASES, Solution, apply_boundary_conditions, assemble,
                       benchmark_case, build_equivalent_mono, canonicalize_triangle,
                       field_eval, moment_eval, solve_system, subtriangle_partition)
-from triplate.geometry import _CELL_SHAPES, partition_corners
-from triplate.shapefn import (_build_shapes, _domains, _eval_triangles, _scale_factors,
-                              _shape_domains, cells_basis, subtriangle_basis)
+from triplate.geometry import _CELL_I0, _CELL_SHAPES, partition_corners
+from triplate.shapefn import (GATHER_TABLE_BOUND, SCALE_TABLE_BOUND, _PLANS, _build_shapes,
+                              _domains, _eval_triangles, _gather_rows, _resolution_scale,
+                              _scale_factors, _shape_domains, cells_basis,
+                              subtriangle_basis)
 
 from conftest import random_triangle
 
@@ -45,9 +52,9 @@ def fresh_cells_basis(frames, ms, vertices, down, points):
     i0 = np.array([f.domain_center_vertex(d) - 1 for f, ds in zip(frames, domains)
                    for d in ds])
     rel = ms[:, None, None, None] * (points[:, None] - vertices[:, :, None])
+    names = [d.name for ds in domains for d in ds]
     value, grad, hess = _eval_triangles(_domains(triangles.reshape(3 * k, 3, 2), i0),
-                                        rel.reshape(3 * k, n, 2),
-                                        [d.name for ds in domains for d in ds])
+                                        rel.reshape(3 * k, n, 2), names.__getitem__)
     vf, gf, hf = (f[:, None, :, None] for f in _scale_factors(ms))
     return (value.reshape(k, 3, 3, n) * vf, grad.reshape(k, 3, 3, n, 2) * gf[..., None],
             hess.reshape(k, 3, 3, n, 3) * hf[..., None])
@@ -263,3 +270,77 @@ def test_solution_dofs_cannot_change_under_the_kept_local_dofs():
         sol.dofs[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.dofs = np.zeros_like(sol.dofs)
+
+
+def fresh_gather_rows(grad, hess, i0):
+    """The factor-table rows the kernel read before it kept them: each
+    domain's plan rows at its i0, offset by its own table."""
+    return (_PLANS[grad, hess][0][:, np.array(i0)]
+            + 6 * 3 * np.arange(len(i0))[:, None, None, None])
+
+
+def test_kept_gather_rows_are_read_only_and_equal_fresh(rng):
+    # one mixed call and three probe-sized ones per (grad, hess): every
+    # pattern is kept once, read-only, with the rows built anew
+    frames, ms, vertices, down = mixed_cells(rng)
+    vertices = np.array(vertices)
+    points = cell_points(vertices, rng)
+    flags = list(itertools.product((False, True), repeat=2))
+    _gather_rows.cache_clear()
+    for grad, hess in flags:
+        for k in (1, 3, 6, len(frames)):
+            cells_basis(frames[:k], ms[:k], vertices[:k], down[:k], points[:k],
+                        grad=grad, hess=hess)
+    assert _gather_rows.cache_info().currsize == 4 * len(flags)
+    for (grad, hess), k in itertools.product(flags, (1, 3, 6, len(frames))):
+        i0 = tuple(_CELL_I0[np.array(down[:k], dtype=np.intp)].ravel().tolist())
+        kept = _gather_rows(grad, hess, i0)
+        with pytest.raises(ValueError, match="read-only"):
+            kept.flat[0] = 0
+        assert_same_bytes([kept], [fresh_gather_rows(grad, hess, i0)])
+    # every lookup above read an entry a kernel call had kept
+    assert _gather_rows.cache_info().misses == 4 * len(flags)
+
+
+def test_kept_scale_factors_are_read_only_and_serve_per_cell_resolutions(rng):
+    # the assembly passes one resolution per cell, the probes one for all:
+    # both read the entry of each resolution and give the same bytes
+    frames, ms, vertices, down = mixed_cells(rng)
+    vertices = np.array(vertices)
+    points = cell_points(vertices, rng)
+    _resolution_scale.cache_clear()
+    got = cells_basis(frames, np.array(ms), vertices, down, points)
+    assert _resolution_scale.cache_info().currsize == 3
+    for m in (1, 3, 8):
+        entry = _resolution_scale(float(m))
+        shapes = [(1, 1, 3, 1), (1, 1, 3, 1, 1), (1, 1, 3, 1, 1)]
+        for kept, fresh, shape in zip(entry, _scale_factors(m), shapes, strict=True):
+            with pytest.raises(ValueError, match="read-only"):
+                kept.flat[0] = 0.0
+            assert_same_bytes([kept], [fresh.reshape(shape)])
+    assert_same_bytes(got, fresh_cells_basis(frames, ms, vertices, down, points))
+    for i, m in enumerate(ms):
+        one = cells_basis(frames[i:i + 1], m, vertices[i:i + 1], down[i:i + 1],
+                          points[i:i + 1])
+        assert_same_bytes(one, [g[i:i + 1] for g in got])
+    assert _resolution_scale.cache_info().misses == 3
+
+
+def test_kept_tables_never_exceed_their_bound(rng):
+    patterns = (p for r in itertools.count(1) for p in itertools.product(range(3), repeat=r))
+    _gather_rows.cache_clear()
+    for i0 in itertools.islice(patterns, GATHER_TABLE_BOUND + 10):
+        _gather_rows(True, True, i0)
+        assert _gather_rows.cache_info().currsize <= GATHER_TABLE_BOUND
+    _resolution_scale.cache_clear()
+    for m in range(1, SCALE_TABLE_BOUND + 11):
+        _resolution_scale(float(m))
+        assert _resolution_scale.cache_info().currsize <= SCALE_TABLE_BOUND
+    assert _gather_rows.cache_info().currsize == GATHER_TABLE_BOUND
+    assert _resolution_scale.cache_info().currsize == SCALE_TABLE_BOUND
+    # full tables still give the bits of building everything anew
+    frames, ms, vertices, down = mixed_cells(rng)
+    vertices = np.array(vertices)
+    points = cell_points(vertices, rng)
+    assert_same_bytes(cells_basis(frames, ms, vertices, down, points),
+                      fresh_cells_basis(frames, ms, vertices, down, points))

@@ -12,7 +12,9 @@ axes with the bits of that element's `to_local`.
 """
 import dataclasses
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +30,14 @@ from triplate import (CASES, MRElement, Model, OutsideElement, OutsideModel,
                       moment_eval, node_position, solve_system,
                       subtriangle_partition)
 from triplate.assembly import _element_stack, _owning_element
-from triplate.element import locate_subtriangle
+from triplate.element import (_WINDOW, _WINDOW_CORNERS, _WINDOW_DOWN, _window_cells,
+                              locate_subtriangle)
 from triplate.geometry import barycentric, partition_corners
 
 from conftest import random_triangle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import LATTICE, PROBE_CASE, PROBE_M, probe_pool  # noqa: E402
 
 
 # The full scan that the grid window replaced, one closure test per cell,
@@ -250,6 +256,61 @@ def test_cost_does_not_grow_with_m(where, unit_material, monkeypatch):
     vertices, corners, down = locate_subtriangle(elem, p)
     assert len(calls) == 1
     assert len(vertices) == len(corners) == len(down) == incident
+
+
+# The grid test of the window cells that the edge-class table replaced,
+# kept as the reference it must reproduce.
+def grid_window_cells(m, r0, s0):
+    """Orientations and corner offsets of the window cells around the base
+    node (r0, s0) that lie in the grid of resolution m."""
+    r, s = (np.array([r0, s0]) + _WINDOW).T
+    keep = (s >= 0) & (s < m) & (r >= s + _WINDOW_DOWN) & (r < m)
+    return _WINDOW_DOWN[keep], _WINDOW_CORNERS[keep]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
+def test_window_classes_equal_the_grid_test(m):
+    # every base node the lookup can reach, -2 to m + 1 on both axes
+    for r0, s0 in np.ndindex(m + 4, m + 4):
+        got = _window_cells(m, r0 - 2, s0 - 2)
+        for g, w in zip(got, grid_window_cells(m, r0 - 2, s0 - 2), strict=True):
+            assert (g.dtype, g.shape, g.tolist()) == (w.dtype, w.shape, w.tolist())
+            assert not g.flags.writeable
+
+
+def stacked_scan(elem, p):
+    """`scan_locate_subtriangle` with every cell's closure test in one
+    stacked `barycentric` call, which rounds each cell as if alone."""
+    cells = elem.partition()
+    corners, down = partition_corners(elem.m)
+    found = np.flatnonzero((barycentric(cells, p) >= -1e-9).all(axis=1))
+    assert len(found)
+    return cells[found], corners[found], down[found]
+
+
+def test_lookup_bytes_equal_scan_on_probe_pool():
+    # every probe-grid pool point in each owning element: nodes, points
+    # on the shared diagonal and inside cells; every 25th also against
+    # the cell-by-cell scan itself
+    model = CASES[PROBE_CASE].build(PROBE_M)
+    stack = _element_stack(model.elements)
+    pool = probe_pool()
+    points = [(x / LATTICE, y / LATTICE) for kind in ("node", "edge", "interior")
+              for x, y in pool[kind]]
+    assert len(points) == 1369
+    incident = set()
+    for i, p in enumerate(points):
+        owners, local = _owning_element(stack, p)
+        for e, p_loc in zip(owners, local):
+            elem = model.elements[e]
+            got = locate_subtriangle(elem, p_loc)
+            assert _same_cells(got, stacked_scan(elem, p_loc))
+            if i % 25 == 0:
+                assert _same_cells(got, scan_locate_subtriangle(elem, p_loc))
+            incident.add(len(got[0]))
+    # cell interiors and points on the shared diagonal have one cell in
+    # each owning element, side nodes three and inner nodes six
+    assert incident == {1, 3, 6}
 
 
 def element_probe_points(model):

@@ -5,11 +5,11 @@ point probed (`solve._site`): the point's owning elements, its local
 coordinates in each and, filled on first use, the cells located there.
 A probe must give the bytes it gives with the site cleared before every
 call, raise where it raised, and look a point up and locate it once per
-point, not once per probe call.  A field evaluates every cell of its
-owning element that holds the point in one kernel call, and the site
-keeps their curvatures, so a field and moment pair makes one kernel call
-per owning element, and a moment makes none for an element evaluated
-there before.
+point, not once per probe call.  The first probe to read an owning
+element evaluates every cell of it that holds the point in one kernel
+call, and the site keeps cell 0's value and gradient and every cell's
+curvatures, so a field and moment pair makes one kernel call per owning
+element, and a probe makes none for an element evaluated there before.
 """
 import sys
 from collections import Counter
@@ -75,7 +75,7 @@ def test_pool_bytes_equal_cleared_site():
 def test_pool_one_kernel_call_per_owning_element(monkeypatch):
     # every probe-grid point, on nodes, on the shared diagonal and inside
     # cells: a pair at a fresh point evaluates each owning element's cells
-    # in one call, owner 0's from the field; repeated, only the field calls
+    # in one call, owner 0's from the field; repeated, nothing calls
     sol = solved(PROBE_CASE, PROBE_M)
     calls = []
     original = triplate.solve.subtriangle_basis
@@ -101,7 +101,7 @@ def test_pool_one_kernel_call_per_owning_element(monkeypatch):
             calls.clear()
             field_eval(sol, p)
             moment_eval(sol, p)
-            assert calls == [(elements[owners[0]].frame, len(cells[owners[0]][0]))]
+            assert calls == []
     # the 25 nodes and 144 edge points of the shared diagonal have two
     # owning elements
     assert owners_seen == {1: 625 - 25 + 600, 2: 25 + 144}
@@ -230,12 +230,13 @@ def test_moment_first_then_field_then_no_call(kernel_calls):
     kernel_calls.clear()
     moment_eval(sol, (0.5, 0.5))
     assert kernel_calls == [9, 9]
-    # the field evaluates all of owner 0's cells, whatever the site keeps
+    # the field reads owner 0's cell 0 from the moment's call
     field_eval(sol, (0.5, 0.5))
-    assert kernel_calls == [9, 9, 9]
+    assert kernel_calls == [9, 9]
     moment_eval(sol, (0.5, 0.5))
     moment_eval(sol, (0.5, 0.5))
-    assert kernel_calls == [9, 9, 9]
+    field_eval(sol, (0.5, 0.5))
+    assert kernel_calls == [9, 9]
 
 
 @pytest.mark.parametrize("p", [(0.31, 0.12), (0.5, 0.5), (0.3, 0.3)])

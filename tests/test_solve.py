@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
@@ -48,6 +49,76 @@ class TestResidualScale:
                 assert triplate.solve._inf_norm(A) == want, where
             seen += 1
         assert seen >= 3 * len(CASES) - 2
+
+
+def column_ends_reversed(U):
+    """The CSC matrix U with each column's entries stored in reverse order,
+    so that a column's diagonal entry comes first, not last."""
+    counts = np.diff(U.indptr)
+    col = np.repeat(np.arange(U.shape[1]), counts)
+    order = U.indptr[col] + U.indptr[col + 1] - 1 - np.arange(U.nnz)
+    return sp.csc_matrix((U.data[order], U.indices[order], U.indptr), shape=U.shape)
+
+
+class ReversedFactor:
+    """A SuperLU factorization whose U stores each column in reverse."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+    @property
+    def U(self):
+        return column_ends_reversed(self.lu.U)
+
+
+class TestPivots:
+    """The pivot guard reads U's diagonal from the last stored entry of
+    each column where the row indices confirm SuperLU's layout, and from
+    `U.diagonal()` otherwise, with the same bits either way."""
+
+    def test_column_ends_hold_the_diagonal_on_every_registry_system(self):
+        seen = 0
+        for where, system in registry_systems():
+            if system.K_red.shape[0] == 0:
+                continue
+            U = spla.splu(system.K_red.tocsc()).U
+            last = U.indptr[1:] - 1
+            assert np.array_equal(U.indices[last], np.arange(U.shape[0])), where
+            want = np.abs(U.diagonal())
+            assert triplate.solve._pivots(U).tobytes() == want.tobytes(), where
+            seen += 1
+        assert seen >= 3 * len(CASES) - 2
+
+    def test_other_layouts_read_the_diagonal(self):
+        U = spla.splu(apply_boundary_conditions(assemble(CASES["skew-60"].build(3)))
+                      .K_red.tocsc()).U
+        # the diagonal first in each column, and a first column left empty
+        gapped = U.copy()
+        gapped.data[:gapped.indptr[1]] = 0.0
+        gapped.eliminate_zeros()
+        for other in (column_ends_reversed(U), gapped):
+            last = other.indptr[1:] - 1
+            assert not np.array_equal(other.indices[last], np.arange(U.shape[0]))
+            want = np.abs(other.diagonal())
+            assert triplate.solve._pivots(other).tobytes() == want.tobytes()
+        assert triplate.solve._pivots(column_ends_reversed(U)).tobytes() == \
+            np.abs(U.diagonal()).tobytes()
+
+    def test_solve_bits_and_singularity_with_either_layout(self, unit_material,
+                                                          monkeypatch):
+        system = apply_boundary_conditions(assemble(CASES["circle-ss"].build(3)))
+        free = apply_boundary_conditions(assemble(square_model(2, unit_material,
+                                                               edges=[])))
+        want = solve_system(system)
+        splu = spla.splu
+        monkeypatch.setattr(triplate.solve.spla, "splu", lambda K: ReversedFactor(splu(K)))
+        got = solve_system(system)
+        assert (got.dofs.tobytes(), got.residual) == (want.dofs.tobytes(), want.residual)
+        with pytest.raises(SingularSystem):
+            solve_system(free)
 
 
 class TestSolve:

@@ -5,6 +5,13 @@ adjacent elements (within the merge tolerance) become one global node
 carrying (w, thx, thy) in global axes.  Boundary conditions are applied
 by elimination through a reduction matrix, which also supports fixing a
 single direction of the rotation pair (hard simple support, symmetry).
+
+What the splice derives from the mesh alone, its `MeshPlan` (merged node
+positions, each element node's global node and the merge tolerance), is
+kept per distinct mesh in `_mesh_table`, so that `assemble` positions,
+merges and checks a mesh once and computes only stiffness and loads on
+later calls.  The conventional twin of the equivalence oracle keeps its
+own merge and reads no plan (see `assemble`).
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +30,7 @@ from .errors import DimensionMismatch, EmptyEdge, NodeMismatch, OutsideModel
 from .geometry import (CONTAIN_TOL, FrameStack, barycentric_at,
                        barycentric_coeffs, grid_index_arrays, grid_positions,
                        pairs_within)
+from .shapefn import LRUTable
 
 _PAIR_TOL = 1e-10
 
@@ -126,14 +135,21 @@ class GlobalSystem:
         return self.C.shape[1] if self.C is not None else self.n_dofs
 
 
+def _given_tolerance(model: Model):
+    """The model's merge tolerance, None when it sets none; raises
+    ValueError unless a set one is a finite number > 0."""
+    tol = model.merge_tolerance
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"merge_tolerance must be a finite number > 0, got {tol!r}")
+    return tol
+
+
 def _merge_tolerance(model: Model, coords: np.ndarray) -> float:
     """The model's merge tolerance, or 1e-9 of the diagonal of the box
     around the node coords (n, 2) when it sets none."""
-    tol = model.merge_tolerance
+    tol = _given_tolerance(model)
     if tol is None:
         return 1e-9 * float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
-    if not 0 < tol < math.inf:
-        raise ValueError(f"merge_tolerance must be a finite number > 0, got {tol!r}")
     return tol
 
 
@@ -250,8 +266,48 @@ def _node_coords(frames: FrameStack, ms: np.ndarray, counts: np.ndarray) -> np.n
     return coords
 
 
+class MeshPlan(NamedTuple):
+    """What `assemble` derives from a model's mesh alone, read-only and
+    kept in `_mesh_table`: only a mesh that passed `_check_edge_conformity`
+    has one."""
+
+    node_coords: np.ndarray   # (N, 2) merged node positions
+    inverse: np.ndarray       # (n,) global node of each stacked element node
+    tol: np.ndarray           # () merge tolerance, kept for a model that sets none
+
+
+#: entries `_mesh_table` keeps.  An entry holds 16 bytes a merged node,
+#: 8 an element node and 80 an element for its key: 58 KB for a
+#: two-element model at m = 48, 15 KB for its conventional twin at m = 8
+MESH_TABLE_BOUND = 64
+
+#: the `MeshPlan` of every mesh `assemble` has checked, keyed by
+#: `_mesh_key`, least recently used first
+_mesh_table = LRUTable(MESH_TABLE_BOUND)
+
+
+def _mesh_key(frames: FrameStack, ms: np.ndarray, given) -> tuple:
+    """Everything a `MeshPlan` depends on: the float64 bytes of the
+    stacked frames (a, h, b, origin, R) and of the model's own merge
+    tolerance (None when it sets none), and the resolutions ms."""
+    return (b"".join(x.tobytes() for x in frames), ms.tobytes(),
+            None if given is None else np.float64(given).tobytes())
+
+
 def assemble(model: Model) -> GlobalSystem:
     """Merge nodes, transform and accumulate element matrices and loads.
+
+    The mesh part comes from the `MeshPlan` of the model's mesh, keyed by
+    `_mesh_key` in `_mesh_table` (`MESH_TABLE_BOUND` entries): a mesh the
+    table lacks is positioned (`_node_coords`), merged (`_merge_nodes`)
+    and checked for hanging nodes (`_check_edge_conformity`, after the
+    loads), and only a mesh that passes is kept.  A kept plan's arrays are
+    read-only and shared by every system of that mesh, so each system's
+    `node_coords` and `element_nodes` are read-only too.  Materials, loads
+    and conditions are not part of the key: stiffness and loads are
+    computed on every call.  The oracle's twin assembly
+    (`oracle._assemble_twin`) merges its own nodes and reads no plan, so
+    that the equivalence check compares each plan with a merge of its own.
 
     One `element_stiffness` and one `element_load_uniform` call give the
     block-diagonal matrix and the stacked uniform loads of all elements;
@@ -279,11 +335,20 @@ def assemble(model: Model) -> GlobalSystem:
     frames = FrameStack.of([el.frame for el in model.elements])
     ms = np.array([el.m for el in model.elements])
     node_counts = (ms + 1) * (ms + 2) // 2
-    all_coords = _node_coords(frames, ms, node_counts)
-    tol = _merge_tolerance(model, all_coords)
-    reps = _merge_nodes(all_coords, tol)
-    uniq, inverse = np.unique(reps, return_inverse=True)
-    node_coords = all_coords[uniq]
+    given = _given_tolerance(model)
+    key = _mesh_key(frames, ms, given)
+    plan = _mesh_table.find(key)
+    if plan is None:
+        all_coords = _node_coords(frames, ms, node_counts)
+        tol = _merge_tolerance(model, all_coords)
+        uniq, inverse = np.unique(_merge_nodes(all_coords, tol), return_inverse=True)
+        node_coords = all_coords[uniq]
+        # read-only before element_nodes views inverse: a later plan hit
+        # hands out the same arrays
+        node_coords.flags.writeable = inverse.flags.writeable = False
+    else:
+        node_coords, inverse = plan.node_coords, plan.inverse
+        tol = float(plan.tol) if given is None else given
     ends = np.cumsum(node_counts).tolist()
     spans = list(zip([0] + ends[:-1], ends))
     element_nodes = [inverse[start:end] for start, end in spans]
@@ -325,8 +390,11 @@ def assemble(model: Model) -> GlobalSystem:
         F[:, 1], F[:, 2] = _turn(F[:, 1], F[:, 2], frames.R[e])
         start, end = spans[e]
         rhs[gdof[3 * start:3 * end]] += F.ravel()
-    _check_edge_conformity(system, frames.to_global(frames.local_vertices()),
-                           inverse, node_counts)
+    if plan is None:
+        _check_edge_conformity(system, frames.to_global(frames.local_vertices()),
+                               inverse, node_counts)
+        _mesh_table.get([key], lambda missing: [MeshPlan(node_coords, inverse,
+                                                         np.array(tol, dtype=float))])
     return system
 
 

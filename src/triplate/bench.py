@@ -233,10 +233,12 @@ def run_case(name: str, ms=None, hard_ss: bool = False,
 
     The equivalence check takes the probe solve (``solution=``), so each
     scale factors two systems, the model and its twin, not three, and
-    integrates each distinct twin cell once per process.  A refcases pass
-    of the perfbench benchmark (the 11 registry pairs with m <= 8) runs a
-    median 128.2 of these calls a second against 110.0 before
-    (``BENCH_27.json``, 10 alternating pairs on a 2-vCPU x86-64 host,
+    integrates each distinct twin cell once per process.  Every
+    ``assemble`` of a mesh met before, the oracle's own included, takes
+    that mesh's kept plan (``assembly._mesh_table``).  A refcases pass of
+    the perfbench benchmark (the 11 registry pairs with m <= 8) runs a
+    median 159.3 of these calls a second against 123.3 before
+    (``BENCH_29.json``, 10 alternating pairs on a 2-vCPU x86-64 host,
     reference seconds).
     """
     case = benchmark_case(name)

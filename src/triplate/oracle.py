@@ -15,7 +15,8 @@ each cell's canonical local vertices, rigidity D and load q and bounded at
 (see `_distinct_cell_integrals`).  The integrals are gathered back to every
 cell, each 3x3 node block is rotated to global axes and the whole twin is
 scattered as one COO matrix.  Of the multiresolution path it shares the
-node merge (`assembly._merge_nodes`) and, for point loads, the
+node merge (`assembly._merge_nodes`), though not the mesh plans that
+`assemble` keeps (`assembly._mesh_table`), and, for point loads, the
 owning-element search and `element_load_point` of its m = 1 elements,
 besides the quadrature table, the material law, barycentric coordinates
 and the `shapefn.LRUTable` container: not the basis kernel, nor its cell

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import triplate.assembly
 import triplate.element
 import triplate.shapefn
 from triplate import (MRElement, PlateMaterial, canonicalize_triangle,
@@ -59,6 +60,17 @@ def empty_integral_table():
     """Empties the cell-integral table (`element._integral_table`), so that
     a test sees the kernel calls of a process that has filled nothing."""
     triplate.element._integral_table.clear()
+
+
+@pytest.fixture
+def mesh_table_cleared():
+    """Empties the mesh-plan table (`assembly._mesh_table`) before the test
+    and after it.  A test that patches a mesh helper (`_check_edge_conformity`,
+    `_merge_nodes`, `_node_coords`, `pairs_within`) uses it, so that the
+    helper runs and a plan it let through is not handed to later tests."""
+    triplate.assembly._mesh_table.clear()
+    yield triplate.assembly._mesh_table
+    triplate.assembly._mesh_table.clear()
 
 
 @pytest.fixture

@@ -357,8 +357,8 @@ class TestMatchesPerElementAssembly:
         assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("m_left, m_right", [(2, 1), (3, 2), (2, 4), (6, 3), (1, 32)])
-    def test_conformity_reports_first_side_as_scan(self, m_left, m_right,
-                                                   unit_material, monkeypatch):
+    def test_conformity_reports_first_side_as_scan(self, m_left, m_right, unit_material,
+                                                   monkeypatch, mesh_table_cleared):
         elements = [
             MRElement.from_vertices([0, 0], [1, 0], [1, 1], m_left, unit_material),
             MRElement.from_vertices([0, 0], [1, 1], [0, 1], m_right, unit_material),
